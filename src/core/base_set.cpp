@@ -71,6 +71,51 @@ bool CanonicalBaseSet::connected(graph::NodeId u, graph::NodeId v) {
   return u == v || oracle_.canonical_reachable(u, v);
 }
 
+// --- SharedCanonicalBaseSet --------------------------------------------------
+
+SharedCanonicalBaseSet::SharedCanonicalBaseSet(spf::TreeCache& trees)
+    : trees_(trees) {
+  require(trees.mask().empty(),
+          "SharedCanonicalBaseSet: base sets are defined on the unfailed "
+          "network; the tree cache must carry no failures");
+  require(trees.options().padded,
+          "SharedCanonicalBaseSet: canonical membership needs padded trees");
+}
+
+const graph::Graph& SharedCanonicalBaseSet::graph() const {
+  return trees_.graph();
+}
+
+spf::Metric SharedCanonicalBaseSet::metric() const {
+  return trees_.options().metric;
+}
+
+bool SharedCanonicalBaseSet::contains(graph::PathView segment) {
+  if (segment.empty() || segment.hops() == 0) return true;
+  return trees_.tree(segment.source())->is_tree_path(segment);
+}
+
+graph::Path SharedCanonicalBaseSet::base_path(graph::NodeId u,
+                                              graph::NodeId v) {
+  if (u == v) return graph::Path::trivial(u);
+  const auto t = trees_.tree(u);
+  if (!t->reachable(v)) return graph::Path{};
+  return t->path_to(trees_.graph(), v);
+}
+
+graph::PathRef SharedCanonicalBaseSet::base_path_ref(graph::NodeId u,
+                                                     graph::NodeId v,
+                                                     graph::PathArena& arena) {
+  if (u == v) return arena.trivial(u);
+  const auto t = trees_.tree(u);
+  if (!t->reachable(v)) return graph::PathRef{};
+  return t->path_to_ref(trees_.graph(), v, arena);
+}
+
+bool SharedCanonicalBaseSet::connected(graph::NodeId u, graph::NodeId v) {
+  return u == v || trees_.tree(u)->reachable(v);
+}
+
 // --- ExpandedBaseSet ---------------------------------------------------------
 
 ExpandedBaseSet::ExpandedBaseSet(spf::DistanceOracle& oracle)

@@ -15,6 +15,10 @@
 //    Under padding, shortest paths are (generically) unique, so this set is
 //    also subpath-closed, but it is n(n-1) paths rather than all ties.
 //
+//    SharedCanonicalBaseSet is the same set read from a thread-safe
+//    spf::TreeCache of padded unfailed trees instead of an oracle, so one
+//    tree store serves both SPF repair and membership.
+//
 //  * ExpandedBaseSet — Corollary 4: the canonical set plus, for every edge,
 //    the canonical paths extended by that edge at either end. Removes the
 //    need for Theorem 2's k loose edges at the cost of a ~(1 + 2m/n) times
@@ -40,6 +44,7 @@
 #include "graph/path_arena.hpp"
 #include "spf/metric.hpp"
 #include "spf/oracle.hpp"
+#include "spf/tree_cache.hpp"
 
 namespace rbpc::core {
 
@@ -122,6 +127,32 @@ class CanonicalBaseSet final : public BasePathSet {
 
  private:
   spf::DistanceOracle& oracle_;
+};
+
+/// The Theorem-3 canonical set over a shared spf::TreeCache: the cache's
+/// padded unfailed trees are exactly the oracle's padded trees, so every
+/// answer matches CanonicalBaseSet's. The cache builds each source once and
+/// is thread-safe, and the set keeps no state of its own, so concurrent
+/// decompositions need no lock.
+class SharedCanonicalBaseSet final : public BasePathSet {
+ public:
+  /// `trees` must carry no failures, build padded trees, and outlive this
+  /// set.
+  explicit SharedCanonicalBaseSet(spf::TreeCache& trees);
+
+  const graph::Graph& graph() const override;
+  spf::Metric metric() const override;
+  using BasePathSet::contains;
+  bool contains(graph::PathView segment) override;
+  graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
+  graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
+                               graph::PathArena& arena) override;
+  bool connected(graph::NodeId u, graph::NodeId v) override;
+  bool prefix_monotone() const override { return true; }
+  const char* name() const override { return "canonical-one-per-pair"; }
+
+ private:
+  spf::TreeCache& trees_;
 };
 
 /// Corollary-4 expanded set: canonical paths plus single-edge extensions.

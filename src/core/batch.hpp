@@ -27,7 +27,11 @@
 // The decomposition stage still funnels through the shared BasePathSet
 // (whose membership oracles cache trees and are not thread-safe) under a
 // mutex; SPF under the mask dominates, so restorations scale while
-// decomposition serializes on warm unfailed-network caches.
+// decomposition serializes on warm unfailed-network caches. The engine thus
+// keeps two stores of unfailed trees (unfailed_trees_ and the oracle behind
+// an oracle-backed base set); RestorationService already reads both uses from one TreeCache
+// (core::SharedCanonicalBaseSet), and moving this engine and the
+// controllers onto it is left for the single restore engine.
 #pragma once
 
 #include <atomic>

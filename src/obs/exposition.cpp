@@ -145,8 +145,10 @@ void ExpositionServer::serve_loop() {
       if (n <= 0) break;
       off += static_cast<std::size_t>(n);
     }
+    // Count the scrape before the close: the client sees the reply end at
+    // the close, and by then the count must already include it.
+    scrapes_.fetch_add(1, std::memory_order_release);
     ::close(fd);
-    scrapes_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 

@@ -73,7 +73,7 @@ class ExpositionServer {
   std::uint16_t port() const { return port_; }
   /// Requests answered so far (any path, including 404s).
   std::uint64_t scrapes() const {
-    return scrapes_.load(std::memory_order_relaxed);
+    return scrapes_.load(std::memory_order_acquire);
   }
 
   /// Stops accepting and joins the serving thread. Idempotent.

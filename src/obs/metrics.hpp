@@ -313,27 +313,28 @@ class MetricsRegistry {
 };
 
 /// Per-instance counter mirrored into a process-wide registry counter:
-/// inc() bumps both a private atomic (read back by the owning object's
+/// inc() bumps both private striped cells (read back by the owning object's
 /// accessors, e.g. TreeCache::hits()) and the shared named metric (read by
 /// scrapes). This is the shim that lets TreeCache and BatchRestorer keep
 /// their historical per-instance accessors as thin views while all counts
-/// flow through one registry. The local count always works, even when the
-/// build disables the registry mirror.
+/// flow through one registry. The local count is striped like the registry
+/// cells, so a hot per-instance counter (TreeCache hits) costs each thread
+/// an add on its own cache line; it always works, even when the build
+/// disables the registry mirror.
 class InstanceCounter {
  public:
   explicit InstanceCounter(Counter global) : global_(global) {}
 
   void add(std::uint64_t n = 1) {
-    local_.fetch_add(n, std::memory_order_relaxed);
+    local_.add(n);
     global_.add(n);
   }
   void inc() { add(1); }
-  std::uint64_t value() const {
-    return local_.load(std::memory_order_relaxed);
-  }
+  /// Exact once the incrementing threads are synchronized with the reader.
+  std::uint64_t value() const { return local_.total(); }
 
  private:
-  std::atomic<std::uint64_t> local_{0};
+  detail::CounterCells local_;
   Counter global_;
 };
 

@@ -91,8 +91,7 @@ RestorationService::RestorationService(const graph::Graph& g,
       lsdb_(g.num_edges(), options.shards),
       pool_(g, spf::SpfOptions{.metric = options.metric, .padded = true},
             spf::TreePoolOptions{.max_views = options.max_views}),
-      oracle_(g, FailureMask{}, options.metric),
-      base_(oracle_),
+      base_(pool_.base()),
       edge_demands_(g.num_edges()),
       queue_(options.queue_capacity),
       reroutes_(registry().counter("svc.reroutes")),
@@ -115,9 +114,12 @@ RestorationService::RestorationService(const graph::Graph& g,
     demands_.back().dst = d.dst;
   }
 
-  // Provision the baselines (the unfailed-network canonical routes) before
-  // any worker exists: this is the state the service starts serving from.
-  for (std::size_t i = 0; i < demands_.size(); ++i) {
+  // Provision the baselines (the unfailed-network canonical routes) on the
+  // service's own threads before their worker loops start: this is the
+  // state the service starts serving from. Each demand writes only its own
+  // slot and every tree is a pure function of its source, so the result is
+  // the serial one at any thread count.
+  pool_threads_.parallel_for(demands_.size(), [this](std::size_t i) {
     DemandState& st = demands_[i];
     core::Restoration r;
     auto tree = pool_.base().tree(st.src);
@@ -128,7 +130,7 @@ RestorationService::RestorationService(const graph::Graph& g,
     st.baseline = r;
     st.route = std::move(r);
     st.dirty = false;
-  }
+  });
 
   // Warm restart: load the persisted state plane (snapshot + WAL replay)
   // over the freshly provisioned baselines, retaining the pre-crash FEC
@@ -638,7 +640,6 @@ void RestorationService::run_reroute(std::size_t d, std::size_t worker) {
   if (reachable) {
     r.backup = tree->path_to(g_, st.dst);
     RBPC_TRACE_SPAN("svc.decompose");
-    std::lock_guard<std::mutex> lock(base_mu_);
     r.decomposition = core::greedy_decompose(base_, r.backup);
   }
   if constexpr (obs::kObsEnabled) {

@@ -27,7 +27,11 @@
 // Routes follow the pinned source-RBPC recipe (canonical padded shortest
 // path + greedy decomposition over the canonical base set), so at
 // quiescence every demand's route equals source_rbpc_restore(base, s, t,
-// final_mask) exactly.
+// final_mask) exactly. The service keeps one store of unfailed trees: the
+// tree pool's base cache serves both SPF repair and canonical membership
+// (core::SharedCanonicalBaseSet), and it is thread-safe, so workers
+// decompose without a lock. Provisioning the baseline routes runs on the
+// worker threads before their loops start (DESIGN.md §10).
 #pragma once
 
 #include <atomic>
@@ -53,7 +57,6 @@
 #include "service/mpmc_queue.hpp"
 #include "service/sharded_lsdb.hpp"
 #include "spf/metric.hpp"
-#include "spf/oracle.hpp"
 #include "spf/tree_pool.hpp"
 #include "util/thread_pool.hpp"
 
@@ -277,12 +280,10 @@ class RestorationService {
   ShardedLsdb lsdb_;
   spf::SnapshotTreePool pool_;
 
-  /// Decomposition backend: membership oracles cache unfailed-network trees
-  /// and are not thread-safe, so greedy_decompose serializes on base_mu_ —
-  /// the same structure BatchRestorer uses.
-  spf::DistanceOracle oracle_;
-  core::CanonicalBaseSet base_;
-  std::mutex base_mu_;
+  /// Decomposition backend: canonical membership reads the padded unfailed
+  /// trees of pool_.base(), the same store SPF repair starts from. That
+  /// cache is thread-safe, so workers decompose without a lock.
+  core::SharedCanonicalBaseSet base_;
 
   std::deque<DemandState> demands_;  ///< deque: stable, atomics never move
 

@@ -230,21 +230,7 @@ bool DistanceOracle::is_canonical(graph::PathView segment) {
 bool DistanceOracle::is_canonical(graph::PathView segment,
                                   TiebreakPolicy policy) {
   if (segment.empty() || segment.hops() == 0) return true;
-  const graph::NodeId u = segment.source();
-  const graph::NodeId v = segment.target();
-  // Walk the padded tree's parent chain in place instead of materializing
-  // the canonical path: same comparison, zero allocation.
-  const ShortestPathTree& t = padded_tree(u, policy);
-  if (!t.reachable(v)) return false;
-  if (static_cast<std::size_t>(t.hops(v)) != segment.hops()) return false;
-  graph::NodeId cur = v;
-  for (std::size_t i = segment.hops(); i-- > 0;) {
-    if (segment.node(i + 1) != cur || segment.edge(i) != t.parent_edge(cur)) {
-      return false;
-    }
-    cur = t.parent(cur);
-  }
-  return cur == u;
+  return padded_tree(segment.source(), policy).is_tree_path(segment);
 }
 
 void DistanceOracle::prefetch(std::span<const graph::NodeId> sources,

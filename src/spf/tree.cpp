@@ -95,6 +95,19 @@ graph::PathRef ShortestPathTree::path_to_ref(const graph::Graph& g,
   return arena.commit_reversed();
 }
 
+bool ShortestPathTree::is_tree_path(graph::PathView segment) const {
+  require(!segment.empty(), "ShortestPathTree::is_tree_path: empty segment");
+  graph::NodeId cur = segment.target();
+  if (!reachable(cur) || hops_[cur] != segment.hops()) return false;
+  for (std::size_t i = segment.hops(); i-- > 0;) {
+    if (segment.node(i + 1) != cur || segment.edge(i) != parent_edge_[cur]) {
+      return false;
+    }
+    cur = parent_[cur];
+  }
+  return cur == segment.source();
+}
+
 std::size_t ShortestPathTree::memory_bytes() const {
   return key_.capacity() * sizeof(graph::Weight) +
          dist_.capacity() * sizeof(graph::Weight) +

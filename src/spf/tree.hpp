@@ -64,6 +64,13 @@ class ShortestPathTree {
   graph::PathRef path_to_ref(const graph::Graph& g, graph::NodeId v,
                              graph::PathArena& arena) const;
 
+  /// True when `segment` is exactly the tree path from source() to its
+  /// target — canonical-set membership when the tree is padded. Walks the
+  /// parent chain in place, so no path is materialized. False when the
+  /// segment starts elsewhere or its target is unreachable. Precondition:
+  /// !segment.empty().
+  bool is_tree_path(graph::PathView segment) const;
+
   std::size_t num_nodes() const { return dist_.size(); }
 
   /// Heap footprint of the SoA arrays (capacity), for the rbpc.mem.* gauges

@@ -1,5 +1,6 @@
 #include "spf/tree_cache.hpp"
 
+#include <thread>
 #include <utility>
 
 #include "obs/trace.hpp"
@@ -34,6 +35,9 @@ TreeCache::TreeCache(const graph::Graph& g, graph::FailureMask mask,
       miss_total_(registry().counter("cache.miss")) {
   require(options_.stop_at == graph::kInvalidNode,
           "TreeCache: cached trees must be full runs (no stop_at)");
+  if (cache_options_.max_entries == 0) {
+    settled_ = std::make_unique<std::atomic<Entry*>[]>(g_.num_nodes());
+  }
   if (base_ != nullptr) {
     require(&base_->graph() == &g_,
             "TreeCache: base cache is for a different graph");
@@ -77,8 +81,41 @@ std::shared_ptr<const ShortestPathTree> TreeCache::compute(
   return tree;
 }
 
+std::shared_ptr<const ShortestPathTree> TreeCache::settled_hit(
+    graph::NodeId source) {
+  // Announce the read on this thread's stripe before loading the slot:
+  // clear() nulls slots first and then waits for both parities to drain,
+  // so a reader either loads null or is still counted while it copies the
+  // entry's tree (all of these accesses are seq_cst).
+  ReaderCell& cell = readers_[obs::detail::stripe_index()];
+  const unsigned parity = parity_.load(std::memory_order_seq_cst);
+  cell.active[parity].fetch_add(1, std::memory_order_seq_cst);
+  std::shared_ptr<const ShortestPathTree> tree;
+  if (const Entry* entry = settled_[source].load(std::memory_order_seq_cst)) {
+    tree = entry->tree;
+  }
+  cell.active[parity].fetch_sub(1, std::memory_order_release);
+  return tree;
+}
+
+void TreeCache::publish(graph::NodeId source,
+                        const std::shared_ptr<Entry>& entry) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(source);
+  if (it != entries_.end() && it->second == entry) {
+    settled_[source].store(entry.get(), std::memory_order_seq_cst);
+  }
+}
+
 std::shared_ptr<const ShortestPathTree> TreeCache::tree(
     graph::NodeId source, TreeOutcome* outcome) {
+  if (outcome != nullptr) *outcome = TreeOutcome::kHit;
+  if (settled_ != nullptr && source < g_.num_nodes()) {
+    if (std::shared_ptr<const ShortestPathTree> tree = settled_hit(source)) {
+      hits_.inc();
+      return tree;
+    }
+  }
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -86,14 +123,16 @@ std::shared_ptr<const ShortestPathTree> TreeCache::tree(
     if (!slot) slot = std::make_shared<Entry>();
     entry = slot;
   }
-  entry->last_used.store(use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
+  if (cache_options_.max_entries != 0) {
+    entry->last_used.store(
+        use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+  }
   // Entries are shared_ptrs, so eviction or clear() cannot invalidate the
   // one we hold; the computation runs outside the map lock so other
   // sources proceed in parallel while same-source callers block here.
   // call_once leaves the flag unset on exception, so a failed source
   // throws to every waiter and is retried by later calls.
-  if (outcome != nullptr) *outcome = TreeOutcome::kHit;
   bool computed = false;
   std::call_once(entry->once, [&] {
     entry->tree = compute(source, outcome);
@@ -105,7 +144,11 @@ std::shared_ptr<const ShortestPathTree> TreeCache::tree(
     // / repair / fallback — disjoint, misses() derives their sum); this is
     // only the registry-side aggregate.
     miss_total_.add(1);
-    if (cache_options_.max_entries != 0) evict_over_cap();
+    if (settled_ != nullptr) {
+      publish(source, entry);
+    } else {
+      evict_over_cap();
+    }
   } else {
     hits_.inc();
   }
@@ -142,8 +185,36 @@ std::size_t TreeCache::size() const {
 }
 
 void TreeCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
+  std::unordered_map<graph::NodeId, std::shared_ptr<Entry>> dropped;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (settled_ != nullptr) {
+      for (const auto& kv : entries_) {
+        // Out-of-range keys come from failed requests and were never
+        // published.
+        if (kv.first < g_.num_nodes()) {
+          settled_[kv.first].store(nullptr, std::memory_order_seq_cst);
+        }
+      }
+      // Grace period: a lock-free reader may still be copying a tree out of
+      // an entry it loaded before the reset. Wait until both parities were
+      // seen empty after it; flipping the parity first sends new readers to
+      // the other side, so each wait only covers readers that started
+      // before it and cannot be starved.
+      for (int phase = 0; phase < 2; ++phase) {
+        const unsigned old = parity_.load(std::memory_order_seq_cst);
+        parity_.store(old ^ 1u, std::memory_order_seq_cst);
+        for (ReaderCell& cell : readers_) {
+          while (cell.active[old].load(std::memory_order_acquire) != 0) {
+            std::this_thread::yield();
+          }
+        }
+      }
+    }
+    dropped.swap(entries_);
+  }
+  // The dropped entries (and the trees no caller holds) die here, outside
+  // the lock.
 }
 
 }  // namespace rbpc::spf

@@ -23,6 +23,17 @@
 // caller is still reading — the entry just leaves the cache and is
 // recomputed on the next request.
 //
+// Hit path. An unbounded cache (the service's unfailed base, the pool's
+// views) is read far more often than it is filled: every greedy-
+// decomposition membership probe is a tree() call. Its settled entries are
+// therefore also published in a node-indexed array, and a hit on a settled
+// tree takes no mutex: it reads the array slot, copies the shared_ptr, and
+// counts itself on per-thread stripes. Bounded caches keep the locked LRU
+// path (their entries can be evicted, which the array cannot express).
+// clear() nulls the published slots and then waits until every reader that
+// may have loaded one has left before it frees the entries, so a
+// concurrent hit never dereferences a freed entry (DESIGN.md §7).
+//
 // Trees are always full one-to-all runs (options.stop_at must be unset) —
 // the point of the cache is that one run answers every destination.
 #pragma once
@@ -115,9 +126,13 @@ class TreeCache {
   /// Number of currently cached trees (bounded by max_entries when set).
   std::size_t size() const;
 
-  /// Drops every cached tree (counters are kept). Safe against concurrent
-  /// tree() calls — outstanding shared_ptrs keep their trees alive — but
-  /// in-flight computations may repopulate the map immediately after.
+  /// Drops every cached tree (counters are kept) and starts a new
+  /// generation: each source is computed at most once per generation.
+  /// Safe against concurrent tree() calls — outstanding shared_ptrs keep
+  /// their trees alive, and clear() waits for in-flight lock-free hits
+  /// before freeing the entries they may be reading. A computation that
+  /// started before clear() returns its tree to its callers but does not
+  /// repopulate the new generation.
   void clear();
 
  private:
@@ -128,8 +143,21 @@ class TreeCache {
     std::atomic<std::uint64_t> last_used{0};
   };
 
+  /// Readers inside the lock-free hit path, counted per stripe (a thread
+  /// always uses the same one) and per parity, so clear() can wait for the
+  /// readers that predate its slot reset while new readers count on the
+  /// other side.
+  struct alignas(64) ReaderCell {
+    std::atomic<std::uint64_t> active[2] = {0, 0};
+  };
+
   std::shared_ptr<const ShortestPathTree> compute(graph::NodeId source,
                                                   TreeOutcome* outcome);
+  /// The settled tree for `source` via the lock-free array, or null.
+  std::shared_ptr<const ShortestPathTree> settled_hit(graph::NodeId source);
+  /// Publishes a freshly settled entry into the array, unless a clear()
+  /// dropped it from the map meanwhile.
+  void publish(graph::NodeId source, const std::shared_ptr<Entry>& entry);
   void evict_over_cap();
 
   const graph::Graph& g_;
@@ -141,7 +169,13 @@ class TreeCache {
 
   mutable std::mutex mu_;  // guards entries_ (map structure only)
   std::unordered_map<graph::NodeId, std::shared_ptr<Entry>> entries_;
-  std::atomic<std::uint64_t> use_clock_{0};
+  std::atomic<std::uint64_t> use_clock_{0};  // LRU clock (bounded caches)
+  /// Unbounded caches only (null otherwise): settled_[s] is the entry
+  /// entries_ holds for s once its tree is settled, else null. Slots are
+  /// written under mu_; entries stay owned by entries_.
+  std::unique_ptr<std::atomic<Entry*>[]> settled_;
+  ReaderCell readers_[obs::detail::kStripes];
+  std::atomic<unsigned> parity_{0};
   // Per-instance counters mirrored into the process-wide registry (see the
   // accessor docs). scratch/repairs/fallbacks partition the misses.
   obs::InstanceCounter hits_;

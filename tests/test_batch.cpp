@@ -468,6 +468,82 @@ TEST(TreeCacheProperty, BoundedCacheStaysCorrectUnderConcurrentEviction) {
   EXPECT_EQ(cache.hits() + cache.misses(), 400u);
 }
 
+TEST(TreeCacheProperty, ClearRacingLockFreeHitsStaysCorrect) {
+  // Readers hammer settled sources (the lock-free hit path) and unsettled
+  // ones (the locked miss path) while another thread keeps calling clear().
+  // Every tree handed out must be the from-scratch tree, and no source may
+  // be computed more than once per generation (clear() starts one). Run
+  // under TSan in CI: a reader copying a tree out of an entry that clear()
+  // freed is a use-after-free. The small graph and the unpaced clearer keep
+  // readers on few sources and every settled entry short-lived, so with the
+  // grace period removed from clear() TSan flags the freed entry in one run.
+  Rng rng(23);
+  const Graph g = topo::make_random_connected(8, 12, rng, 8);
+  const spf::SpfOptions options{.metric = spf::Metric::Weighted,
+                                .padded = true};
+  spf::TreeCache cache(g, FailureMask{}, options);
+  std::vector<spf::ShortestPathTree> want;
+  for (NodeId s = 0; s < g.num_nodes(); ++s) {
+    want.push_back(spf::shortest_tree(g, s, FailureMask{}, options));
+  }
+  const auto same = [&](const spf::ShortestPathTree& got, NodeId s) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (got.dist(v) != want[s].dist(v) ||
+          got.parent_edge(v) != want[s].parent_edge(v)) {
+        return false;
+      }
+    }
+    return got.source() == s;
+  };
+  const std::size_t n = g.num_nodes();
+  for (NodeId s = 0; s < n; s += 2) cache.tree(s);  // settle the even half
+
+  constexpr std::size_t kReaders = 6;
+  constexpr std::size_t kCallsPerReader = 20000;
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> readers_left{kReaders};
+  std::size_t clears = 0;
+  std::thread clearer([&] {
+    while (readers_left.load(std::memory_order_acquire) != 0) {
+      cache.clear();
+      ++clears;
+    }
+  });
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      Rng local(700 + r);
+      for (std::size_t i = 0; i < kCallsPerReader; ++i) {
+        const NodeId s = static_cast<NodeId>(local.below(n));
+        if (!same(*cache.tree(s), s)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      readers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  clearer.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(clears, 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), n / 2 + kReaders * kCallsPerReader);
+  EXPECT_LE(cache.misses(), n * (clears + 1));  // once per generation
+
+  // A fresh generation under concurrent demand computes each source once.
+  cache.clear();
+  const std::size_t misses0 = cache.misses();
+  ThreadPool pool(kReaders);
+  pool.parallel_for(kReaders * n, [&](std::size_t i) {
+    const NodeId s = static_cast<NodeId>(i % n);
+    if (!same(*cache.tree(s), s)) {
+      mismatches.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(cache.misses() - misses0, n);
+  EXPECT_EQ(cache.size(), n);
+}
+
 // ---------------------------------------------------------------------------
 // ThreadPool unit tests.
 // ---------------------------------------------------------------------------
