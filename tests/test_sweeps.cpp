@@ -3,6 +3,7 @@
 // controller sweeps.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "core/base_set.hpp"
@@ -29,6 +30,11 @@ struct TopoCase {
   Graph (*make)(Rng& rng);
   spf::Metric metric;
 };
+
+// Without a printer gtest lists the parameter as a raw byte dump, which
+// holds the string's heap pointer and so gives the test a different name
+// on every run.
+void PrintTo(const TopoCase& tc, std::ostream* os) { *os << tc.name; }
 
 Graph make_isp(Rng& rng) { return topo::make_isp_like(rng); }
 Graph make_as_small(Rng& rng) { return topo::make_as_like(rng, 0.05); }
