@@ -11,7 +11,6 @@
 #include "core/base_set.hpp"
 #include "core/controller.hpp"
 #include "core/decompose.hpp"
-#include "core/merged_controller.hpp"
 #include "core/restoration.hpp"
 #include "core/scenario.hpp"
 #include "spf/oracle.hpp"
@@ -108,7 +107,8 @@ int main(int argc, char** argv) {
   {
     core::RbpcController per_lsp(g, spf::Metric::Weighted);
     per_lsp.provision();
-    core::MergedRbpcController merged(g, spf::Metric::Weighted);
+    core::RbpcController merged(g, spf::Metric::Weighted,
+                                core::RbpcController::LabelPlan::Merged);
     merged.provision();
     std::cout << "Ablation 3: base-set provisioning style (ILM economics, "
                  "weighted ISP).\n";

@@ -1,29 +1,49 @@
 // RbpcController: the full RBPC control plane over the MPLS simulator.
 //
-// Provisions the canonical base LSP set (one padded-unique shortest path per
+// Provisions the canonical base set (one padded-unique shortest path per
 // ordered pair, plus a one-hop LSP per link direction so Theorem 2's loose
 // edges are always available), installs FEC entries, and then implements
 // the paper's restoration schemes as pure table operations:
 //
 //  * fail_link / fail_router (source RBPC) — for every pair whose current
 //    forwarding chain is disrupted, recompute the restoration as a
-//    concatenation of surviving base LSPs and rewrite the FEC entry at the
+//    concatenation of surviving base paths and rewrite the FEC entry at the
 //    source router only. ILM tables are never touched.
-//  * local_patch (local RBPC) — for every LSP crossing the failed link,
-//    splice the ILM entry at the adjacent router to either route straight
-//    to the LSP's egress (end-route) or around the failed link and back
-//    onto the original LSP (edge-bypass).
+//  * local_patch (local RBPC) — for every base route crossing the failed
+//    link, splice the ILM entry at the adjacent router to either route
+//    straight to the route's egress (end-route) or around the failed link
+//    and back onto the original LSP (edge-bypass).
 //  * recover_link — reverses the FEC rewrites (and any local splices).
+//
+// The label plan decides only how a concatenation is encoded as labels;
+// which route a pair takes, and every ladder decision, is the same under
+// both (tests assert identical delivery):
+//
+//  * PerPair — one LSP per ordered pair (n^2 LSPs). A restoration stack is
+//    the pieces' LSP ingress labels.
+//  * Merged — the paper's remedy for label scarcity: one merged tree per
+//    destination, i.e. one label per destination per router, which shrinks
+//    ILM tables from O(n * avg-path-length) to O(n) entries per router. A
+//    restoration stack is
+//      [ merged-label(junction_m-1 -> t), ..., merged-label(s -> junction_1) ]
+//    — each junction pops the finished tree's label and finds beneath it a
+//    label of its own space continuing toward the next junction. The
+//    ablation bench quantifies the label economics.
+//
+// One store of padded unfailed trees answers canonical membership
+// (SharedCanonicalBaseSet), the default routes, the affected-pair rule and
+// merged provisioning, and is the base that SPF repair starts from.
 //
 // The point of this class — and of the integration tests driving it — is
 // that restoration correctness is verified by *forwarding actual packets*
 // through the label tables, not by comparing path objects.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -32,12 +52,10 @@
 #include "core/decompose.hpp"
 #include "core/degrade.hpp"
 #include "core/fec_update.hpp"
-#include "core/restoration.hpp"
 #include "graph/graph.hpp"
 #include "mpls/network.hpp"
 #include "obs/metrics.hpp"
 #include "spf/metric.hpp"
-#include "spf/oracle.hpp"
 #include "spf/tree_cache.hpp"
 
 namespace rbpc::core {
@@ -45,12 +63,16 @@ namespace rbpc::core {
 class RbpcController {
  public:
   enum class LocalMode { EndRoute, EdgeBypass };
+  enum class LabelPlan { PerPair, Merged };
 
   /// The graph must outlive the controller. Call provision() before use.
-  RbpcController(const graph::Graph& g, spf::Metric metric);
+  RbpcController(const graph::Graph& g, spf::Metric metric,
+                 LabelPlan plan = LabelPlan::PerPair);
 
-  /// Provisions all base LSPs and default FEC entries. O(n^2) LSPs —
-  /// intended for ISP-scale topologies (the paper's primary setting).
+  /// Provisions the base set (n^2 LSPs under PerPair, n merged trees under
+  /// Merged, plus 2 one-hop LSPs per link) and a default FEC entry for
+  /// every connected ordered pair. Intended for ISP-scale topologies (the
+  /// paper's primary setting).
   void provision();
 
   // --- topology events (source RBPC) ---------------------------------------
@@ -62,24 +84,30 @@ class RbpcController {
 
   /// Precomputes the FEC update plan for a potential failure of `e` (paper
   /// §4.1: "fastest if pre-computed and indexed by the specific link
-  /// failure"). fail_link(e) then applies the stored plan instead of
-  /// recomputing, whenever `e` is the only failure in effect.
+  /// failure"). Whenever `e` is the only failure in effect, fail_link(e)
+  /// takes the affected pairs and their decompositions from the stored plan
+  /// instead of recomputing them; the degradation ladder still decides.
   void precompute_plan(graph::EdgeId e);
   /// Number of links with stored plans.
   std::size_t planned_links() const { return plans_.size(); }
 
   // --- local RBPC -----------------------------------------------------------
 
-  /// Splices the ILM entry at the router adjacent to `e` for every base LSP
-  /// crossing it. Requires the link to be down (fail_link, or fail_router
-  /// of an endpoint) — the adjacent router detects the failure; the splice
-  /// must not race a live link. Returns the number of LSPs patched.
-  std::size_t local_patch(graph::EdgeId e, LocalMode mode);
+  /// Splices the ILM entry at the router adjacent to `e` for every base
+  /// route crossing it: per LSP under PerPair, per (router, destination)
+  /// merged entry under Merged — one merged splice repairs ALL traffic
+  /// heading to that destination through the dead link. Requires the link
+  /// to be down (fail_link, or fail_router of an endpoint) — the adjacent
+  /// router detects the failure; the splice must not race a live link.
+  /// EdgeBypass resumes the original LSP past the link, so it needs
+  /// PerPair (PreconditionError under Merged). Returns the number of
+  /// entries patched.
+  std::size_t local_patch(graph::EdgeId e, LocalMode mode = LocalMode::EndRoute);
 
   /// Local RBPC around a failed router: patches every incident link (the
   /// paper: a node failure is the failure of all incident edges). Only
   /// EndRoute is meaningful — an edge bypass would route straight back
-  /// into the dead router. Returns the number of LSPs patched.
+  /// into the dead router. Returns the number of entries patched.
   std::size_t local_patch_router(graph::NodeId v);
 
   /// Reverses local_patch splices for `e` (called on recovery).
@@ -117,83 +145,105 @@ class RbpcController {
   const graph::FailureMask& failures() const { return mask_; }
 
   /// The base LSP provisioned for the ordered pair; kInvalidLsp when the
-  /// pair is disconnected in the unfailed network.
+  /// pair is disconnected in the unfailed network, or under Merged (which
+  /// has no per-pair LSPs).
   mpls::LspId pair_lsp(graph::NodeId u, graph::NodeId v) const;
 
-  /// Pairs whose FEC entry currently deviates from the default single-LSP
-  /// chain (i.e. pairs under restoration).
+  /// Pairs whose FEC entry currently deviates from the default single-label
+  /// entry (i.e. pairs under restoration, including stale retained ones).
   std::size_t pairs_under_restoration() const { return dirty_pairs_.size(); }
 
-  std::size_t num_base_lsps() const { return num_base_lsps_; }
+  /// LSPs provisioned: 2 per link, plus one per connected ordered pair
+  /// under PerPair.
+  std::size_t num_base_lsps() const { return net_.num_lsps(); }
 
  private:
   const graph::Graph& g_;
   spf::Metric metric_;
-  spf::DistanceOracle oracle0_;  ///< unfailed-network oracle (base set)
-  CanonicalBaseSet base_;
+  LabelPlan plan_;
+  /// Padded unfailed trees, built once per source and shared by the base
+  /// set, provisioning, the affected-pair rule and SPF repair.
+  spf::TreeCache unfailed_trees_;
+  SharedCanonicalBaseSet base_;
   mpls::Network net_;
   graph::FailureMask mask_;
   bool provisioned_ = false;
-  std::size_t num_base_lsps_ = 0;
   bool degrade_ = false;
 
   // Ladder rungs 1-2: per-source trees under the current view mask are
-  // repaired incrementally from the shared unfailed trees (and fall back
-  // to scratch SPF inside the cache); the view cache is invalidated on
-  // every topology event, the unfailed trees persist for the controller's
-  // lifetime.
-  spf::TreeCache unfailed_trees_;
+  // repaired incrementally from the unfailed trees (and fall back to
+  // scratch SPF inside the cache); the view cache is invalidated on every
+  // topology event.
   std::unique_ptr<spf::TreeCache> view_cache_;
-  // Pairs currently forwarding on a retained stale chain (rung 3).
-  std::unordered_set<std::uint64_t> stale_pairs_;
   obs::InstanceCounter degrade_stale_;
   obs::InstanceCounter degrade_no_route_;
 
-  std::uint64_t pair_key(graph::NodeId u, graph::NodeId v) const;
-
-  /// pair key -> base LSP.
+  /// pair key -> base LSP (PerPair only).
   std::unordered_map<std::uint64_t, mpls::LspId> pair_lsp_;
   /// edge id -> {LSP forward (u->v), LSP backward (v->u)}.
   std::vector<std::array<mpls::LspId, 2>> edge_lsp_;
-  /// LSP -> pairs whose *current* chain uses it.
-  std::unordered_map<mpls::LspId, std::unordered_set<std::uint64_t>> lsp_pairs_;
-  /// pair key -> current chain (absent = default chain).
-  std::unordered_map<std::uint64_t, std::vector<mpls::LspId>> dirty_pairs_;
-  /// pairs with no current route (FEC removed).
+
+  // Pair state. A connected pair is on its default route unless it is
+  // dirty (restored, or retained stale) or broken (FEC cleared).
+  std::unordered_set<std::uint64_t> dirty_pairs_;
   std::unordered_set<std::uint64_t> broken_pairs_;
-  /// (edge, lsp) -> saved ILM entry for undo of local splices.
-  std::map<std::pair<graph::EdgeId, mpls::LspId>,
-           std::pair<graph::NodeId, mpls::IlmEntry>>
+  /// Pairs currently forwarding on a retained stale chain (rung 3).
+  std::unordered_set<std::uint64_t> stale_pairs_;
+
+  /// (edge, router, incoming label) -> saved ILM entry for splice undo.
+  std::map<std::tuple<graph::EdgeId, graph::NodeId, mpls::Label>,
+           mpls::IlmEntry>
       splices_;
   /// Precomputed single-failure FEC update plans, indexed by link.
   std::unordered_map<graph::EdgeId, FecUpdatePlan> plans_;
 
-  /// Maps a decomposition onto provisioned LSP ids.
-  std::vector<mpls::LspId> chain_for(const Decomposition& d);
+  std::uint64_t pair_key(graph::NodeId u, graph::NodeId v) const;
+
+  /// The label that sends traffic from u along its base path to v: the
+  /// pair LSP's ingress label, or the merged label toward v.
+  mpls::Label base_label(graph::NodeId u, graph::NodeId v) const;
+
+  /// Bottom-first label stack encoding a decomposition.
+  std::vector<mpls::Label> push_stack(const Decomposition& d) const;
 
   /// The per-source tree cache for the current view mask (built lazily).
   spf::TreeCache& view_cache();
   /// Drops the view cache; call after every mask_ mutation.
   void invalidate_view_cache() { view_cache_.reset(); }
 
-  /// Source-RBPC restoration through the degradation ladder's SPF rungs:
-  /// bit-identical to source_rbpc_restore(base_, u, v, mask_) — the batch
+  /// Source-RBPC restoration through the degradation ladder's SPF rungs
+  /// (empty when unreachable): bit-identical to
+  /// source_rbpc_restore(base_, u, v, mask_).decomposition — the batch
   /// engine's differential tests pin tree-derived paths to the serial
-  /// restoration — but served by incremental repair of the shared
-  /// unfailed trees where possible.
-  Restoration restore_via_ladder(graph::NodeId u, graph::NodeId v);
+  /// restoration — but served by incremental repair of the unfailed trees
+  /// where possible.
+  Decomposition restore_via_ladder(graph::NodeId u, graph::NodeId v);
 
-  /// Installs `chain` (or clears FEC when empty) for the pair, maintaining
-  /// the reverse index and dirty bookkeeping.
-  void apply_chain(graph::NodeId u, graph::NodeId v,
-                   const std::vector<mpls::LspId>& chain, bool is_default);
+  /// Installs `push` as the pair's FEC entry (or clears it when empty) and
+  /// updates the dirty/broken bookkeeping.
+  void set_route(graph::NodeId u, graph::NodeId v,
+                 std::vector<mpls::Label> push, bool is_default);
 
-  /// Recomputes the pair's FEC chain under the current mask.
-  void reroute_pair(graph::NodeId u, graph::NodeId v);
+  /// Recomputes the pair's FEC entry under the current mask. `planned`,
+  /// when set, replaces the online restoration (an empty one means no
+  /// route); the ladder decides either way.
+  void reroute_pair(graph::NodeId u, graph::NodeId v,
+                    const Decomposition* planned = nullptr);
 
-  /// Recomputes every pair affected by a failure of the given LSP set, plus
-  /// previously broken/dirty pairs (used by both fail and recover events).
-  void reroute_affected(const std::vector<mpls::LspId>& disrupted);
+  /// Reroutes every dirty and broken pair, plus every pair on its default
+  /// route whose base path crosses `failed_edge` or visits `failed_node`.
+  /// Recovery events pass neither (kInvalidEdge, kInvalidNode).
+  void reroute_affected(graph::EdgeId failed_edge, graph::NodeId failed_node);
+
+  /// Splices `at`'s ILM entry for `in_label` to pop and push `push`
+  /// (bottom-first), re-examining locally; the old entry is saved under `e`.
+  void splice(graph::EdgeId e, graph::NodeId at, mpls::Label in_label,
+              mpls::LspId lsp, std::vector<mpls::Label> push);
+
+  /// Bottom-first end-route stack from `from` to `to` under the current
+  /// mask; empty when `to` is unreachable.
+  std::vector<mpls::Label> end_route_stack(graph::NodeId from,
+                                           graph::NodeId to);
 };
 
 }  // namespace rbpc::core

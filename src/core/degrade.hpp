@@ -1,5 +1,6 @@
-// Shared counters for the restoration degradation ladder implemented by
-// RbpcController and MergedRbpcController. The ladder, from best to worst:
+// Counters for the restoration degradation ladder, which RbpcController
+// implements once for both of its label plans. The ladder, from best to
+// worst:
 //   1. incremental SPT repair    (view-mask trees repaired from the
 //                                 unfailed trees; spf/tree_cache)
 //   2. from-scratch SPF          (repair fallback inside the cache)

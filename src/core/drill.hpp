@@ -3,7 +3,7 @@
 // event — packets are delivered if and only if the pair is connected under
 // the current failures, and always along a minimum-cost surviving route.
 //
-// Used by the integration fuzz tests (against both RbpcController flavors)
+// Used by the integration fuzz tests (against both RbpcController label plans)
 // and available to downstream users as a soak-testing harness. Intended for
 // simple graphs (no parallel links): route costs are reconstructed from the
 // forwarding trace.
@@ -22,7 +22,7 @@
 
 namespace rbpc::core {
 
-/// Adapter over a control plane (RbpcController, MergedRbpcController, or
+/// Adapter over a control plane (RbpcController under either label plan, or
 /// anything else with the same duties).
 struct DrillActions {
   std::function<void(graph::EdgeId)> fail_link;

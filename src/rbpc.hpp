@@ -6,7 +6,7 @@
 //            fixed-size thread pool backing the parallel engines
 //   graph  — graphs, paths, failure masks, analysis, serialization
 //   spf    — shortest-path machinery (Dijkstra/BFS, padding, oracle,
-//            bypass, disjoint pairs, k-shortest, APSP, bidirectional), the
+//            bypass, disjoint pairs, k-shortest, bidirectional), the
 //            allocation-free SPF workspace kernel (workspace), incremental
 //            SPT repair (incremental), and the thread-safe per-source tree
 //            cache (tree_cache)
@@ -38,7 +38,6 @@
 #include "graph/path.hpp"       // IWYU pragma: export
 #include "graph/types.hpp"      // IWYU pragma: export
 
-#include "spf/apsp.hpp"           // IWYU pragma: export
 #include "spf/bidirectional.hpp"  // IWYU pragma: export
 #include "spf/bypass.hpp"         // IWYU pragma: export
 #include "spf/counting.hpp"       // IWYU pragma: export
@@ -73,6 +72,5 @@
 #include "core/experiment.hpp"         // IWYU pragma: export
 #include "core/fec_update.hpp"         // IWYU pragma: export
 #include "core/hybrid.hpp"             // IWYU pragma: export
-#include "core/merged_controller.hpp"  // IWYU pragma: export
 #include "core/restoration.hpp"        // IWYU pragma: export
 #include "core/scenario.hpp"           // IWYU pragma: export

@@ -30,7 +30,7 @@
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
 #include "graph/path.hpp"
-#include "spf/apsp.hpp"
+#include "apsp.hpp"
 #include "spf/oracle.hpp"
 #include "spf/tree_cache.hpp"
 #include "topo/gadgets.hpp"

@@ -20,7 +20,6 @@
 #include "chaos/chaos_flood.hpp"
 #include "chaos/fault_plan.hpp"
 #include "core/controller.hpp"
-#include "core/merged_controller.hpp"
 #include "corpus.hpp"
 #include "graph/graph.hpp"
 #include "spf/metric.hpp"
@@ -49,18 +48,6 @@ DrillActions chaos_actions(core::RbpcController& ctl) {
   return a;
 }
 
-DrillActions chaos_actions(core::MergedRbpcController& ctl) {
-  DrillActions a;
-  a.fail_link = [&ctl](EdgeId e) { ctl.fail_link(e); };
-  a.recover_link = [&ctl](EdgeId e) { ctl.recover_link(e); };
-  a.send = [&ctl](NodeId s, NodeId t) { return ctl.send(s, t); };
-  a.failures = [&ctl]() -> const FailureMask& { return ctl.failures(); };
-  a.set_data_failures = [&ctl](const FailureMask& m) {
-    ctl.network().set_failures(m);
-  };
-  return a;
-}
-
 void expect_clean(const ChaosReport& r, const std::string& context) {
   EXPECT_TRUE(r.during_violations.empty())
       << context << ": " << r.during_violations.size()
@@ -71,10 +58,12 @@ void expect_clean(const ChaosReport& r, const std::string& context) {
   EXPECT_GT(r.transitions, 0u) << context;
 }
 
-template <typename Controller>
+using LabelPlan = core::RbpcController::LabelPlan;
+
 ChaosReport run_on(const Graph& g, const ChaosDrillConfig& cfg,
-                   std::uint64_t seed, bool degrade = true) {
-  Controller ctl(g, spf::Metric::Weighted);
+                   std::uint64_t seed, bool degrade = true,
+                   LabelPlan plan = LabelPlan::PerPair) {
+  core::RbpcController ctl(g, spf::Metric::Weighted, plan);
   ctl.set_graceful_degradation(degrade);
   ctl.provision();
   const DrillActions a = chaos_actions(ctl);
@@ -188,7 +177,7 @@ FaultSpec flap_shape(double loss) {
 
 TEST(ChaosDrill, NoFaultsConvergesExactly) {
   const Graph g = topo::make_ring(9);
-  const ChaosReport r = run_on<core::RbpcController>(
+  const ChaosReport r = run_on(
       g, small_config(FaultSpec{}), 11, /*degrade=*/false);
   expect_clean(r, "ring9/no-faults");
   EXPECT_EQ(r.lsa_lost, 0u);
@@ -207,7 +196,7 @@ TEST(ChaosDrill, CorpusSweepUnderMixedFaults) {
     cfg.events = 6;
     cfg.probes_per_event = 4;
     cfg.quiesce_probes = 25;
-    const ChaosReport r = run_on<core::RbpcController>(tc.g, cfg, seed++);
+    const ChaosReport r = run_on(tc.g, cfg, seed++);
     expect_clean(r, tc.name);
   }
 }
@@ -223,7 +212,7 @@ TEST(ChaosDrill, SeedLossShapeMatrix) {
       for (int shape = 0; shape < 2; ++shape) {
         const FaultSpec f = shape == 0 ? jitter_shape(loss) : flap_shape(loss);
         const ChaosReport r =
-            run_on<core::RbpcController>(g, small_config(f), 500 + seed);
+            run_on(g, small_config(f), 500 + seed);
         expect_clean(r, "ring9 seed " + std::to_string(seed) + " loss " +
                             std::to_string(loss) +
                             (shape == 0 ? " jitter" : " flap"));
@@ -236,8 +225,8 @@ TEST(ChaosDrill, MergedControllerSurvivesChaos) {
   const Graph g = topo::make_grid(4, 5);
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const ChaosReport r =
-        run_on<core::MergedRbpcController>(g, small_config(jitter_shape(0.1)),
-                                           900 + seed);
+        run_on(g, small_config(jitter_shape(0.1)), 900 + seed,
+               /*degrade=*/true, LabelPlan::Merged);
     expect_clean(r, "grid4x5/merged seed " + std::to_string(seed));
   }
 }
@@ -245,8 +234,8 @@ TEST(ChaosDrill, MergedControllerSurvivesChaos) {
 TEST(ChaosDrill, IdenticalSeedsYieldIdenticalTraces) {
   const Graph g = topo::make_grid(4, 5);
   const ChaosDrillConfig cfg = small_config(jitter_shape(0.1));
-  const ChaosReport a = run_on<core::RbpcController>(g, cfg, 77);
-  const ChaosReport b = run_on<core::RbpcController>(g, cfg, 77);
+  const ChaosReport a = run_on(g, cfg, 77);
+  const ChaosReport b = run_on(g, cfg, 77);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.transitions, b.transitions);
   EXPECT_EQ(a.lsa_applied, b.lsa_applied);
@@ -255,7 +244,7 @@ TEST(ChaosDrill, IdenticalSeedsYieldIdenticalTraces) {
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.max_staleness, b.max_staleness);
 
-  const ChaosReport c = run_on<core::RbpcController>(g, cfg, 78);
+  const ChaosReport c = run_on(g, cfg, 78);
   EXPECT_NE(a.trace, c.trace) << "different seeds must differ";
 }
 
@@ -335,7 +324,7 @@ TEST(Degradation, WithoutLadderThePairBreaks) {
 
 TEST(Degradation, MergedControllerLadderMirrors) {
   const Graph g = chain3();
-  core::MergedRbpcController ctl(g, spf::Metric::Weighted);
+  core::RbpcController ctl(g, spf::Metric::Weighted, LabelPlan::Merged);
   ctl.set_graceful_degradation(true);
   ctl.provision();
 
@@ -348,7 +337,7 @@ TEST(Degradation, MergedControllerLadderMirrors) {
   EXPECT_EQ(ctl.degrade_stats().degraded_pairs, 0u);
   EXPECT_TRUE(ctl.send(0, 2).delivered());
 
-  core::MergedRbpcController strict(g, spf::Metric::Weighted);
+  core::RbpcController strict(g, spf::Metric::Weighted, LabelPlan::Merged);
   strict.provision();
   strict.fail_link(1);
   EXPECT_THROW(strict.send_or_throw(0, 2), NoRouteError);
@@ -361,7 +350,7 @@ TEST(Degradation, ChaosDrillExercisesTheLadder) {
   const Graph g = topo::make_comb(4).g;
   ChaosDrillConfig cfg = small_config(jitter_shape(0.1));
   cfg.max_concurrent = 2;
-  const ChaosReport r = run_on<core::RbpcController>(g, cfg, 1234);
+  const ChaosReport r = run_on(g, cfg, 1234);
   expect_clean(r, "comb4/ladder");
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/controller.hpp"
 #include "graph/analysis.hpp"
+#include "obs/metrics.hpp"
 #include "spf/spf.hpp"
 #include "topo/generators.hpp"
 #include "util/error.hpp"
@@ -237,6 +238,39 @@ TEST(Controller, ProvisionGuards) {
 
 // The same invariants on a weighted mesh: every (failure, pair) forwarding
 // outcome matches the graph-level shortest path cost.
+TEST(Controller, ControllerBuildsNoDistanceOracle) {
+  // Canonical membership, default routes, merged trees and SPF repair all
+  // read the controller's one store of unfailed trees, so neither label
+  // plan caches a tree in a DistanceOracle (whose bytes the
+  // rbpc.mem.oracle_trees gauge reports).
+  if (!obs::kObsEnabled) GTEST_SKIP() << "registry disabled in this build";
+  const obs::Gauge oracle_trees =
+      obs::MetricsRegistry::global().gauge("rbpc.mem.oracle_trees");
+  Rng topo_rng(41);
+  const Graph g = topo::make_random_connected(16, 36, topo_rng, 6);
+  for (const auto plan : {RbpcController::LabelPlan::PerPair,
+                          RbpcController::LabelPlan::Merged}) {
+    const std::int64_t before = oracle_trees.value();
+    RbpcController ctl(g, spf::Metric::Weighted, plan);
+    ctl.provision();
+    EXPECT_EQ(oracle_trees.value(), before) << "after provisioning";
+    Rng rng(43);
+    for (int round = 0; round < 6; ++round) {
+      const EdgeId e = static_cast<EdgeId>(rng.below(g.num_edges()));
+      const NodeId v = static_cast<NodeId>(rng.below(g.num_nodes()));
+      ctl.fail_link(e);
+      ctl.fail_router(v);
+      ctl.local_patch_router(v);
+      ctl.recover_router(v);
+      ctl.recover_link(e);
+    }
+    ctl.precompute_plan(0);
+    ctl.fail_link(0);
+    ctl.recover_link(0);
+    EXPECT_EQ(oracle_trees.value(), before) << "after the storm";
+  }
+}
+
 TEST(ControllerWeighted, RandomMeshEndToEnd) {
   Rng rng(61);
   const Graph g = topo::make_random_connected(24, 60, rng, 8);

@@ -1,12 +1,11 @@
 // Integration fuzz: randomized fail/recover/patch churn against both
-// controller flavors, with the data-plane invariant checked after every
+// controller label plans, with the data-plane invariant checked after every
 // event (core/drill.hpp).
 #include <gtest/gtest.h>
 
 #include "core/base_set.hpp"
 #include "core/controller.hpp"
 #include "core/drill.hpp"
-#include "core/merged_controller.hpp"
 #include "spf/oracle.hpp"
 #include "topo/generators.hpp"
 #include "util/error.hpp"
@@ -31,23 +30,6 @@ DrillActions actions_for(RbpcController& ctl, bool with_patch,
     a.local_patch = [&ctl](EdgeId e) {
       ctl.local_patch(e, RbpcController::LocalMode::EndRoute);
     };
-  }
-  a.send = [&ctl](graph::NodeId s, graph::NodeId t) { return ctl.send(s, t); };
-  a.failures = [&ctl]() -> const graph::FailureMask& { return ctl.failures(); };
-  return a;
-}
-
-DrillActions actions_for(MergedRbpcController& ctl, bool with_patch,
-                         bool with_routers = false) {
-  DrillActions a;
-  a.fail_link = [&ctl](EdgeId e) { ctl.fail_link(e); };
-  a.recover_link = [&ctl](EdgeId e) { ctl.recover_link(e); };
-  if (with_routers) {
-    a.fail_router = [&ctl](graph::NodeId v) { ctl.fail_router(v); };
-    a.recover_router = [&ctl](graph::NodeId v) { ctl.recover_router(v); };
-  }
-  if (with_patch) {
-    a.local_patch = [&ctl](EdgeId e) { ctl.local_patch(e); };
   }
   a.send = [&ctl](graph::NodeId s, graph::NodeId t) { return ctl.send(s, t); };
   a.failures = [&ctl]() -> const graph::FailureMask& { return ctl.failures(); };
@@ -102,7 +84,8 @@ TEST(Drill, PerLspControllerWithLocalPatches) {
 TEST(Drill, MergedControllerSurvivesChurn) {
   Rng topo_rng(211);
   const Graph g = topo::make_random_connected(22, 55, topo_rng, 7);
-  MergedRbpcController ctl(g, spf::Metric::Weighted);
+  RbpcController ctl(g, spf::Metric::Weighted,
+                     RbpcController::LabelPlan::Merged);
   ctl.provision();
   Rng rng(213);
   DrillConfig cfg;
@@ -114,7 +97,8 @@ TEST(Drill, MergedControllerSurvivesChurn) {
 TEST(Drill, MergedControllerWithLocalPatches) {
   Rng topo_rng(215);
   const Graph g = topo::make_random_connected(18, 44, topo_rng, 6);
-  MergedRbpcController ctl(g, spf::Metric::Weighted);
+  RbpcController ctl(g, spf::Metric::Weighted,
+                     RbpcController::LabelPlan::Merged);
   ctl.provision();
   Rng rng(217);
   DrillConfig cfg;
@@ -160,7 +144,8 @@ TEST(Drill, PerLspControllerWithRouterFailures) {
 TEST(Drill, MergedControllerWithRouterFailures) {
   Rng topo_rng(227);
   const Graph g = topo::make_random_connected(18, 48, topo_rng, 5);
-  MergedRbpcController ctl(g, spf::Metric::Weighted);
+  RbpcController ctl(g, spf::Metric::Weighted,
+                     RbpcController::LabelPlan::Merged);
   ctl.provision();
   Rng rng(229);
   DrillConfig cfg;
@@ -172,14 +157,17 @@ TEST(Drill, MergedControllerWithRouterFailures) {
 
 TEST(Drill, PlannedControllerSurvivesChurn) {
   const Graph g = topo::make_ring(9);
-  RbpcController ctl(g, spf::Metric::Hops);
-  ctl.provision();
-  for (EdgeId e = 0; e < g.num_edges(); ++e) ctl.precompute_plan(e);
-  Rng rng(219);
-  DrillConfig cfg;
-  cfg.steps = 50;
-  expect_clean(run_failure_drill(g, spf::Metric::Hops,
-                                 actions_for(ctl, false), cfg, rng));
+  for (const auto plan : {RbpcController::LabelPlan::PerPair,
+                          RbpcController::LabelPlan::Merged}) {
+    RbpcController ctl(g, spf::Metric::Hops, plan);
+    ctl.provision();
+    for (EdgeId e = 0; e < g.num_edges(); ++e) ctl.precompute_plan(e);
+    Rng rng(219);
+    DrillConfig cfg;
+    cfg.steps = 50;
+    expect_clean(run_failure_drill(g, spf::Metric::Hops,
+                                   actions_for(ctl, false), cfg, rng));
+  }
 }
 
 TEST(Drill, RequiresHooks) {

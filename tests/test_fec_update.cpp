@@ -113,6 +113,52 @@ TEST(ControllerPlans, PlannedFailoverMatchesOnlineFailover) {
   EXPECT_EQ(planned.pairs_under_restoration(), 0u);
 }
 
+TEST(ControllerPlans, PlannedFailoverKeepsTheLadder) {
+  // On a chain every failure disconnects pairs, so the plan holds empty
+  // decompositions. The plan only supplies them: the degradation ladder
+  // must decide exactly as it does online — retain stale chains with the
+  // ladder on, clear and count no-route with it off.
+  const Graph g = topo::make_chain(5);
+  for (bool degrade : {true, false}) {
+    RbpcController online(g, spf::Metric::Hops);
+    RbpcController planned(g, spf::Metric::Hops);
+    for (RbpcController* ctl : {&online, &planned}) {
+      ctl->set_graceful_degradation(degrade);
+      ctl->provision();
+    }
+    planned.precompute_plan(1);
+    online.fail_link(1);
+    planned.fail_link(1);
+
+    const DegradeStats a = online.degrade_stats();
+    const DegradeStats b = planned.degrade_stats();
+    EXPECT_EQ(degrade ? a.stale_fec : a.no_route, 12u) << degrade;
+    EXPECT_EQ(a.stale_fec, b.stale_fec) << degrade;
+    EXPECT_EQ(a.no_route, b.no_route) << degrade;
+    EXPECT_EQ(a.degraded_pairs, b.degraded_pairs) << degrade;
+    EXPECT_EQ(online.pairs_under_restoration(),
+              planned.pairs_under_restoration());
+    for (NodeId s = 0; s < g.num_nodes(); ++s) {
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        if (s == t) continue;
+        bool online_throws = false;
+        bool planned_throws = false;
+        try {
+          online.send_or_throw(s, t);
+        } catch (const NoRouteError&) {
+          online_throws = true;
+        }
+        try {
+          planned.send_or_throw(s, t);
+        } catch (const NoRouteError&) {
+          planned_throws = true;
+        }
+        EXPECT_EQ(online_throws, planned_throws) << s << "->" << t;
+      }
+    }
+  }
+}
+
 TEST(ControllerPlans, PlanIgnoredUnderMultipleFailures) {
   const Graph g = topo::make_ring(8);
   RbpcController ctl(g, spf::Metric::Hops);

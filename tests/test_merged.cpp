@@ -1,10 +1,9 @@
-// Tests for merged destination trees (mpls::Network) and the merged-mode
-// controller: functional equivalence with the per-LSP controller, plus the
+// Tests for merged destination trees (mpls::Network) and the controller's
+// merged label plan: functional equivalence with the per-pair plan, plus the
 // label-economics advantage.
 #include <gtest/gtest.h>
 
 #include "core/controller.hpp"
-#include "core/merged_controller.hpp"
 #include "graph/analysis.hpp"
 #include "spf/oracle.hpp"
 #include "spf/spf.hpp"
@@ -78,15 +77,17 @@ TEST(MergedTree, RejectsDoubleProvision) {
   EXPECT_EQ(net.merged_label(3, 2), mpls::kInvalidLabel);  // no tree
 }
 
-// --- merged controller --------------------------------------------------------
+// --- merged label plan ----------------------------------------------------------
 
 class MergedControllerTest : public ::testing::Test {
  protected:
-  MergedControllerTest() : g_(topo::make_ring(8)), ctl_(g_, spf::Metric::Hops) {
+  MergedControllerTest()
+      : g_(topo::make_ring(8)),
+        ctl_(g_, spf::Metric::Hops, RbpcController::LabelPlan::Merged) {
     ctl_.provision();
   }
   Graph g_;
-  MergedRbpcController ctl_;
+  RbpcController ctl_;
 };
 
 TEST_F(MergedControllerTest, DeliversAllPairsOptimally) {
@@ -165,12 +166,46 @@ TEST_F(MergedControllerTest, Guards) {
   EXPECT_THROW(ctl_.fail_link(0), PreconditionError);
 }
 
+// Sends every ordered pair through both controllers: same delivery, same
+// route, and send_or_throw refuses the same pairs.
+void expect_same_delivery(RbpcController& per_lsp, RbpcController& merged) {
+  const NodeId n = per_lsp.network().graph().num_nodes();
+  for (NodeId s = 0; s < n; ++s) {
+    for (NodeId t = 0; t < n; ++t) {
+      if (s == t) continue;
+      const auto a = per_lsp.send(s, t);
+      const auto b = merged.send(s, t);
+      ASSERT_EQ(a.delivered(), b.delivered()) << s << "->" << t;
+      if (a.delivered()) {
+        // Both restore along the same canonical min-cost route.
+        EXPECT_EQ(a.trace, b.trace) << s << "->" << t;
+      }
+      bool a_throws = false;
+      bool b_throws = false;
+      try {
+        per_lsp.send_or_throw(s, t);
+      } catch (const NoRouteError&) {
+        a_throws = true;
+      }
+      try {
+        merged.send_or_throw(s, t);
+      } catch (const NoRouteError&) {
+        b_throws = true;
+      }
+      EXPECT_EQ(a_throws, b_throws) << s << "->" << t;
+    }
+  }
+  EXPECT_EQ(per_lsp.pairs_under_restoration(),
+            merged.pairs_under_restoration());
+}
+
 TEST(MergedController, EquivalentDeliveryToPerLspController) {
   Rng rng(111);
   const Graph g = topo::make_random_connected(20, 50, rng, 7);
   RbpcController per_lsp(g, spf::Metric::Weighted);
   per_lsp.provision();
-  MergedRbpcController merged(g, spf::Metric::Weighted);
+  RbpcController merged(g, spf::Metric::Weighted,
+                        RbpcController::LabelPlan::Merged);
   merged.provision();
 
   for (int round = 0; round < 4; ++round) {
@@ -178,20 +213,63 @@ TEST(MergedController, EquivalentDeliveryToPerLspController) {
     if (per_lsp.failures().edge_failed(e)) continue;
     per_lsp.fail_link(e);
     merged.fail_link(e);
-    for (NodeId s = 0; s < g.num_nodes(); ++s) {
-      for (NodeId t = 0; t < g.num_nodes(); ++t) {
-        if (s == t) continue;
-        const auto a = per_lsp.send(s, t);
-        const auto b = merged.send(s, t);
-        ASSERT_EQ(a.delivered(), b.delivered()) << s << "->" << t;
-        if (a.delivered()) {
-          // Both restore along the same canonical min-cost route.
-          EXPECT_EQ(a.trace, b.trace) << s << "->" << t;
-        }
-      }
-    }
+    expect_same_delivery(per_lsp, merged);
     per_lsp.recover_link(e);
     merged.recover_link(e);
+  }
+
+  // A router failure on top of a link failure, then both recoveries.
+  const NodeId dead = static_cast<NodeId>(rng.below(g.num_nodes()));
+  const EdgeId cut = static_cast<EdgeId>(rng.below(g.num_edges()));
+  for (RbpcController* ctl : {&per_lsp, &merged}) {
+    ctl->fail_link(cut);
+    ctl->fail_router(dead);
+  }
+  EXPECT_GT(merged.pairs_under_restoration(), 0u);
+  expect_same_delivery(per_lsp, merged);
+  for (RbpcController* ctl : {&per_lsp, &merged}) ctl->recover_router(dead);
+  expect_same_delivery(per_lsp, merged);
+  for (RbpcController* ctl : {&per_lsp, &merged}) ctl->recover_link(cut);
+  expect_same_delivery(per_lsp, merged);
+  EXPECT_EQ(merged.pairs_under_restoration(), 0u);
+
+  // Graceful degradation on a ring with two pendant routers: cutting a
+  // ring link reroutes, cutting a pendant link leaves pairs with no route
+  // under the view. With the ladder on, both plans retain the same stale
+  // entries, which still deliver while the link is actually up; with it
+  // off, both clear the same entries.
+  graph::GraphBuilder builder(8);
+  for (NodeId v = 0; v < 6; ++v) builder.add_edge(v, (v + 1) % 6);
+  builder.add_edge(0, 6);
+  builder.add_edge(3, 7);
+  const Graph pendant = builder.build();
+  const std::vector<EdgeId> bridges = graph::find_bridges(pendant);
+  ASSERT_EQ(bridges.size(), 2u);
+  for (bool degrade : {true, false}) {
+    RbpcController a(pendant, spf::Metric::Weighted);
+    RbpcController b(pendant, spf::Metric::Weighted,
+                     RbpcController::LabelPlan::Merged);
+    for (RbpcController* ctl : {&a, &b}) {
+      ctl->set_graceful_degradation(degrade);
+      ctl->provision();
+      ctl->fail_link(1);
+      ctl->fail_link(bridges.front());
+      ctl->network().set_failures(FailureMask{});  // the view is stale
+    }
+    const DegradeStats sa = a.degrade_stats();
+    const DegradeStats sb = b.degrade_stats();
+    EXPECT_GT(degrade ? sa.degraded_pairs : sa.no_route, 0u);
+    EXPECT_EQ(sa.degraded_pairs, sb.degraded_pairs);
+    EXPECT_EQ(sa.stale_fec, sb.stale_fec);
+    EXPECT_EQ(sa.no_route, sb.no_route);
+    expect_same_delivery(a, b);
+    for (RbpcController* ctl : {&a, &b}) {
+      ctl->recover_link(bridges.front());
+      ctl->recover_link(1);
+    }
+    EXPECT_EQ(b.degrade_stats().degraded_pairs, 0u);
+    EXPECT_EQ(b.pairs_under_restoration(), 0u);
+    expect_same_delivery(a, b);
   }
 }
 
@@ -200,7 +278,8 @@ TEST(MergedController, LabelEconomics) {
   const Graph g = topo::make_isp_like(rng);
   RbpcController per_lsp(g, spf::Metric::Weighted);
   per_lsp.provision();
-  MergedRbpcController merged(g, spf::Metric::Weighted);
+  RbpcController merged(g, spf::Metric::Weighted,
+                        RbpcController::LabelPlan::Merged);
   merged.provision();
   // Merged mode: ~n entries per router vs ~n * avg-path-length total.
   EXPECT_LT(merged.network().total_ilm_entries(),

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "core/controller.hpp"
-#include "spf/apsp.hpp"
+#include "apsp.hpp"
 #include "util/table.hpp"
 #include "core/decompose.hpp"
 #include "core/drill.hpp"

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/dot.hpp"
-#include "spf/apsp.hpp"
+#include "apsp.hpp"
 #include "spf/bidirectional.hpp"
 #include "spf/spf.hpp"
 #include "topo/gadgets.hpp"
