@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <utility>
@@ -46,6 +47,40 @@
 // and greedy decomposition over the canonical base set is a deterministic
 // function of the route, so the whole Restoration matches bit for bit.
 //
+// No lost wake-ups (the event -> restored path has no sleep poll; DESIGN.md
+// §10). Two kinds of thread block on wake_mu_'s condition variables, and
+// each pairs a seq_cst registration with a re-check against a notifier that
+// publishes first and then reads the registration:
+//
+//  * An idle worker bumps sleepers_, issues a seq_cst fence, reads
+//    wake_seq_, and only then re-checks the queue and the deferred set. It
+//    parks until wake_seq_ moves past the value it read. A notifier
+//    (ingest() after its whole batch, drain_deferred() after moving
+//    demands) publishes the work, issues a seq_cst fence, and reads
+//    sleepers_; when it is non-zero it bumps wake_seq_ under wake_mu_ and
+//    notifies. By the fences, either the notifier sees the registration or
+//    the worker's re-check sees the work: a queue push is an atomic the
+//    fence orders, and a deferral happens under deferred_mu_, which the
+//    worker's re-check also takes, so if the deferral comes second the
+//    registration happens-before the notifier's read. A bump that precedes
+//    the worker's read of wake_seq_ happens-before the re-check, so that
+//    re-check sees the work; a bump after it ends the wait. The wait is
+//    also bounded (kIdleWait, or the deferred set's backoff deadline), so
+//    the heartbeat keeps moving, and stop() sets stopping_ under wake_mu_.
+//  * A quiesce() caller bumps quiescers_ (seq_cst) and waits under
+//    wake_mu_ for inflight_ == 0 or a recorded failure. The task whose
+//    seq_cst decrement takes inflight_ from 1 to 0 then reads quiescers_
+//    (seq_cst): of the two stores, at least one is seen by the other
+//    side's load, so either the quiescer's predicate sees zero or the task
+//    notifies, after passing through wake_mu_ so the quiescer is already
+//    waiting. A task that throws records the failure under wake_mu_ before
+//    its count drops, so a quiescer woken by that drop always finds it.
+//
+// Busy workers never touch wake_mu_, and a batch of N demands costs one
+// fence and one load, plus one notify only when a worker is parked. The
+// short poll a worker runs before it registers (poll_for_work) changes
+// nothing above: it returns only when work is already visible.
+//
 // Crash consistency of the persistence plane (DESIGN.md §14):
 //
 // Applied LSAs and committed reroutes append to the WAL *after* their
@@ -80,6 +115,17 @@ using graph::NodeId;
 namespace {
 
 obs::MetricsRegistry& registry() { return obs::MetricsRegistry::global(); }
+
+/// Longest an idle worker stays parked: it bounds the gap between the
+/// heartbeats of a worker with nothing to do.
+constexpr std::chrono::milliseconds kIdleWait{1};
+
+/// How long a worker that just ran out of work polls the queue before it
+/// parks. Work often arrives within this window (the next event of a
+/// closed loop, say), and picking it up by polling skips a futex wake-up,
+/// whose latency grows when the host is busy. Only the first idle pass
+/// polls, so an idle service still sleeps.
+constexpr std::uint64_t kPollBeforeParkNs = 100'000;
 
 }  // namespace
 
@@ -179,8 +225,12 @@ RestorationService::RestorationService(const graph::Graph& g,
 RestorationService::~RestorationService() { stop(); }
 
 void RestorationService::stop() {
-  stopping_.store(true, std::memory_order_seq_cst);
-  maint_stop_.store(true, std::memory_order_seq_cst);
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    stopping_.store(true, std::memory_order_seq_cst);
+  }
+  work_cv_.notify_all();
+  idle_cv_.notify_all();
   if (maint_thread_.joinable()) maint_thread_.join();
 }
 
@@ -410,8 +460,15 @@ void RestorationService::checkpoint() {
 void RestorationService::maintenance_loop() {
   const auto tick =
       std::chrono::microseconds(options_.persist.maintenance_interval_us);
-  while (!maint_stop_.load(std::memory_order_seq_cst)) {
-    std::this_thread::sleep_for(tick);
+  const auto stopping = [this] {
+    return stopping_.load(std::memory_order_seq_cst);
+  };
+  for (;;) {
+    {
+      // stop() wakes this wait, so shutdown never sleeps out a whole tick.
+      std::unique_lock<std::mutex> lock(wake_mu_);
+      if (idle_cv_.wait_for(lock, tick, stopping)) return;
+    }
     bool due = false;
     {
       std::lock_guard<std::mutex> lock(persist_mu_);
@@ -469,7 +526,19 @@ bool RestorationService::ingest(const lsdb::LinkEvent& ev) {
     }
   }
   for (const std::size_t d : affected) enqueue_demand(d);
+  // One wake-up for the whole batch, after every demand is queued.
+  if (!affected.empty()) wake_workers();
   return true;
+}
+
+void RestorationService::wake_workers() {
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_relaxed) == 0) return;
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    wake_seq_.fetch_add(1, std::memory_order_release);
+  }
+  work_cv_.notify_all();
 }
 
 void RestorationService::enqueue_demand(std::size_t d, std::uint8_t flags) {
@@ -515,15 +584,16 @@ void RestorationService::enqueue_demand(std::size_t d, std::uint8_t flags) {
 }
 
 void RestorationService::drain_deferred(bool force) {
-  std::lock_guard<std::mutex> lock(deferred_mu_);
+  std::unique_lock<std::mutex> lock(deferred_mu_);
   if (deferred_.empty()) return;
   // Under sustained overload a failed push re-fails on every worker idle
-  // tick; the decorrelated-jitter window (backoff.hpp) spaces the retries.
+  // pass; the decorrelated-jitter window (backoff.hpp) spaces the retries.
   // quiesce() force-drains so convergence never waits on the timer.
   if (!force && backoff_until_ns_ != 0 && obs::now_ns() < backoff_until_ns_) {
     return;
   }
   static obs::Gauge backoff_g = registry().gauge("svc.defer.backoff_us");
+  const std::size_t before = deferred_.size();
   while (!deferred_.empty()) {
     if (!queue_.push(deferred_.back())) {
       backoff_us_ =
@@ -534,32 +604,109 @@ void RestorationService::drain_deferred(bool force) {
           registry().histogram("svc.defer.backoff");
       backoff_h.record(backoff_us_);
       backoff_g.set(static_cast<std::int64_t>(backoff_us_));
-      return;
+      break;
     }
     deferred_.pop_back();
   }
-  backoff_us_ = 0;
-  backoff_until_ns_ = 0;
-  backoff_g.set(0);
+  if (deferred_.empty()) {
+    backoff_us_ = 0;
+    backoff_until_ns_ = 0;
+    backoff_g.set(0);
+  }
+  const bool moved = deferred_.size() != before;
+  lock.unlock();
+  if (moved) wake_workers();
 }
 
 void RestorationService::worker_loop(std::size_t worker) {
-  std::size_t d = 0;
-  for (;;) {
-    // Watchdog food: any pass through the loop — busy or idle — proves the
-    // worker is alive. service_churn's watchdog compares this against
-    // now_ns() and dumps the flight ring for a worker silent too long.
-    const std::uint64_t now = obs::now_ns();
-    heartbeats_[worker].store(now, std::memory_order_relaxed);
-    heartbeat_g_[worker].set(static_cast<std::int64_t>(now));
-    if (queue_.pop(d)) {
-      run_reroute(d, worker);
-      continue;
+  bool in_task = false;
+  bool idle = true;  // no task run since the worker last polled or parked
+  try {
+    std::size_t d = 0;
+    for (;;) {
+      // Watchdog food: any pass through the loop — busy or idle — proves
+      // the worker is alive. service_churn's watchdog compares this against
+      // now_ns() and dumps the flight ring for a worker silent too long.
+      const std::uint64_t now = obs::now_ns();
+      heartbeats_[worker].store(now, std::memory_order_relaxed);
+      heartbeat_g_[worker].set(static_cast<std::int64_t>(now));
+      if (queue_.pop(d)) {
+        in_task = true;
+        run_reroute(d, worker);
+        in_task = false;
+        complete_task();
+        idle = false;
+        continue;
+      }
+      if (stopping_.load(std::memory_order_seq_cst)) return;
+      drain_deferred(quiescers_.load(std::memory_order_seq_cst) != 0);
+      if (!std::exchange(idle, true) && poll_for_work()) continue;
+      wait_for_work();
     }
-    if (stopping_.load(std::memory_order_seq_cst)) return;
-    drain_deferred();
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  } catch (...) {
+    // Record before the task's count drops: a quiescer woken by that drop
+    // must find the failure. The worker then exits.
+    record_failure(std::current_exception());
+    if (in_task) complete_task();
   }
+}
+
+bool RestorationService::poll_for_work() const {
+  // obs::now_ns() reads the vDSO clock: no syscall while polling.
+  const std::uint64_t until = obs::now_ns() + kPollBeforeParkNs;
+  do {
+    if (queue_.approx_size() != 0 ||
+        stopping_.load(std::memory_order_relaxed)) {
+      return true;
+    }
+  } while (obs::now_ns() < until);
+  return false;
+}
+
+void RestorationService::wait_for_work() {
+  // Register, then re-check (the lost-wake-up comment at the top).
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const std::uint64_t seen = wake_seq_.load(std::memory_order_acquire);
+  auto deadline = std::chrono::steady_clock::now() + kIdleWait;
+  {
+    std::lock_guard<std::mutex> lock(deferred_mu_);
+    if (!deferred_.empty()) {
+      // A deferred demand is due at the end of its backoff window, or at
+      // once while a quiescer waits (or before any drain attempt failed).
+      const std::chrono::steady_clock::time_point due{
+          std::chrono::nanoseconds(
+              quiescers_.load(std::memory_order_seq_cst) != 0
+                  ? 0
+                  : backoff_until_ns_)};
+      deadline = std::min(deadline, due);
+    }
+  }
+  if (queue_.approx_size() == 0) {
+    std::unique_lock<std::mutex> lock(wake_mu_);
+    work_cv_.wait_until(lock, deadline, [this, seen] {
+      return wake_seq_.load(std::memory_order_relaxed) != seen ||
+             stopping_.load(std::memory_order_seq_cst);
+    });
+  }
+  sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+}
+
+void RestorationService::complete_task() {
+  if (inflight_.fetch_sub(1, std::memory_order_seq_cst) != 1) return;
+  if (quiescers_.load(std::memory_order_seq_cst) == 0) return;
+  // Passing through the mutex orders this notify after a quiescer's
+  // predicate check, so a quiescer that saw a non-zero count is waiting.
+  { std::lock_guard<std::mutex> lock(wake_mu_); }
+  idle_cv_.notify_all();
+}
+
+void RestorationService::record_failure(std::exception_ptr error) {
+  {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    if (!failure_) failure_ = std::move(error);
+  }
+  idle_cv_.notify_all();
 }
 
 void RestorationService::run_reroute(std::size_t d, std::size_t worker) {
@@ -567,13 +714,6 @@ void RestorationService::run_reroute(std::size_t d, std::size_t worker) {
   static obs::Histogram latency = registry().histogram("svc.restore.latency");
 
   DemandState& st = demands_[d];
-  // Balance the pending count even if the reroute throws, or quiesce()
-  // would spin forever waiting on a task that already died.
-  struct InflightGuard {
-    std::atomic<std::size_t>& n;
-    ~InflightGuard() { n.fetch_sub(1, std::memory_order_seq_cst); }
-  } guard{inflight_};
-
   // The causal record for this pass lives on the stack — no allocation on
   // the warm path. The trace fields must be read *before* the dedup flag is
   // cleared below: afterwards a fresh enqueue may overwrite them.
@@ -711,13 +851,21 @@ bool RestorationService::install(std::size_t d, core::Restoration r,
 }
 
 void RestorationService::quiesce() {
-  for (;;) {
-    // Surface a worker exception instead of waiting on work it dropped.
-    pool_threads_.rethrow_first_error();
-    drain_deferred(/*force=*/true);
-    if (inflight_.load(std::memory_order_seq_cst) == 0) return;
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  // Registered before the force-drain, so workers that go idle from here on
+  // drain the deferred set without backoff as well.
+  quiescers_.fetch_add(1, std::memory_order_seq_cst);
+  struct Unregister {
+    std::atomic<std::size_t>& n;
+    ~Unregister() { n.fetch_sub(1, std::memory_order_seq_cst); }
+  } unregister{quiescers_};
+  drain_deferred(/*force=*/true);
+  std::unique_lock<std::mutex> lock(wake_mu_);
+  idle_cv_.wait(lock, [this] {
+    return failure_ != nullptr ||
+           inflight_.load(std::memory_order_seq_cst) == 0;
+  });
+  // Surface a worker exception instead of waiting on work it dropped.
+  if (failure_) std::rethrow_exception(failure_);
 }
 
 core::Restoration RestorationService::route(std::size_t demand) const {

@@ -32,12 +32,23 @@
 // (core::SharedCanonicalBaseSet), and it is thread-safe, so workers
 // decompose without a lock. Provisioning the baseline routes runs on the
 // worker threads before their loops start (DESIGN.md §10).
+//
+// The event -> restored path has no sleep poll. A worker that runs out of
+// work polls the queue for a moment, then registers as a sleeper and parks
+// on a condition variable; ingest() wakes parked workers once, after it has
+// queued every affected demand, and only when a sleeper is registered, so
+// the busy path takes no lock and makes no syscall per demand. quiesce()
+// blocks until the pending count drops to zero, woken by the task that
+// completes it or by a task that throws. service.cpp states the
+// lost-wakeup argument.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -175,10 +186,18 @@ class RestorationService {
   /// revalidation re-runs and deferred demands) completed. After quiesce()
   /// with no concurrent ingest, routes() is the serial restoration of the
   /// final mask. Callable repeatedly; not an end-of-life operation.
+  ///
+  /// The wait blocks on a completion signal rather than polling: the task
+  /// that takes the pending count to zero wakes it. While a quiescer waits,
+  /// idle workers drain the deferred set without backoff, so convergence
+  /// never waits on a retry timer. If a reroute task threw (a WAL write
+  /// failed, say), its worker has exited: quiesce() wakes and rethrows the
+  /// first such exception, and so does every later call.
   void quiesce();
 
   /// Stops the workers (drains nothing — call quiesce() first when the
-  /// final state matters). Idempotent; ingest after stop still updates the
+  /// final state matters), waking parked workers and the maintenance thread
+  /// at once. Idempotent; ingest after stop still updates the
   /// LSDB but reroutes stay queued forever.
   void stop();
 
@@ -207,8 +226,10 @@ class RestorationService {
 
   std::size_t num_workers() const { return pool_threads_.size(); }
   /// obs::now_ns() timestamp of worker w's last loop iteration (0 = never
-  /// ran). The service_churn watchdog compares these against now to flag a
-  /// silent worker.
+  /// ran). An idle worker parks for at most about a millisecond before it
+  /// loops again, so a live worker's heartbeat advances at least that often,
+  /// busy or idle. The service_churn watchdog compares these against now to
+  /// flag a silent worker.
   std::uint64_t worker_heartbeat_ns(std::size_t w) const;
 
   /// The service's flight recorder (always present; rings are only written
@@ -239,11 +260,28 @@ class RestorationService {
   };
 
   void worker_loop(std::size_t worker);
+  /// Polls the queue for a short window (no lock, no syscall); true when
+  /// work arrived or stop() was called within it.
+  bool poll_for_work() const;
+  /// Parks an idle worker until a wake-up, stop(), or its deadline: the
+  /// deferred set's next drain time when it holds demands, else the idle
+  /// bound that keeps heartbeats fresh.
+  void wait_for_work();
+  /// Wakes parked workers after new work was queued; no lock and no
+  /// syscall when none is parked. Called once per batch, not per demand.
+  void wake_workers();
+  /// Retires one pending demand; the task that drops the count to zero
+  /// wakes any quiesce() caller.
+  void complete_task();
+  /// Records a worker's exception (the first one sticks) and wakes every
+  /// quiesce() caller so it can rethrow it.
+  void record_failure(std::exception_ptr error);
   /// Marks the demand pending and queues it (deferred set on overflow).
   /// `flags` tags the pass's flight record (obs::kFlagRecovery at startup).
   void enqueue_demand(std::size_t d, std::uint8_t flags = 0);
-  /// Moves deferred demands into the queue while there is room. Worker
-  /// calls respect the backoff window after a failed attempt; quiesce()
+  /// Moves deferred demands into the queue while there is room, then wakes
+  /// parked workers if any moved. Worker calls respect the backoff window
+  /// after a failed attempt unless a quiesce() caller waits; quiesce()
   /// forces the attempt (convergence never waits on a retry timer).
   void drain_deferred(bool force = false);
   /// One reroute task: snapshot, compute, install, revalidate.
@@ -301,7 +339,20 @@ class RestorationService {
   std::uint64_t backoff_rng_ = 0;       ///< decorrelated-jitter PRNG state
   /// Demands pending (queued or deferred) plus reroutes mid-flight.
   std::atomic<std::size_t> inflight_{0};
+  /// Set under wake_mu_ by stop(); workers and the maintenance thread exit.
   std::atomic<bool> stopping_{false};
+
+  // --- Wake-up plane (service.cpp, "no lost wake-ups" comment) ---
+  std::mutex wake_mu_;
+  std::condition_variable work_cv_;  ///< parked workers
+  /// quiesce() callers (completion or failure) and the maintenance thread.
+  std::condition_variable idle_cv_;
+  /// Bumped under wake_mu_ by every wake_workers() that notifies; a parked
+  /// worker waits for it to move past the value it read before its checks.
+  std::atomic<std::uint64_t> wake_seq_{0};
+  std::atomic<std::size_t> sleepers_{0};   ///< workers parked or parking
+  std::atomic<std::size_t> quiescers_{0};  ///< threads inside quiesce()
+  std::exception_ptr failure_;  ///< first worker exception; guarded by wake_mu_
 
   // --- Persistence plane ---
   std::unique_ptr<persist::FileIo> owned_io_;  ///< when options.persist.io==0
@@ -315,7 +366,6 @@ class RestorationService {
   std::uint64_t recovery_reenqueued_ = 0;    // afterwards
   std::uint64_t replay_anomalies_ = 0;
   std::uint64_t recovery_us_ = 0;
-  std::atomic<bool> maint_stop_{false};
   std::thread maint_thread_;  ///< joined in stop()
 
   /// Per-worker liveness: worker w stores obs::now_ns() each loop

@@ -27,12 +27,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -52,6 +56,8 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
+#include "persist/format.hpp"
+#include "persist/io.hpp"
 #include "service/epoch.hpp"
 #include "service/mpmc_queue.hpp"
 #include "service/service.hpp"
@@ -985,12 +991,193 @@ TEST(WorkerHeartbeat, EveryWorkerBeatsWhileIdleAndBusy) {
     ASSERT_NE(first.back(), 0u) << "worker " << w << " never beat";
   }
 
-  // Heartbeats advance over time and never regress.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  // Heartbeats advance while the service sits idle: a parked worker wakes
+  // within the bounded idle wait, so 20 ms of idleness moves every one.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   for (std::size_t w = 0; w < svc.num_workers(); ++w) {
-    EXPECT_GE(svc.worker_heartbeat_ns(w), first[w]) << "worker " << w;
+    EXPECT_GT(svc.worker_heartbeat_ns(w), first[w]) << "worker " << w;
   }
   svc.stop();
+}
+
+// ---------------------------------------------------------------------------
+// Wake-up protocol: parked workers, the blocking quiesce(), stop().
+// ---------------------------------------------------------------------------
+
+struct TempDir {
+  std::string path;
+  TempDir() {
+    std::string tmpl = ::testing::TempDir() + "rbpc_wake_XXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr) {
+      throw std::runtime_error("mkdtemp failed");
+    }
+    path = tmpl;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+};
+
+/// Wraps another PersistIo; its WAL streams throw IoError on the first
+/// FEC-install record written through them (once per instance), and every
+/// other operation passes through.
+class FecWriteFailsIo final : public persist::PersistIo {
+ public:
+  explicit FecWriteFailsIo(persist::PersistIo& inner) : inner_(inner) {}
+
+  bool thrown() const { return thrown_.load(); }
+
+  std::unique_ptr<Stream> open_trunc(const std::string& path) override {
+    return wrap(path, inner_.open_trunc(path));
+  }
+  std::unique_ptr<Stream> open_append(const std::string& path) override {
+    return wrap(path, inner_.open_append(path));
+  }
+  void rename_file(const std::string& from, const std::string& to) override {
+    inner_.rename_file(from, to);
+  }
+  void remove_file(const std::string& path) override {
+    inner_.remove_file(path);
+  }
+  void truncate_file(const std::string& path, std::uint64_t len) override {
+    inner_.truncate_file(path, len);
+  }
+  bool read_file(const std::string& path,
+                 std::vector<std::uint8_t>& out) override {
+    return inner_.read_file(path, out);
+  }
+  std::vector<std::string> list_dir(const std::string& dir) override {
+    return inner_.list_dir(dir);
+  }
+  void make_dirs(const std::string& dir) override { inner_.make_dirs(dir); }
+
+ private:
+  class WalStream final : public Stream {
+   public:
+    WalStream(std::unique_ptr<Stream> inner, std::atomic<bool>& thrown)
+        : inner_(std::move(inner)), thrown_(thrown) {}
+    void write(const void* data, std::size_t len) override {
+      // Records are framed as u32 length | payload | u32 CRC, and the
+      // payload starts with the record type (the header's byte 4 is 'W').
+      const auto* b = static_cast<const std::uint8_t*>(data);
+      const bool fec =
+          len > 4 &&
+          b[4] == static_cast<std::uint8_t>(persist::WalType::kFecInstall);
+      if (fec && !thrown_.exchange(true)) {
+        throw persist::IoError("injected FEC WAL write failure");
+      }
+      inner_->write(data, len);
+    }
+    void sync() override { inner_->sync(); }
+
+   private:
+    std::unique_ptr<Stream> inner_;
+    std::atomic<bool>& thrown_;
+  };
+
+  std::unique_ptr<Stream> wrap(const std::string& path,
+                               std::unique_ptr<Stream> s) {
+    if (path.find("/wal-") == std::string::npos) return s;
+    return std::make_unique<WalStream>(std::move(s), thrown_);
+  }
+
+  persist::PersistIo& inner_;
+  std::atomic<bool> thrown_{false};
+};
+
+TEST(ServiceWake, QuiesceSurfacesRerouteFailure) {
+  // A reroute task that throws takes its worker down; quiesce() must wake
+  // and rethrow rather than wait for work the dead worker dropped. With one
+  // worker nothing else drains the queue; with two the survivor finishes
+  // the event, and quiesce() must still report the failure.
+  const Graph g = testing::make_wheel16();
+  Rng rng(46);
+  const std::vector<Demand> demands = random_demands(g, 24, rng);
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    const std::string ctx = "workers=" + std::to_string(workers);
+    TempDir dir;
+    persist::FileIo disk;
+    FecWriteFailsIo io(disk);
+    ServiceOptions options;
+    options.workers = workers;
+    options.persist.dir = dir.path;
+    options.persist.maintenance_interval_us = 0;
+    options.persist.io = &io;
+    {
+      RestorationService svc(g, demands, options);
+      const core::Restoration r = svc.route(0);
+      ASSERT_TRUE(r.restored()) << ctx;
+      ASSERT_TRUE(svc.ingest(lsdb::LinkEvent{r.backup.edges().front(),
+                                             /*up=*/false, 1}))
+          << ctx;
+      EXPECT_THROW(svc.quiesce(), persist::IoError) << ctx;
+      EXPECT_TRUE(io.thrown()) << ctx;
+      // The failure sticks: a dead worker means the service cannot
+      // converge, so a second quiesce() must not hang either.
+      EXPECT_THROW(svc.quiesce(), persist::IoError) << ctx;
+    }  // the destructor must return with the failed worker gone
+  }
+}
+
+TEST(ServiceWake, StopWakesParkedWorkers) {
+  // Idle workers sit parked; stop() and the destructor must wake and join
+  // them (and the maintenance thread, when persistence runs one) promptly
+  // rather than after a poll or a maintenance tick.
+  const Graph g = testing::make_wheel16();
+  Rng rng(47);
+  const std::vector<Demand> demands = random_demands(g, 16, rng);
+  for (const bool persist : {false, true}) {
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      const std::string ctx = "workers=" + std::to_string(workers) +
+                              " persist=" + (persist ? "on" : "off");
+      TempDir dir;
+      ServiceOptions options;
+      options.workers = workers;
+      if (persist) {
+        options.persist.dir = dir.path;
+        // A tick far longer than the bound below: stop() must not sleep
+        // it out.
+        options.persist.maintenance_interval_us = 60'000'000;
+      }
+      auto svc = std::make_unique<RestorationService>(g, demands, options);
+      svc->quiesce();
+      // Let every worker reach its parked wait.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const auto t0 = std::chrono::steady_clock::now();
+      svc->stop();
+      svc.reset();
+      EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5))
+          << ctx;
+    }
+  }
+}
+
+TEST(ServiceWake, DeferredDrainWakesWorkers) {
+  // A two-slot queue under a storm overflows into the deferred set; the
+  // drains that move deferred demands back must wake parked workers, and
+  // the quiescent table must still be the serial replay of the final mask.
+  const Graph g = testing::make_wheel16();
+  Rng rng(48);
+  const std::vector<Demand> demands = random_demands(g, 24, rng);
+  chaos::StormConfig config = storm_config();
+  config.events = 20;
+  const chaos::Storm storm = chaos::plan_storm(g, config, rng);
+  const std::vector<core::Restoration> want = serial_replay(
+      g, ServiceOptions{}.metric, demands, storm.final_mask());
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    const std::string ctx = "workers=" + std::to_string(workers);
+    ServiceOptions options;
+    options.queue_capacity = 2;
+    options.workers = workers;
+    RestorationService svc(g, demands, options);
+    ingest_all(svc, storm.deliveries);
+    EXPECT_GT(svc.stats().deferred, 0u) << ctx << ": the storm never deferred";
+    expect_identical_tables(want, svc.routes(), ctx);
+    svc.stop();
+  }
 }
 
 }  // namespace
