@@ -30,7 +30,6 @@
 //        --spf-json PATH, --spf-trials N (failure trials per network),
 //        --metrics-json PATH, --trace-out PATH, --obs-check LIST
 //        (see bench_obs.hpp; PATH "-" means stdout)
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -45,7 +44,6 @@
 #include "core/scenario.hpp"
 #include "spf/incremental.hpp"
 #include "spf/oracle.hpp"
-#include "spf/tree_cache.hpp"
 #include "spf/workspace.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -328,26 +326,6 @@ int main(int argc, char** argv) {
       out << spf_bench_json(spf_rows);
       std::cerr << "\nwrote " << spf_json << "\n";
     }
-  }
-
-  // Eviction exercise: the batch engine's caches are unbounded, so a plain
-  // run never evicts. A tiny capped cache over the ISP topology queried for
-  // more sources than its cap guarantees cache.evict is nonzero in the
-  // metrics scrape (and exercises the LRU path in Release mode).
-  {
-    const auto nets = bench::make_networks(seed, scale);
-    const graph::Graph& g = nets.front().g;
-    spf::TreeCacheOptions capped;
-    capped.max_entries = 4;
-    spf::TreeCache small(g, FailureMask{},
-                         spf::SpfOptions{.metric = nets.front().metric},
-                         capped);
-    const std::size_t sources =
-        std::min<std::size_t>(g.num_nodes(), 3 * capped.max_entries);
-    for (graph::NodeId s = 0; s < sources; ++s) small.tree(s);
-    std::cerr << "\ncapped-cache exercise: " << sources << " sources, cap "
-              << capped.max_entries << ", evictions " << small.evictions()
-              << "\n";
   }
 
   const int obs_rc = obs_cli.finish();

@@ -10,7 +10,6 @@
 namespace rbpc::core {
 
 using graph::FailureMask;
-using graph::NodeId;
 using graph::Path;
 
 namespace {
@@ -22,38 +21,14 @@ obs::MetricsRegistry& registry() { return obs::MetricsRegistry::global(); }
 BatchRestorer::BatchRestorer(BasePathSet& base, BatchOptions options)
     : base_(base),
       pool_(options.threads),
-      unfailed_trees_(base.graph(), FailureMask{},
-                      spf::SpfOptions{.metric = base.metric(),
-                                      .padded = true}),
+      trees_(base.graph(),
+             spf::SpfOptions{.metric = base.metric(), .padded = true},
+             spf::TreePoolOptions{.max_views = 1}),
       batches_(registry().counter("batch.batches")),
       jobs_(registry().counter("batch.jobs")),
       restored_(registry().counter("batch.restored")),
       unrestorable_(registry().counter("batch.unrestorable")),
-      mask_changes_(registry().counter("batch.mask_changes")),
       max_pc_length_gauge_(registry().gauge("batch.max_pc_length")) {}
-
-void BatchRestorer::reset_cache_for(const FailureMask& mask) {
-  std::vector<graph::EdgeId> edges = mask.failed_edges();
-  std::vector<NodeId> nodes = mask.failed_nodes();
-  if (cache_valid_ && edges == cache_failed_edges_ &&
-      nodes == cache_failed_nodes_) {
-    return;  // same failure state: keep the shared trees
-  }
-  if (cache_) {
-    retired_hits_ += cache_->hits();
-    retired_misses_ += cache_->misses();
-    retired_repairs_ += cache_->repairs();
-    retired_fallbacks_ += cache_->repair_fallbacks();
-    mask_changes_.inc();
-  }
-  cache_ = std::make_unique<spf::TreeCache>(
-      base_.graph(), mask,
-      spf::SpfOptions{.metric = base_.metric(), .padded = true},
-      spf::TreeCacheOptions{}, &unfailed_trees_);
-  cache_failed_edges_ = std::move(edges);
-  cache_failed_nodes_ = std::move(nodes);
-  cache_valid_ = true;
-}
 
 std::vector<Restoration> BatchRestorer::restore_all(
     const FailureMask& mask, const std::vector<RestoreJob>& jobs) {
@@ -67,7 +42,9 @@ std::vector<Restoration> BatchRestorer::restore_all(
     require(mask.node_alive(job.src),
             "BatchRestorer: job source router is failed");
   }
-  reset_cache_for(mask);
+  // Same failure state as the last batch: the view and its trees are
+  // reused. A new one replaces it (the pool keeps one view).
+  const std::shared_ptr<spf::TreeCache> view = trees_.cache_for(mask);
 
   // Time from dispatch to a worker picking the job up — pool backlog, the
   // phase the paper's recovery-effort accounting calls queueing delay.
@@ -82,12 +59,15 @@ std::vector<Restoration> BatchRestorer::restore_all(
     RBPC_TRACE_SPAN("batch.job");
     const RestoreJob& job = jobs[i];
     std::shared_ptr<const spf::ShortestPathTree> tree;
+    spf::TreeOutcome outcome = spf::TreeOutcome::kHit;
     {
       // Shared-tree lookup; a miss runs (or repairs) SPF under the mask,
       // so spf.full / spf.repair spans nest inside this one.
       RBPC_TRACE_SPAN("batch.spf");
-      tree = cache_->tree(job.src);
+      tree = view->tree(job.src, &outcome);
     }
+    tree_outcomes_[static_cast<std::size_t>(outcome)].fetch_add(
+        1, std::memory_order_relaxed);
     if (!tree->reachable(job.dst)) return;  // results[i] stays !restored()
     Restoration r;
     {
@@ -131,12 +111,17 @@ BatchStats BatchRestorer::stats() const {
   s.restored = restored_.value();
   s.unrestorable = unrestorable_.value();
   s.max_pc_length = max_pc_length_.load(std::memory_order_relaxed);
-  s.mask_changes = mask_changes_.value();
-  s.spf_cache_hits = retired_hits_ + (cache_ ? cache_->hits() : 0);
-  s.spf_cache_misses = retired_misses_ + (cache_ ? cache_->misses() : 0);
-  s.spf_repairs = retired_repairs_ + (cache_ ? cache_->repairs() : 0);
-  s.spf_repair_fallbacks =
-      retired_fallbacks_ + (cache_ ? cache_->repair_fallbacks() : 0);
+  const std::size_t views = trees_.views_created();
+  s.mask_changes = views == 0 ? 0 : views - 1;
+  const auto count = [this](spf::TreeOutcome outcome) {
+    return tree_outcomes_[static_cast<std::size_t>(outcome)].load(
+        std::memory_order_relaxed);
+  };
+  s.spf_cache_hits = count(spf::TreeOutcome::kHit);
+  s.spf_repairs = count(spf::TreeOutcome::kRepaired);
+  s.spf_repair_fallbacks = count(spf::TreeOutcome::kFallback);
+  s.spf_cache_misses = count(spf::TreeOutcome::kScratch) + s.spf_repairs +
+                       s.spf_repair_fallbacks;
   return s;
 }
 

@@ -6,12 +6,13 @@
 // a fixed-size thread pool with two structural optimizations:
 //
 //  * per-source SPF sharing — all LSPs rooted at the same source share one
-//    spf::shortest_tree under the failure mask (spf::TreeCache) instead of
-//    re-running SPF per pair; the cache persists across restore_all calls
-//    as long as the mask is unchanged (repeated queries under one failure);
+//    spf::shortest_tree under the failure mask instead of re-running SPF
+//    per pair. Trees come from a spf::SnapshotTreePool that keeps one view
+//    (the current mask); it persists across restore_all calls as long as
+//    the mask is unchanged (repeated queries under one failure);
 //
-//  * incremental SPT repair — a second, mask-independent cache holds each
-//    source's *unfailed* tree; per-mask trees are derived from it by
+//  * incremental SPT repair — the pool's base cache holds each source's
+//    *unfailed* tree; per-mask trees are derived from it by
 //    spf::repair_tree, which re-relaxes only the region orphaned by the
 //    failures instead of re-running Dijkstra over the whole graph. The
 //    unfailed trees survive mask changes, so a failure storm pays one full
@@ -24,19 +25,17 @@
 //    under parallelism"): each Restoration is a pure function of
 //    (graph, mask, base set, pair), never of scheduling order.
 //
-// The decomposition stage still funnels through the shared BasePathSet
+// The decomposition stage still funnels through the caller's BasePathSet
 // (whose membership oracles cache trees and are not thread-safe) under a
 // mutex; SPF under the mask dominates, so restorations scale while
-// decomposition serializes on warm unfailed-network caches. The engine thus
-// keeps two stores of unfailed trees (unfailed_trees_ and the oracle behind
-// an oracle-backed base set); RestorationService already reads both uses from one TreeCache
-// (core::SharedCanonicalBaseSet), and moving this engine and the
-// controllers onto it is left for the single restore engine.
+// decomposition serializes on warm unfailed-network caches. The set stays
+// caller-supplied because callers pass oracle-backed AllPairs, Canonical
+// and Expanded sets, whose decompositions differ from one another.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -44,7 +43,7 @@
 #include "core/restoration.hpp"
 #include "graph/failure.hpp"
 #include "obs/metrics.hpp"
-#include "spf/tree_cache.hpp"
+#include "spf/tree_pool.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rbpc::core {
@@ -66,8 +65,9 @@ struct BatchOptions {
 
 /// Point-in-time snapshot of a BatchRestorer's lifetime counters.
 /// Assembled by BatchRestorer::stats() from counters that are mirrored
-/// into the process-wide obs::MetricsRegistry (batch.* / cache.* metrics),
-/// so the struct is a thin view, not independent bookkeeping.
+/// into the process-wide obs::MetricsRegistry (batch.* metrics), the
+/// TreeOutcome each job's tree lookup reported, and the tree pool's view
+/// count, so the struct is a thin view, not independent bookkeeping.
 struct BatchStats {
   std::size_t batches = 0;        ///< restore_all calls
   std::size_t jobs = 0;           ///< restorations attempted
@@ -76,7 +76,7 @@ struct BatchStats {
   std::size_t max_pc_length = 0;  ///< worst concatenation length seen
   std::size_t spf_cache_hits = 0;    ///< jobs served by a shared tree
   std::size_t spf_cache_misses = 0;  ///< per-mask trees actually computed
-  std::size_t mask_changes = 0;   ///< cache resets due to a new mask
+  std::size_t mask_changes = 0;   ///< tree views created after the first
   std::size_t spf_repairs = 0;    ///< misses served by incremental repair
   std::size_t spf_repair_fallbacks = 0;  ///< misses that fell back to scratch
 
@@ -114,31 +114,20 @@ class BatchRestorer {
   BatchStats stats() const;
 
  private:
-  void reset_cache_for(const graph::FailureMask& mask);
-
   BasePathSet& base_;
   ThreadPool pool_;
   std::mutex base_mu_;  // guards base_ during decomposition
-  // Unfailed trees, shared by every per-mask cache as the repair baseline;
-  // survives mask changes so each source pays for one full SPF total.
-  spf::TreeCache unfailed_trees_;
-  std::unique_ptr<spf::TreeCache> cache_;
-  // Fingerprint of the mask the cache was built for.
-  std::vector<graph::EdgeId> cache_failed_edges_;
-  std::vector<graph::NodeId> cache_failed_nodes_;
-  bool cache_valid_ = false;
-  // Counter totals of caches retired by mask changes.
-  std::size_t retired_hits_ = 0;
-  std::size_t retired_misses_ = 0;
-  std::size_t retired_repairs_ = 0;
-  std::size_t retired_fallbacks_ = 0;
+  // Unfailed base plus one view for the current mask; the base survives
+  // mask changes so each source pays for one full SPF total.
+  spf::SnapshotTreePool trees_;
+  // Tree lookups per TreeOutcome, summed over every job.
+  std::array<std::atomic<std::size_t>, 4> tree_outcomes_{};
   // Lifetime counters, mirrored into the registry; stats() assembles the
-  // BatchStats view from these plus the cache counters above.
+  // BatchStats view from these plus the tree counts above.
   obs::InstanceCounter batches_;
   obs::InstanceCounter jobs_;
   obs::InstanceCounter restored_;
   obs::InstanceCounter unrestorable_;
-  obs::InstanceCounter mask_changes_;
   std::atomic<std::size_t> max_pc_length_{0};
   obs::Gauge max_pc_length_gauge_;
 };

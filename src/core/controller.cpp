@@ -20,9 +20,9 @@ RbpcController::RbpcController(const graph::Graph& g, spf::Metric metric,
     : g_(g),
       metric_(metric),
       plan_(plan),
-      unfailed_trees_(g, graph::FailureMask{},
-                      spf::SpfOptions{.metric = metric, .padded = true}),
-      base_(unfailed_trees_),
+      trees_(g, spf::SpfOptions{.metric = metric, .padded = true},
+             spf::TreePoolOptions{.max_views = 1}),
+      base_(trees_.base()),
       net_(g),
       degrade_stale_(
           obs::MetricsRegistry::global().counter("ctl.degrade.stale_fec")),
@@ -31,17 +31,9 @@ RbpcController::RbpcController(const graph::Graph& g, spf::Metric metric,
   require(!g.directed(), "RbpcController: undirected networks only");
 }
 
-spf::TreeCache& RbpcController::view_cache() {
-  if (!view_cache_) {
-    view_cache_ = std::make_unique<spf::TreeCache>(
-        g_, mask_, spf::SpfOptions{.metric = metric_, .padded = true},
-        spf::TreeCacheOptions{}, &unfailed_trees_);
-  }
-  return *view_cache_;
-}
-
 Decomposition RbpcController::restore_via_ladder(NodeId u, NodeId v) {
-  const std::shared_ptr<const spf::ShortestPathTree> tree = view_cache().tree(u);
+  const std::shared_ptr<const spf::ShortestPathTree> tree =
+      trees_.cache_for(mask_)->tree(u);
   if (!tree->reachable(v)) return {};
   return greedy_decompose(base_, tree->path_to(g_, v));
 }
@@ -88,7 +80,7 @@ void RbpcController::provision() {
     std::vector<EdgeId> parent_edge(n);
     for (NodeId dest = 0; dest < n; ++dest) {
       const std::shared_ptr<const spf::ShortestPathTree> tree =
-          unfailed_trees_.tree(dest);
+          trees_.base().tree(dest);
       for (NodeId v = 0; v < n; ++v) {
         parent[v] = tree->parent(v);
         parent_edge[v] = tree->parent_edge(v);
@@ -222,7 +214,7 @@ void RbpcController::reroute_affected(EdgeId failed_edge, NodeId failed_node) {
   std::vector<std::int8_t> below(failure ? n : 0);
   for (NodeId s = 0; failure && s < n; ++s) {
     const std::shared_ptr<const spf::ShortestPathTree> tree =
-        unfailed_trees_.tree(s);
+        trees_.base().tree(s);
     NodeId cut = failed_node;
     if (failed_edge != graph::kInvalidEdge) {
       const graph::Edge& ed = g_.edge(failed_edge);
@@ -264,7 +256,6 @@ void RbpcController::fail_link(EdgeId e) {
   require(!mask_.edge_failed(e), "fail_link: link already failed");
   mask_.fail_edge(e);
   net_.set_failures(mask_);
-  invalidate_view_cache();
 
   // A precomputed plan covers the single-failure case exactly: it lists
   // every pair whose base path crosses `e` (no pair is off its default
@@ -286,7 +277,6 @@ void RbpcController::recover_link(EdgeId e) {
   undo_local_patches(e);
   mask_.restore_edge(e);
   net_.set_failures(mask_);
-  invalidate_view_cache();
   reroute_affected(graph::kInvalidEdge, graph::kInvalidNode);
 }
 
@@ -295,7 +285,6 @@ void RbpcController::fail_router(NodeId v) {
   require(mask_.node_alive(v), "fail_router: router already failed");
   mask_.fail_node(v);
   net_.set_failures(mask_);
-  invalidate_view_cache();
   reroute_affected(graph::kInvalidEdge, v);
 }
 
@@ -305,7 +294,6 @@ void RbpcController::recover_router(NodeId v) {
   for (const graph::Arc& a : g_.arcs(v)) undo_local_patches(a.edge);
   mask_.restore_node(v);
   net_.set_failures(mask_);
-  invalidate_view_cache();
   reroute_affected(graph::kInvalidEdge, graph::kInvalidNode);
 }
 
@@ -359,7 +347,7 @@ std::size_t RbpcController::local_patch(EdgeId e, LocalMode mode) {
     for (NodeId dest = 0; dest < g_.num_nodes(); ++dest) {
       if (!mask_.node_alive(dest)) continue;
       const std::shared_ptr<const spf::ShortestPathTree> tree =
-          unfailed_trees_.tree(dest);
+          trees_.base().tree(dest);
       for (NodeId r1 = 0; r1 < g_.num_nodes(); ++r1) {
         if (r1 == dest || tree->parent_edge(r1) != e) continue;
         const Label in_label = net_.merged_label(r1, dest);

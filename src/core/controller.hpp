@@ -30,9 +30,10 @@
 //    label of its own space continuing toward the next junction. The
 //    ablation bench quantifies the label economics.
 //
-// One store of padded unfailed trees answers canonical membership
-// (SharedCanonicalBaseSet), the default routes, the affected-pair rule and
-// merged provisioning, and is the base that SPF repair starts from.
+// One spf::SnapshotTreePool serves every tree: its base of padded unfailed
+// trees answers canonical membership (SharedCanonicalBaseSet), the default
+// routes, the affected-pair rule and merged provisioning, and is what SPF
+// repair starts from; its one view holds the trees under the current mask.
 //
 // The point of this class — and of the integration tests driving it — is
 // that restoration correctness is verified by *forwarding actual packets*
@@ -42,7 +43,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -56,7 +56,7 @@
 #include "mpls/network.hpp"
 #include "obs/metrics.hpp"
 #include "spf/metric.hpp"
-#include "spf/tree_cache.hpp"
+#include "spf/tree_pool.hpp"
 
 namespace rbpc::core {
 
@@ -161,20 +161,17 @@ class RbpcController {
   const graph::Graph& g_;
   spf::Metric metric_;
   LabelPlan plan_;
-  /// Padded unfailed trees, built once per source and shared by the base
-  /// set, provisioning, the affected-pair rule and SPF repair.
-  spf::TreeCache unfailed_trees_;
+  /// Padded trees: the unfailed base, built once per source and shared by
+  /// the base set, provisioning, the affected-pair rule and SPF repair,
+  /// plus one view for the current mask (ladder rungs 1-2: repaired from
+  /// the base, or scratch SPF inside the view).
+  spf::SnapshotTreePool trees_;
   SharedCanonicalBaseSet base_;
   mpls::Network net_;
   graph::FailureMask mask_;
   bool provisioned_ = false;
   bool degrade_ = false;
 
-  // Ladder rungs 1-2: per-source trees under the current view mask are
-  // repaired incrementally from the unfailed trees (and fall back to
-  // scratch SPF inside the cache); the view cache is invalidated on every
-  // topology event.
-  std::unique_ptr<spf::TreeCache> view_cache_;
   obs::InstanceCounter degrade_stale_;
   obs::InstanceCounter degrade_no_route_;
 
@@ -205,11 +202,6 @@ class RbpcController {
 
   /// Bottom-first label stack encoding a decomposition.
   std::vector<mpls::Label> push_stack(const Decomposition& d) const;
-
-  /// The per-source tree cache for the current view mask (built lazily).
-  spf::TreeCache& view_cache();
-  /// Drops the view cache; call after every mask_ mutation.
-  void invalidate_view_cache() { view_cache_.reset(); }
 
   /// Source-RBPC restoration through the degradation ladder's SPF rungs
   /// (empty when unreachable): bit-identical to

@@ -127,6 +127,10 @@ constexpr std::chrono::milliseconds kIdleWait{1};
 /// polls, so an idle service still sleeps.
 constexpr std::uint64_t kPollBeforeParkNs = 100'000;
 
+/// Failure states whose tree views the pool keeps at once. Churn revisits
+/// recent masks (a flapping link alternates two), so a small LRU wins.
+constexpr std::size_t kMaxViews = 8;
+
 }  // namespace
 
 RestorationService::RestorationService(const graph::Graph& g,
@@ -136,7 +140,7 @@ RestorationService::RestorationService(const graph::Graph& g,
       options_(options),
       lsdb_(g.num_edges(), options.shards),
       pool_(g, spf::SpfOptions{.metric = options.metric, .padded = true},
-            spf::TreePoolOptions{.max_views = options.max_views}),
+            spf::TreePoolOptions{.max_views = kMaxViews}),
       base_(pool_.base()),
       edge_demands_(g.num_edges()),
       queue_(options.queue_capacity),

@@ -110,7 +110,6 @@ struct ServiceOptions {
   std::size_t workers = 0;         ///< reroute workers; 0 = hardware default
   std::size_t queue_capacity = 256;///< MPMC ring size (rounded up to 2^k)
   spf::Metric metric = spf::Metric::Hops;
-  std::size_t max_views = 8;       ///< SnapshotTreePool LRU bound
 
   /// Durable snapshot + WAL state plane; recovery happens in the
   /// constructor (see recovered() / ServiceStats recovery fields).

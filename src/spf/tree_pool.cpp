@@ -14,29 +14,9 @@ SnapshotTreePool::SnapshotTreePool(const graph::Graph& g, SpfOptions options,
   // TreeCache's own constructor rejects stop_at; base_ already checked it.
 }
 
-TreeCache& SnapshotTreePool::base_for(TiebreakPolicy tiebreak) {
-  if (!options_.padded || tiebreak == options_.tiebreak) return base_;
-  auto& slot = policy_bases_[static_cast<std::size_t>(tiebreak)];
-  if (!slot) {
-    SpfOptions options = options_;
-    options.tiebreak = tiebreak;
-    slot = std::make_unique<TreeCache>(g_, graph::FailureMask{}, options);
-  }
-  return *slot;
-}
-
 std::shared_ptr<TreeCache> SnapshotTreePool::cache_for(
     const graph::FailureMask& mask) {
-  return cache_for(mask, options_.tiebreak);
-}
-
-std::shared_ptr<TreeCache> SnapshotTreePool::cache_for(
-    const graph::FailureMask& mask, TiebreakPolicy tiebreak) {
-  // Unpadded flavors ignore tiebreaking entirely; fold them onto one key so
-  // a caller asking for different policies still shares the same trees.
-  if (!options_.padded) tiebreak = TiebreakPolicy::Arbitrary;
-  Key key{static_cast<std::uint8_t>(tiebreak), mask.failed_edges(),
-          mask.failed_nodes()};
+  Key key{mask.failed_edges(), mask.failed_nodes()};
 
   static obs::Counter hits =
       obs::MetricsRegistry::global().counter("pool.view_hit");
@@ -54,12 +34,7 @@ std::shared_ptr<TreeCache> SnapshotTreePool::cache_for(
     return it->second.cache;
   }
 
-  SpfOptions view_options = options_;
-  if (options_.padded) view_options.tiebreak = tiebreak;
-  auto cache = std::make_shared<TreeCache>(
-      g_, mask, view_options,
-      TreeCacheOptions{.max_entries = pool_options_.max_trees_per_view},
-      &base_for(tiebreak));
+  auto cache = std::make_shared<TreeCache>(g_, mask, options_, &base_);
   auto [pos, inserted] = views_.emplace(std::move(key), Entry{cache, {}});
   RBPC_ASSERT(inserted);
   lru_.push_front(&pos->first);

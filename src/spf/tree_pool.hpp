@@ -1,4 +1,6 @@
-// SnapshotTreePool: TreeCache reuse across LSDB snapshots.
+// SnapshotTreePool: the one "unfailed base + mask-keyed repair views" tree
+// store. The batch engine, the controller and the always-on service all
+// read their trees from one.
 //
 // The always-on service reroutes against whatever snapshot each worker
 // pinned, and under churn several snapshot versions are in flight at once.
@@ -12,19 +14,20 @@
 //    unfailed-network base cache, so a source's full SPF is paid once for
 //    the pool's lifetime no matter how many views churn through.
 //
-// Entries are LRU-evicted past `max_views`. Eviction only drops the pool's
-// reference: workers still rerouting against an evicted view keep their
-// shared_ptr and finish safely; the cache dies with its last user.
+// The pool's tiebreak policy is its SpfOptions::tiebreak; every view and
+// the base use it, so trees of different policies never mix.
+//
+// Entries are LRU-evicted past `max_views` (the batch engine and the
+// controller keep one view: the current mask). Eviction only drops the
+// pool's reference: workers still rerouting against an evicted view keep
+// their shared_ptr and finish safely; the cache dies with its last user.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -39,8 +42,6 @@ struct TreePoolOptions {
   /// Distinct failure states cached at once; 0 means unbounded. Sustained
   /// churn revisits recent masks (flaps!), so a small LRU wins.
   std::size_t max_views = 8;
-  /// Per-view TreeCache entry cap (TreeCacheOptions::max_entries).
-  std::size_t max_trees_per_view = 0;
 };
 
 class SnapshotTreePool {
@@ -53,21 +54,13 @@ class SnapshotTreePool {
   const graph::Graph& graph() const { return g_; }
   const SpfOptions& options() const { return options_; }
 
-  /// The shared unfailed-network base cache every view repairs from (the
-  /// pool's default tiebreak policy; other policies get their own base
-  /// lazily — trees of different policies must never mix).
+  /// The shared unfailed-network base cache every view repairs from. It
+  /// lives as long as the pool.
   TreeCache& base() { return base_; }
 
-  /// The TreeCache for `mask` under the pool's default tiebreak policy,
-  /// created (repair-mode over base()) on first use. Thread-safe; the
-  /// returned pointer stays valid after eviction.
+  /// The TreeCache for `mask`, created (repair-mode over base()) on first
+  /// use. Thread-safe; the returned pointer stays valid after eviction.
   std::shared_ptr<TreeCache> cache_for(const graph::FailureMask& mask);
-
-  /// Policy-explicit variant: the cache for (`mask`, `tiebreak`). The
-  /// policy is part of the view key and selects a per-policy base cache,
-  /// so mixed-policy lookups can never alias each other's trees.
-  std::shared_ptr<TreeCache> cache_for(const graph::FailureMask& mask,
-                                       TiebreakPolicy tiebreak);
 
   // --- lifetime counters ----------------------------------------------------
   std::size_t views_created() const;
@@ -77,27 +70,19 @@ class SnapshotTreePool {
   std::size_t size() const;
 
  private:
-  /// Exact identity of a (tiebreak policy, failure state) view (no hashing
-  /// — a collision would silently hand a worker trees for the wrong mask
-  /// or the wrong canonical-path tiebreaking).
-  using Key = std::tuple<std::uint8_t, std::vector<graph::EdgeId>,
-                         std::vector<graph::NodeId>>;
+  /// Exact identity of a failure state (no hashing — a collision would
+  /// silently hand a worker trees for the wrong mask).
+  using Key = std::pair<std::vector<graph::EdgeId>, std::vector<graph::NodeId>>;
 
   struct Entry {
     std::shared_ptr<TreeCache> cache;
     std::list<const Key*>::iterator lru_pos;
   };
 
-  /// The unfailed-network base cache for `tiebreak`, created lazily for
-  /// non-default policies. Caller holds mu_.
-  TreeCache& base_for(TiebreakPolicy tiebreak);
-
   const graph::Graph& g_;
   SpfOptions options_;
   TreePoolOptions pool_options_;
   TreeCache base_;
-  /// Lazily created bases for tiebreak policies other than the default.
-  std::array<std::unique_ptr<TreeCache>, kNumTiebreakPolicies> policy_bases_;
 
   mutable std::mutex mu_;
   std::map<Key, Entry> views_;

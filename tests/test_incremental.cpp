@@ -294,35 +294,8 @@ TEST(IncrementalRepair, WorkspaceReuseAcrossGraphsIsClean) {
 }
 
 // ---------------------------------------------------------------------------
-// TreeCache: entry cap, eviction, and repair-mode counters.
+// TreeCache: unbounded storage and repair-mode counters.
 // ---------------------------------------------------------------------------
-
-TEST(TreeCacheBound, EvictsLeastRecentlyUsedPastCap) {
-  Rng rng(11);
-  const Graph g = topo::make_random_connected(12, 20, rng, 4);
-  TreeCache cache(g, FailureMask{},
-                  SpfOptions{.metric = Metric::Weighted, .padded = true},
-                  TreeCacheOptions{.max_entries = 2});
-  const std::shared_ptr<const ShortestPathTree> pinned = cache.tree(0);
-  for (NodeId s = 1; s < 6; ++s) {
-    cache.tree(s);
-    EXPECT_LE(cache.size(), 2u) << "after source " << s;
-  }
-  EXPECT_EQ(cache.misses(), 6u);
-  EXPECT_EQ(cache.evictions(), 4u);
-  // The shared_ptr handed out before eviction is still valid and correct.
-  EXPECT_EQ(pinned->source(), 0u);
-  EXPECT_EQ(pinned->dist(0), 0);
-  // Source 0 was evicted long ago: asking again recomputes (a miss).
-  cache.tree(0);
-  EXPECT_EQ(cache.misses(), 7u);
-  EXPECT_EQ(cache.hits(), 0u);
-  // A hit on a cached source does not evict.
-  const std::size_t evictions_before = cache.evictions();
-  cache.tree(0);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.evictions(), evictions_before);
-}
 
 TEST(TreeCacheBound, UnboundedByDefault) {
   Rng rng(12);
@@ -331,7 +304,6 @@ TEST(TreeCacheBound, UnboundedByDefault) {
                   SpfOptions{.metric = Metric::Weighted, .padded = true});
   for (NodeId s = 0; s < g.num_nodes(); ++s) cache.tree(s);
   EXPECT_EQ(cache.size(), g.num_nodes());
-  EXPECT_EQ(cache.evictions(), 0u);
 }
 
 TEST(TreeCacheRepairMode, RepairsFromBaseAndMatchesScratch) {
@@ -341,7 +313,7 @@ TEST(TreeCacheRepairMode, RepairsFromBaseAndMatchesScratch) {
   FailureMask mask = random_edge_failures(g, 2, rng);
 
   TreeCache unfailed(g, FailureMask{}, options);
-  TreeCache repaired(g, mask, options, TreeCacheOptions{}, &unfailed);
+  TreeCache repaired(g, mask, options, &unfailed);
   TreeCache scratch(g, mask, options);
 
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
@@ -358,7 +330,7 @@ TEST(TreeCacheRepairMode, RepairsFromBaseAndMatchesScratch) {
 
   // fraction = 0.0: every miss with orphans must be a counted fallback,
   // results still identical.
-  TreeCache fallback(g, mask, options, TreeCacheOptions{}, &unfailed,
+  TreeCache fallback(g, mask, options, &unfailed,
                      IncrementalOptions{.max_affected_fraction = 0.0});
   for (NodeId s = 0; s < g.num_nodes(); ++s) {
     expect_identical_trees(*scratch.tree(s), *fallback.tree(s),
@@ -380,11 +352,11 @@ TEST(TreeCacheRepairMode, RejectsMismatchedBase) {
   EXPECT_THROW(
       TreeCache(other, mask,
                 SpfOptions{.metric = Metric::Weighted, .padded = true},
-                TreeCacheOptions{}, &unfailed),
+                &unfailed),
       PreconditionError);
   EXPECT_THROW(TreeCache(g, mask,
                          SpfOptions{.metric = Metric::Hops, .padded = true},
-                         TreeCacheOptions{}, &unfailed),
+                         &unfailed),
                PreconditionError);
 }
 

@@ -482,7 +482,7 @@ TEST(Tiebreak, BitIdenticalAcrossComputePaths) {
           .metric = Metric::Weighted, .padded = true, .tiebreak = policy};
       spf::TreeCache scratch_cache(tc.g, mask, options);
       spf::TreeCache base_cache(tc.g, FailureMask::none(), options);
-      spf::TreeCache repair_cache(tc.g, mask, options, {}, &base_cache);
+      spf::TreeCache repair_cache(tc.g, mask, options, &base_cache);
       spf::SnapshotTreePool pool(tc.g, options);
       for (std::size_t pick = 0; pick < 2; ++pick) {
         const NodeId s =
@@ -637,44 +637,36 @@ TEST(Oracle, ByteBoundEvictionSpansPolicyCaches) {
   }
 }
 
-// The pool's view key includes the tiebreak policy: same mask, different
-// policies, different TreeCaches — and an evicted view keeps working
+// A pool's policy is its SpfOptions::tiebreak: every view repairs from a
+// base of that policy, so its trees equal scratch SPF under it. Views are
+// keyed by the exact mask, LRU-evicted, and an evicted view keeps working
 // through its surviving shared_ptr.
 TEST(TreePool, PolicyIsPartOfTheViewKey) {
   const graph::Graph g = rbpc::testing::make_dual_plane_core(6);
   const SpfOptions options{.metric = Metric::Weighted,
                            .padded = true,
-                           .tiebreak = TiebreakPolicy::Arbitrary};
+                           .tiebreak = TiebreakPolicy::Restorable};
   spf::SnapshotTreePool pool(g, options,
                              spf::TreePoolOptions{.max_views = 2});
   const FailureMask mask = FailureMask::of_edges({0});
 
-  const auto arb = pool.cache_for(mask, TiebreakPolicy::Arbitrary);
-  const auto res = pool.cache_for(mask, TiebreakPolicy::Restorable);
-  EXPECT_NE(arb.get(), res.get())
-      << "one mask, two policies must be two distinct views";
-  EXPECT_EQ(pool.views_created(), 2u);
-  EXPECT_EQ(pool.cache_for(mask, TiebreakPolicy::Arbitrary).get(), arb.get());
+  const auto view = pool.cache_for(mask);
+  EXPECT_EQ(view->options().tiebreak, TiebreakPolicy::Restorable);
+  EXPECT_EQ(pool.views_created(), 1u);
+  EXPECT_EQ(pool.cache_for(FailureMask::of_edges({0})).get(), view.get())
+      << "an equal mask must find the same view";
   EXPECT_EQ(pool.view_hits(), 1u);
+  EXPECT_TRUE(trees_identical(spf::shortest_tree(g, 2, mask, options),
+                              *view->tree(2)));
 
-  // Each view's trees carry its policy and match scratch SPF.
-  for (const auto& [view, policy] :
-       {std::pair{arb, TiebreakPolicy::Arbitrary},
-        std::pair{res, TiebreakPolicy::Restorable}}) {
-    SpfOptions want_options = options;
-    want_options.tiebreak = policy;
-    EXPECT_TRUE(trees_identical(
-        spf::shortest_tree(g, 2, mask, want_options), *view->tree(2)))
-        << to_string(policy);
-  }
-
-  // A third distinct view evicts the LRU one; the held pointer survives.
-  const FailureMask other = FailureMask::of_edges({1});
-  pool.cache_for(other, TiebreakPolicy::Arbitrary);
+  // Two more distinct views evict the LRU one; the held pointer survives.
+  pool.cache_for(FailureMask::of_edges({1}));
+  EXPECT_EQ(pool.views_evicted(), 0u);
+  pool.cache_for(FailureMask::of_edges({2}));
   EXPECT_EQ(pool.views_evicted(), 1u);
   EXPECT_EQ(pool.size(), 2u);
   EXPECT_TRUE(trees_identical(
-      spf::shortest_tree(g, 3, mask, options), *arb->tree(3)))
+      spf::shortest_tree(g, 3, mask, options), *view->tree(3)))
       << "evicted view must stay usable through the shared_ptr";
 }
 
@@ -728,7 +720,7 @@ bool fuzz_mismatch(const FuzzCase& c) {
       spf::shortest_tree(g, c.source, mask, c.options);
   if (!matches_reference(scratch, ref)) return true;
   spf::TreeCache base(g, FailureMask::none(), c.options);
-  spf::TreeCache view(g, mask, c.options, {}, &base);
+  spf::TreeCache view(g, mask, c.options, &base);
   return !matches_reference(*view.tree(c.source), ref);
 }
 
