@@ -23,6 +23,7 @@
 #include "spf/bypass.hpp"
 #include "spf/incremental.hpp"
 #include "spf/oracle.hpp"
+#include "spf/replacement.hpp"
 #include "spf/spf.hpp"
 #include "spf/workspace.hpp"
 #include "topo/generators.hpp"
@@ -185,6 +186,78 @@ void BM_SpfRepairSingleFailureIsp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpfRepairSingleFailureIsp);
+
+// --- The single-failure rung vs repair on the AS graph ---------------------
+//
+// The service's k = 1 reroute: one (s, t) demand, one failed link on its
+// canonical path. Repair rebuilds s's tree under the mask and extracts the
+// path to t; the cut scan reads the route off s's and t's unfailed trees.
+// Both cycle through the same fixed (s, t, e) set, with the service's flavor
+// (padded hops, arbitrary tiebreak), and both end with the route as a Path.
+
+struct CutScenario {
+  spf::ShortestPathTree from_s;
+  spf::ShortestPathTree from_t;
+  graph::EdgeId failed;
+};
+
+constexpr spf::SpfOptions kServiceFlavor{.metric = spf::Metric::Hops,
+                                         .padded = true};
+
+const std::vector<CutScenario>& as_cut_scenarios() {
+  static const std::vector<CutScenario> scenarios = [] {
+    const Graph& g = as_graph();
+    Rng rng(13);
+    std::vector<CutScenario> out;
+    while (out.size() < 32) {
+      const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+      const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
+      if (s == t) continue;
+      spf::ShortestPathTree from_s =
+          spf::shortest_tree(g, s, FailureMask::none(), kServiceFlavor);
+      const graph::Path path = from_s.path_to(g, t);
+      const graph::EdgeId e = path.edge(rng.below(path.hops()));
+      out.push_back(CutScenario{
+          std::move(from_s),
+          spf::shortest_tree(g, t, FailureMask::none(), kServiceFlavor), e});
+    }
+    return out;
+  }();
+  return scenarios;
+}
+
+void BM_SpfRepairSingleFailureAs(benchmark::State& state) {
+  const Graph& g = as_graph();
+  const auto& scenarios = as_cut_scenarios();
+  spf::SpfWorkspace ws;
+  spf::ShortestPathTree repaired;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const CutScenario& sc = scenarios[i++ % scenarios.size()];
+    spf::repair_tree_into(g, sc.from_s, FailureMask::of_edges({sc.failed}),
+                          kServiceFlavor, ws, repaired);
+    benchmark::DoNotOptimize(repaired.path_to(g, sc.from_t.source()));
+  }
+}
+BENCHMARK(BM_SpfRepairSingleFailureAs);
+
+void BM_CutRouteAs(benchmark::State& state) {
+  const Graph& g = as_graph();
+  const auto& scenarios = as_cut_scenarios();
+  spf::SpfWorkspace ws;
+  graph::Path route;
+  std::size_t i = 0;
+  std::size_t unproven = 0;
+  for (auto _ : state) {
+    const CutScenario& sc = scenarios[i++ % scenarios.size()];
+    unproven += spf::replacement_route(g, sc.from_s, sc.from_t, sc.failed, ws,
+                                       route) ==
+                spf::ReplacementKind::kUnproven;
+    benchmark::DoNotOptimize(route);
+  }
+  state.counters["unproven"] = static_cast<double>(unproven);
+}
+BENCHMARK(BM_CutRouteAs);
 
 void BM_SourceRbpcRestore(benchmark::State& state) {
   const Graph& g = isp_graph();

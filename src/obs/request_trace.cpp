@@ -6,6 +6,8 @@ const char* rung_name(Rung r) {
   switch (r) {
     case Rung::kCached:
       return "cached";
+    case Rung::kCut:
+      return "cut";
     case Rung::kRepaired:
       return "repaired";
     case Rung::kScratch:

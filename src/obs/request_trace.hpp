@@ -16,8 +16,8 @@
 //
 // The record also captures *which rung of the graceful-degradation ladder*
 // served the reroute (see core/degrade.hpp and DESIGN.md section 9/10):
-// cached tree -> incremental repair -> scratch SPF -> stale-FEC retention
-// (queue-full deferral) -> explicit no-route. A flight dump after a failed
+// cached tree -> single-failure cut scan -> incremental repair -> scratch
+// SPF -> stale-FEC retention (queue-full deferral) -> explicit no-route. A flight dump after a failed
 // drill therefore shows not just how slow each reroute was but how far it
 // degraded and why.
 //
@@ -34,10 +34,11 @@ namespace rbpc::obs {
 /// reached wins. Ordered: higher = further down the ladder.
 enum class Rung : std::uint8_t {
   kCached = 0,    ///< base/pooled tree was already settled (cache hit)
-  kRepaired = 1,  ///< incremental SPT repair from the unfailed base tree
-  kScratch = 2,   ///< from-scratch SPF (repair fallback or no pooled view)
-  kStaleFec = 3,  ///< queue-full deferral: stale FEC retained, catch up later
-  kNoRoute = 4,   ///< destination unreachable: explicit empty route
+  kCut = 1,       ///< one failed link: route from two unfailed trees
+  kRepaired = 2,  ///< incremental SPT repair from the unfailed base tree
+  kScratch = 3,   ///< from-scratch SPF (repair fallback or no pooled view)
+  kStaleFec = 4,  ///< queue-full deferral: stale FEC retained, catch up later
+  kNoRoute = 5,   ///< destination unreachable: explicit empty route
 };
 
 /// Human-readable rung name ("cached", "repaired", ...).

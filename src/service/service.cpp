@@ -10,6 +10,7 @@
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "spf/replacement.hpp"
 #include "util/error.hpp"
 
 // Why the quiescent state is a pure function of the final failure mask
@@ -46,6 +47,22 @@
 // the installed route equals source_rbpc_restore under the final mask —
 // and greedy decomposition over the canonical base set is a deterministic
 // function of the route, so the whole Restoration matches bit for bit.
+//
+// The SPF ladder a reroute climbs down (compute_backup):
+//
+//  * no failed link: the source's unfailed tree from the pool's base
+//    store (rung "cached");
+//  * exactly one failed link: spf::replacement_route reads the route off
+//    the source's and the destination's unfailed trees, both from the same
+//    base store (rung "cut"). It builds no view, runs no SPF once both
+//    trees are stored, and needs no FailureMask — the snapshot's
+//    failed-link lists name the link. Its answers are bit-identical to the
+//    repaired tree's path (spf/replacement.hpp), so the argument above is
+//    untouched. When it cannot prove the route unique it says so, and the
+//    pass falls through to the next rung (counted as svc.rung.cut_fallback);
+//  * otherwise (k >= 2, or a cut fallback): the pooled view for the mask,
+//    repairing the source's tree from the base store (rung "repaired") or
+//    running SPF from scratch (rung "scratch").
 //
 // No lost wake-ups (the event -> restored path has no sleep poll; DESIGN.md
 // §10). Two kinds of thread block on wake_mu_'s condition variables, and
@@ -109,7 +126,6 @@
 namespace rbpc::service {
 
 using graph::EdgeId;
-using graph::FailureMask;
 using graph::NodeId;
 
 namespace {
@@ -150,6 +166,8 @@ RestorationService::RestorationService(const graph::Graph& g,
       deferred_count_(registry().counter("svc.deferred")),
       snapshots_(registry().counter("svc.snapshots")),
       backoff_waits_(registry().counter("svc.defer.backoff.waits")),
+      cut_routes_(registry().counter("svc.rung.cut")),
+      cut_fallbacks_(registry().counter("svc.rung.cut_fallback")),
       no_route_g_(registry().gauge("svc.no_route")),
       flight_(options.workers == 0 ? ThreadPool::default_threads()
                                    : options.workers,
@@ -743,46 +761,19 @@ void RestorationService::run_reroute(std::size_t d, std::size_t worker) {
   ShardedLsdb::Snapshot snap = lsdb_.snapshot();
   snapshots_.inc();
   const std::uint64_t v = snap.version();
-  const FailureMask mask = snap.to_mask();
   if constexpr (obs::kObsEnabled) {
     rec.snapshot_ns = obs::now_ns();
     rec.snapshot_version = v;
   }
 
   core::Restoration r;
-  std::shared_ptr<spf::TreeCache> view;  // keeps an evicted view alive
-  std::shared_ptr<const spf::ShortestPathTree> tree;
-  spf::TreeOutcome outcome = spf::TreeOutcome::kHit;
-  {
-    RBPC_TRACE_SPAN("svc.spf");
-    if (mask.empty()) {
-      tree = pool_.base().tree(st.src, &outcome);
-    } else {
-      view = pool_.cache_for(mask);
-      tree = view->tree(st.src, &outcome);
-    }
-  }
+  const obs::Rung rung = compute_backup(st, snap, r.backup);
   if constexpr (obs::kObsEnabled) {
     rec.spf_ns = obs::now_ns();
-    // TreeOutcome is the ladder position this pass actually ran at: a
-    // settled tree is the cached rung, a repaired tree the incremental
-    // rung, scratch SPF (direct or repair bail-out) the scratch rung.
-    switch (outcome) {
-      case spf::TreeOutcome::kHit:
-        rec.rung = static_cast<std::uint8_t>(obs::Rung::kCached);
-        break;
-      case spf::TreeOutcome::kRepaired:
-        rec.rung = static_cast<std::uint8_t>(obs::Rung::kRepaired);
-        break;
-      case spf::TreeOutcome::kScratch:
-      case spf::TreeOutcome::kFallback:
-        rec.rung = static_cast<std::uint8_t>(obs::Rung::kScratch);
-        break;
-    }
+    rec.rung = static_cast<std::uint8_t>(rung);
   }
-  const bool reachable = tree->reachable(st.dst);
+  const bool reachable = !r.backup.empty();
   if (reachable) {
-    r.backup = tree->path_to(g_, st.dst);
     RBPC_TRACE_SPAN("svc.decompose");
     r.decomposition = core::greedy_decompose(base_, r.backup);
   }
@@ -829,6 +820,47 @@ void RestorationService::run_reroute(std::size_t d, std::size_t worker) {
       maybe_dump_flight("degradation ladder: no-route install");
     }
   }
+}
+
+obs::Rung RestorationService::compute_backup(const DemandState& st,
+                                             const ShardedLsdb::Snapshot& snap,
+                                             graph::Path& out) {
+  RBPC_TRACE_SPAN("svc.spf");
+  const std::size_t failed = snap.failed_edge_count();
+  if (failed == 1) {
+    const auto from_s = pool_.base().tree(st.src);
+    const auto from_t = pool_.base().tree(st.dst);
+    if (spf::replacement_route(g_, *from_s, *from_t, snap.failed_edge(0),
+                               spf::thread_workspace(), out) !=
+        spf::ReplacementKind::kUnproven) {
+      cut_routes_.inc();
+      return obs::Rung::kCut;
+    }
+    cut_fallbacks_.inc();
+  }
+  std::shared_ptr<spf::TreeCache> view;  // keeps an evicted view alive
+  std::shared_ptr<const spf::ShortestPathTree> tree;
+  spf::TreeOutcome outcome = spf::TreeOutcome::kHit;
+  if (failed == 0) {
+    tree = pool_.base().tree(st.src, &outcome);
+  } else {
+    view = pool_.cache_for(snap.to_mask());
+    tree = view->tree(st.src, &outcome);
+  }
+  if (tree->reachable(st.dst)) out = tree->path_to(g_, st.dst);
+  // TreeOutcome is the rung this pass ran at: a settled tree is the cached
+  // rung, a repaired tree the incremental rung, scratch SPF (direct or
+  // repair bail-out) the scratch rung.
+  switch (outcome) {
+    case spf::TreeOutcome::kHit:
+      return obs::Rung::kCached;
+    case spf::TreeOutcome::kRepaired:
+      return obs::Rung::kRepaired;
+    case spf::TreeOutcome::kScratch:
+    case spf::TreeOutcome::kFallback:
+      break;
+  }
+  return obs::Rung::kScratch;
 }
 
 bool RestorationService::install(std::size_t d, core::Restoration r,
@@ -906,6 +938,8 @@ ServiceStats RestorationService::stats() const {
   s.deferred = deferred_count_.value();
   s.snapshots = snapshots_.value();
   s.backoff_waits = backoff_waits_.value();
+  s.cut_routes = cut_routes_.value();
+  s.cut_fallbacks = cut_fallbacks_.value();
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
     s.no_route = no_route_count_;

@@ -13,7 +13,8 @@
 //    long-running consumers on the existing ThreadPool; when the queue is
 //    full the demand falls to a deferred set instead of being dropped —
 //    the PR-4 degradation ladder's "retain stale FEC, catch up later" rung
-//    (the earlier rungs are structural here: incremental tree repair via
+//    (the earlier rungs are structural here: the single-failure cut scan
+//    over two unfailed trees, incremental tree repair via
 //    SnapshotTreePool, scratch SPF when the pool evicted the view, and an
 //    explicit empty route when the destination is unreachable);
 //  * a revalidation loop closing the ingest/reroute race: a worker that
@@ -146,6 +147,12 @@ struct ServiceStats {
   std::uint64_t no_route = 0;          ///< demands currently unrestorable
   std::uint64_t snapshots = 0;         ///< LSDB snapshots taken by workers
   std::uint64_t backoff_waits = 0;     ///< deferred drains delayed by backoff
+  /// Reroutes with one failed link that the cut scan answered (no view,
+  /// no SPF beyond filling the base store).
+  std::uint64_t cut_routes = 0;
+  /// Reroutes with one failed link where the cut scan could not prove the
+  /// route unique and the pass fell back to a pooled view.
+  std::uint64_t cut_fallbacks = 0;
 
   // Persistence plane (all zero when persistence is disabled).
   std::uint64_t wal_appends = 0;       ///< records appended this lifetime
@@ -285,6 +292,12 @@ class RestorationService {
   void drain_deferred(bool force = false);
   /// One reroute task: snapshot, compute, install, revalidate.
   void run_reroute(std::size_t d, std::size_t worker);
+  /// The demand's canonical route under `snap` into `out` (left empty when
+  /// the destination is unreachable); returns the SPF-ladder rung that
+  /// produced it (see the ladder notes in service.cpp).
+  obs::Rung compute_backup(const DemandState& st,
+                           const ShardedLsdb::Snapshot& snap,
+                           graph::Path& out);
   /// One-shot flight dump when the ladder escalates past scratch SPF.
   void maybe_dump_flight(const char* reason);
   /// Installs `r` for demand d (stamp = snapshot version); returns whether
@@ -382,6 +395,8 @@ class RestorationService {
   obs::InstanceCounter deferred_count_;
   obs::InstanceCounter snapshots_;
   obs::InstanceCounter backoff_waits_;
+  obs::InstanceCounter cut_routes_;     ///< svc.rung.cut
+  obs::InstanceCounter cut_fallbacks_;  ///< svc.rung.cut_fallback
   obs::Gauge no_route_g_;  ///< mirrors no_route_count_ (set under routes_mu_)
 
   obs::FlightRecorder flight_;

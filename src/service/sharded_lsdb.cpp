@@ -44,7 +44,17 @@ bool ShardedLsdb::apply(const lsdb::LinkEvent& ev) {
   }
 
   auto next = std::make_shared<ShardSnapshot>(cur);
-  next->down[local] = ev.up ? 0 : 1;
+  const char down = ev.up ? 0 : 1;
+  if (next->down[local] != down) {
+    std::vector<graph::EdgeId>& failed = next->failed;
+    const auto at = std::lower_bound(failed.begin(), failed.end(), ev.edge);
+    if (down != 0) {
+      failed.insert(at, ev.edge);
+    } else {
+      failed.erase(at);
+    }
+    next->down[local] = down;
+  }
   if (ev.generation != 0) next->generation[local] = ev.generation;
 
   shard.current.store(next.get(), std::memory_order_seq_cst);
@@ -66,13 +76,28 @@ ShardedLsdb::Snapshot ShardedLsdb::snapshot() const {
   for (const std::unique_ptr<Shard>& s : shards_) {
     shards.push_back(s->current.load(std::memory_order_seq_cst));
   }
-  return Snapshot(std::move(guard), std::move(shards), version, num_edges_);
+  return Snapshot(std::move(guard), std::move(shards), version);
+}
+
+std::size_t ShardedLsdb::Snapshot::failed_edge_count() const {
+  std::size_t n = 0;
+  for (const ShardSnapshot* s : shards_) n += s->failed.size();
+  return n;
+}
+
+graph::EdgeId ShardedLsdb::Snapshot::failed_edge(std::size_t i) const {
+  for (const ShardSnapshot* s : shards_) {
+    if (i < s->failed.size()) return s->failed[i];
+    i -= s->failed.size();
+  }
+  require(false, "ShardedLsdb::Snapshot::failed_edge: index out of range");
+  return graph::kInvalidEdge;
 }
 
 graph::FailureMask ShardedLsdb::Snapshot::to_mask() const {
   graph::FailureMask mask;
-  for (graph::EdgeId e = 0; e < num_edges_; ++e) {
-    if (edge_failed(e)) mask.fail_edge(e);
+  for (const ShardSnapshot* s : shards_) {
+    for (const graph::EdgeId e : s->failed) mask.fail_edge(e);
   }
   return mask;
 }

@@ -32,10 +32,13 @@
 namespace rbpc::service {
 
 /// One shard's immutable state. `down`/`generation` are indexed by the
-/// edge's shard-local index (edge / num_shards).
+/// edge's shard-local index (edge / num_shards); `failed` lists the same
+/// down links by global edge id, ascending, so readers enumerate the
+/// failure set without scanning every link.
 struct ShardSnapshot {
   std::vector<char> down;
   std::vector<std::uint64_t> generation;
+  std::vector<graph::EdgeId> failed;
 };
 
 class ShardedLsdb {
@@ -86,25 +89,28 @@ class ShardedLsdb {
     /// Version floor: the view contains at least this many applied events.
     std::uint64_t version() const { return version_; }
 
+    /// Number of down links in the view. O(shards).
+    std::size_t failed_edge_count() const;
+    /// The i-th down link, shard by shard (ascending within a shard).
+    /// O(shards). Precondition: i < failed_edge_count().
+    graph::EdgeId failed_edge(std::size_t i) const;
+
     /// Materializes the view as a FailureMask (link failures only — the
     /// service's ingest stream is the LSA flood, which carries no router
-    /// events).
+    /// events). Walks the shards' failed-link lists, not every link.
     graph::FailureMask to_mask() const;
 
    private:
     friend class ShardedLsdb;
     Snapshot(EpochManager::Guard guard,
-             std::vector<const ShardSnapshot*> shards, std::uint64_t version,
-             std::size_t num_edges)
+             std::vector<const ShardSnapshot*> shards, std::uint64_t version)
         : guard_(std::move(guard)),
           shards_(std::move(shards)),
-          version_(version),
-          num_edges_(num_edges) {}
+          version_(version) {}
 
     EpochManager::Guard guard_;
     std::vector<const ShardSnapshot*> shards_;
     std::uint64_t version_ = 0;
-    std::size_t num_edges_ = 0;
   };
 
   Snapshot snapshot() const;

@@ -139,8 +139,8 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
 
   out = base;
   for (const NodeId v : region) {
-    out.settle(v, graph::kUnreachable, graph::kUnreachable, 0,
-               graph::kInvalidNode, graph::kInvalidEdge);
+    out.settle(v, graph::kUnreachable, 0, graph::kInvalidNode,
+               graph::kInvalidEdge);
   }
 
   // Re-relax the region. Offers carry the offering node's heap key so that
@@ -151,7 +151,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
   std::uint64_t pops = 0;
   std::uint64_t relax_attempts = 0;
   const auto relax = [&](NodeId to, EdgeId e, NodeId from, Weight from_key,
-                         Weight from_dist, std::uint32_t from_hops) {
+                         std::uint32_t from_hops) {
     ++relax_attempts;
     const Weight step =
         options.padded ? padded_weight(g, e, options.metric, options.tiebreak)
@@ -167,7 +167,6 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     if (!better) return;
     const bool improved = alt < nt.key;
     nt.key = alt;
-    nt.dist = from_dist + metric_weight(g, e, options.metric);
     nt.hops = from_hops + 1;
     nt.parent = from;
     nt.parent_edge = e;
@@ -187,7 +186,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
       if (!mask.edge_alive(g, a.edge)) continue;
       const NodeId u = a.to;
       if (ws.node(u).in_region || !base.reachable(u)) continue;
-      relax(v, a.edge, u, base.key(u), base.dist(u), base.hops(u));
+      relax(v, a.edge, u, base.key(u), base.hops(u));
     }
   }
 
@@ -199,11 +198,11 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     SpfWorkspace::Node& nv = ws.node(v);
     if (nv.settled || k != nv.key) continue;  // stale entry
     nv.settled = true;
-    out.settle(v, nv.key, nv.dist, nv.hops, nv.parent, nv.parent_edge);
+    out.settle(v, nv.key, nv.hops, nv.parent, nv.parent_edge);
     for (const graph::Arc& a : g.arcs(v)) {
       if (!mask.edge_alive(g, a.edge)) continue;
       if (!ws.node(a.to).in_region) continue;  // intact labels are final
-      relax(a.to, a.edge, v, nv.key, nv.dist, nv.hops);
+      relax(a.to, a.edge, v, nv.key, nv.hops);
     }
   }
 

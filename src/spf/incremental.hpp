@@ -14,7 +14,7 @@
 // Dijkstra (the fallback changes performance, never results).
 //
 // Bit-identical guarantee. The repaired tree equals shortest_tree(g, s,
-// mask, options) exactly — same dist, hops, parent and parent edge per node
+// mask, options) exactly — same key, hops, parent and parent edge per node
 // — not merely a tree of equal cost. The argument (DESIGN.md §7):
 //
 //  * From-scratch Dijkstra settles nodes in increasing (key, node) order
@@ -36,6 +36,11 @@
 // padded runs; the plain-BFS hop flavor breaks ties by queue order, which
 // has no local characterization). Unsupported configurations silently fall
 // back to the from-scratch kernel, so callers need no capability checks.
+//
+// A single failed link needs no repaired tree at all when only one route
+// is wanted: spf/replacement.hpp reads it off two unfailed trees. The
+// restoration service tries that first for k = 1 and repairs only when the
+// cut scan cannot prove the route unique, or when k >= 2.
 #pragma once
 
 #include <cstddef>

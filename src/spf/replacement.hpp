@@ -1,0 +1,90 @@
+// Single-failure replacement routes from two unfailed trees (Theorem 2 with
+// k = 1), with no SPF run and no failure mask.
+//
+// After one link e fails, the new canonical s -> t route is either s's old
+// tree path (when e is not on it) or
+//
+//     canonical(s, x) · (x, y) · reverse(canonical(t, y))
+//
+// for one link (x, y) that crosses into the subtree D that e cuts off s's
+// unfailed tree: the Malik–Mittal–Gupta cut lemma. (x, y) minimizes
+// key_s(x) + padded_w(x, y) + key_t(y) over the links with x outside D and
+// y inside it, e excluded. Bodwin–Wang (arXiv:2309.07964) sharpen this
+// restoration lemma; Bodwin–Parter (arXiv:2102.10174) show that the
+// tiebreak decides which canonical paths the two halves are.
+//
+// Exactness. The route must be bit-identical to the tree path that
+// repair_tree (equivalently shortest_tree under the mask) produces, under
+// every tiebreak policy, even though padding leaves some padded ties. So
+// the cut answer is returned only when the shortest route under the mask
+// is provably unique:
+//
+//  * any s -> t path P avoiding e enters D for the last time over some
+//    crossing link (x', y'), and costs at least key_s(x') + padded_w +
+//    key_t(y') — each half is at least the unfailed distance, and the
+//    graph is undirected, so key_t(y') is also the y' -> t distance. The
+//    minimum M over crossing links is therefore a lower bound;
+//  * the candidate attains M and avoids e, so it is shortest. Its s half
+//    stays outside D. Its t half cannot use e: if canonical(t, y) crossed
+//    e, it would also cross the cut over some other link (x'', y''), and
+//    the triangle inequality in s's tree (key_s(c) = key_s(p) + w(e) for
+//    e = (p, c), and key_s(y) = key_s(c) + d(c, y)) prices that link at
+//    least 2 (w(e) + d(c, y)) below M — contradicting minimality;
+//  * if P also costs M, every inequality is tight: (x', y') attains the
+//    minimum, and P's halves are unfailed shortest s -> x' and y' -> t
+//    paths. The guard then forces P to be the candidate:
+//      1. the minimum is strict over all crossing links, parallel links
+//         included, so (x', y') = (x, y);
+//      2. every node on canonical(s, x) except s has exactly one in-arc
+//         attaining its key in s's tree, so the shortest s -> x path is
+//         unique (induct backwards from x: a shortest path's last arc
+//         attains the key, and the prefix is shortest to its tail);
+//      3. the same holds on canonical(t, y) in t's tree.
+//
+// A unique shortest route is the tree path of every shortest-path tree
+// under the mask, in particular of repair_tree's. When e is not on s's
+// tree path to t, that path is returned without any guard: repair keeps
+// every node whose tree path survives, parent and key, verbatim
+// (spf/incremental.hpp). Whenever the guard fails — and always for
+// unpadded trees (BFS ties follow queue order) or directed graphs (t's
+// tree holds t -> y paths, not y -> t ones) — the answer is kUnproven and
+// the caller falls back to repair.
+//
+// Cost: the subtree walk and the scan touch only D's nodes and links, plus
+// the two tree paths; the only scratch is the workspace's epoch-stamped
+// region flags, so a warm call allocates nothing beyond the output path.
+#pragma once
+
+#include <cstdint>
+
+#include "graph/graph.hpp"
+#include "graph/path.hpp"
+#include "graph/types.hpp"
+#include "spf/tree.hpp"
+#include "spf/workspace.hpp"
+
+namespace rbpc::spf {
+
+/// How replacement_route answered.
+enum class ReplacementKind : std::uint8_t {
+  kIntact = 0,    ///< the failed link is not on s's tree path to t
+  kCut = 1,       ///< the cut scan proved a unique replacement route
+  kNoRoute = 2,   ///< t is unreachable once the link fails
+  kUnproven = 3,  ///< uniqueness not proved: repair the tree instead
+};
+
+/// The canonical route from from_s.source() to from_t.source() once link
+/// `failed` fails. `from_s` and `from_t` must be full unfailed trees of
+/// `g` with the same flavor (metric, padding, tiebreak). On kIntact and
+/// kCut, `out` holds the route, bit-identical to the tree path repair_tree
+/// produces under the one-link mask; on kNoRoute it is empty; on kUnproven
+/// it is untouched. Uses `workspace` as scratch. Throws PreconditionError
+/// when the trees disagree with `g` or with each other, or when `failed`
+/// is out of range.
+ReplacementKind replacement_route(const graph::Graph& g,
+                                  const ShortestPathTree& from_s,
+                                  const ShortestPathTree& from_t,
+                                  graph::EdgeId failed,
+                                  SpfWorkspace& workspace, graph::Path& out);
+
+}  // namespace rbpc::spf

@@ -53,7 +53,7 @@ void bfs_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
                    const SpfOptions& options, SpfWorkspace& ws,
                    ShortestPathTree& tree) {
   tree.reset(source, g.num_nodes(), Metric::Hops, /*padded=*/false);
-  tree.settle(source, 0, 0, 0, graph::kInvalidNode, graph::kInvalidEdge);
+  tree.settle(source, 0, 0, graph::kInvalidNode, graph::kInvalidEdge);
   ws.begin(g.num_nodes());
   std::vector<NodeId>& queue = ws.scratch_nodes();
   queue.push_back(source);
@@ -65,8 +65,7 @@ void bfs_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
     for (const graph::Arc& a : g.arcs(v)) {
       ++relax_attempts;
       if (!mask.edge_alive(g, a.edge) || tree.reachable(a.to)) continue;
-      tree.settle(a.to, d + 1, d + 1, static_cast<std::uint32_t>(d + 1), v,
-                  a.edge);
+      tree.settle(a.to, d + 1, static_cast<std::uint32_t>(d + 1), v, a.edge);
       queue.push_back(a.to);
     }
   }
@@ -77,7 +76,7 @@ void bfs_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
 
 /// Heap Dijkstra with lazy deletion on workspace scratch (no per-call
 /// allocations once the workspace is warm). When options.padded, the heap
-/// key is the padded cost; the tree's recorded dist is always the true cost
+/// key is the padded cost, from which the tree derives the true cost
 /// (padding preserves strict order of true costs, so the padded-optimal
 /// path is a true shortest path).
 void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
@@ -88,11 +87,7 @@ void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
 
   ws.begin(g.num_nodes());
   FourAryHeap& heap = ws.heap();
-  {
-    SpfWorkspace::Node& src = ws.node(source);
-    src.key = 0;
-    src.dist = 0;
-  }
+  ws.node(source).key = 0;
   heap.push(0, source);
   std::uint64_t pushes = 1;
   std::uint64_t pops = 0;
@@ -104,7 +99,7 @@ void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
     SpfWorkspace::Node& nv = ws.node(v);
     if (nv.settled || k != nv.key) continue;  // stale entry
     nv.settled = true;
-    tree.settle(v, nv.key, nv.dist, nv.hops, nv.parent, nv.parent_edge);
+    tree.settle(v, nv.key, nv.hops, nv.parent, nv.parent_edge);
     if (v == options.stop_at) break;
     for (const graph::Arc& a : g.arcs(v)) {
       if (!mask.edge_alive(g, a.edge)) continue;
@@ -118,7 +113,6 @@ void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
       const Weight alt = nv.key + step;
       if (alt < nt.key) {
         nt.key = alt;
-        nt.dist = nv.dist + metric_weight(g, a.edge, options.metric);
         nt.hops = nv.hops + 1;
         nt.parent = v;
         nt.parent_edge = a.edge;

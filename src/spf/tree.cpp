@@ -14,7 +14,6 @@ ShortestPathTree::ShortestPathTree(graph::NodeId source, std::size_t num_nodes,
       padded_(padded),
       tiebreak_(tiebreak),
       key_(num_nodes, graph::kUnreachable),
-      dist_(num_nodes, graph::kUnreachable),
       hops_(num_nodes, 0),
       parent_(num_nodes, graph::kInvalidNode),
       parent_edge_(num_nodes, graph::kInvalidEdge) {
@@ -30,20 +29,21 @@ void ShortestPathTree::reset(graph::NodeId source, std::size_t num_nodes,
   padded_ = padded;
   tiebreak_ = tiebreak;
   key_.assign(num_nodes, graph::kUnreachable);
-  dist_.assign(num_nodes, graph::kUnreachable);
   hops_.assign(num_nodes, 0);
   parent_.assign(num_nodes, graph::kInvalidNode);
   parent_edge_.assign(num_nodes, graph::kInvalidEdge);
 }
 
 bool ShortestPathTree::reachable(graph::NodeId v) const {
-  require(v < dist_.size(), "ShortestPathTree::reachable: node out of range");
-  return dist_[v] != graph::kUnreachable;
+  require(v < key_.size(), "ShortestPathTree::reachable: node out of range");
+  return key_[v] != graph::kUnreachable;
 }
 
 graph::Weight ShortestPathTree::dist(graph::NodeId v) const {
-  require(v < dist_.size(), "ShortestPathTree::dist: node out of range");
-  return dist_[v];
+  require(v < key_.size(), "ShortestPathTree::dist: node out of range");
+  const graph::Weight k = key_[v];
+  if (!padded_ || k == graph::kUnreachable) return k;
+  return k / kPadScale;
 }
 
 std::uint32_t ShortestPathTree::hops(graph::NodeId v) const {
@@ -110,7 +110,6 @@ bool ShortestPathTree::is_tree_path(graph::PathView segment) const {
 
 std::size_t ShortestPathTree::memory_bytes() const {
   return key_.capacity() * sizeof(graph::Weight) +
-         dist_.capacity() * sizeof(graph::Weight) +
          hops_.capacity() * sizeof(std::uint32_t) +
          parent_.capacity() * sizeof(graph::NodeId) +
          parent_edge_.capacity() * sizeof(graph::EdgeId);
@@ -122,12 +121,13 @@ graph::Weight ShortestPathTree::key(graph::NodeId v) const {
 }
 
 void ShortestPathTree::settle(graph::NodeId v, graph::Weight key,
-                              graph::Weight dist, std::uint32_t hops,
-                              graph::NodeId parent,
+                              std::uint32_t hops, graph::NodeId parent,
                               graph::EdgeId parent_edge) {
-  RBPC_ASSERT(v < dist_.size());
+  RBPC_ASSERT(v < key_.size());
+  // dist() divides the padded key by kPadScale; the quotient is the true
+  // cost only while the path's salt sum stays below kPadScale.
+  RBPC_ASSERT(!padded_ || hops < kPadScale / kMaxSalt);
   key_[v] = key;
-  dist_[v] = dist;
   hops_[v] = hops;
   parent_[v] = parent;
   parent_edge_[v] = parent_edge;

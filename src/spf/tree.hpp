@@ -1,4 +1,12 @@
 // Shortest-path tree: the result of one single-source SPF run.
+//
+// Storage is four index-aligned arrays, 20 bytes per node: the heap key
+// (8), hops (4), parent (4) and parent edge (4). The true cost is not
+// stored: it is the key for unpadded runs and key / kPadScale for padded
+// ones. That division is exact because a padded key is
+// cost * kPadScale + (sum of the path's salts), and the salt sum stays
+// below kPadScale for any path shorter than kPadScale / kMaxSalt hops
+// (spf/metric.hpp); settle() checks that bound.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +47,8 @@ class ShortestPathTree {
 
   bool reachable(graph::NodeId v) const;
   /// True cost (hops or weight per `metric`) of the tree path to v;
-  /// kUnreachable when v is not reachable.
+  /// kUnreachable when v is not reachable. Derived from key(v) (see the
+  /// file comment), not stored.
   graph::Weight dist(graph::NodeId v) const;
   /// Number of hops along the tree path. Precondition: reachable(v).
   std::uint32_t hops(graph::NodeId v) const;
@@ -51,7 +60,8 @@ class ShortestPathTree {
   /// the true cost otherwise; kUnreachable when v is not reachable. Stored
   /// so that incremental repair (spf/incremental.hpp) can reproduce the
   /// exact settle order and tie-breaking of a from-scratch run at the
-  /// boundary of the repaired region.
+  /// boundary of the repaired region, and so that the single-failure cut
+  /// scan (spf/replacement.hpp) can price crossing links.
   graph::Weight key(graph::NodeId v) const;
 
   /// Reconstructs the tree path source -> v. Precondition: reachable(v).
@@ -71,18 +81,17 @@ class ShortestPathTree {
   /// !segment.empty().
   bool is_tree_path(graph::PathView segment) const;
 
-  std::size_t num_nodes() const { return dist_.size(); }
+  std::size_t num_nodes() const { return key_.size(); }
 
   /// Heap footprint of the SoA arrays (capacity), for the rbpc.mem.* gauges
-  /// and the DESIGN.md §11 bytes/node budget.
+  /// and the DESIGN.md §11 bytes/node budget: 20 B/node.
   std::size_t memory_bytes() const;
 
-  // Mutators used by the SPF implementations. `key` is the heap key
-  // (== dist for unpadded runs); settling with key == kUnreachable resets
+  // Mutators used by the SPF implementations. `key` is the heap key (the
+  // true cost for unpadded runs); settling with key == kUnreachable resets
   // v to the unreached state (used by incremental repair on orphans).
-  void settle(graph::NodeId v, graph::Weight key, graph::Weight dist,
-              std::uint32_t hops, graph::NodeId parent,
-              graph::EdgeId parent_edge);
+  void settle(graph::NodeId v, graph::Weight key, std::uint32_t hops,
+              graph::NodeId parent, graph::EdgeId parent_edge);
 
  private:
   graph::NodeId source_ = graph::kInvalidNode;
@@ -90,7 +99,6 @@ class ShortestPathTree {
   bool padded_ = false;
   TiebreakPolicy tiebreak_ = TiebreakPolicy::Arbitrary;
   std::vector<graph::Weight> key_;
-  std::vector<graph::Weight> dist_;
   std::vector<std::uint32_t> hops_;
   std::vector<graph::NodeId> parent_;
   std::vector<graph::EdgeId> parent_edge_;

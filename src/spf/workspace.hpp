@@ -93,13 +93,13 @@ class FourAryHeap {
 class SpfWorkspace {
  public:
   /// Per-node scratch record. `key` is the heap key (padded cost when the
-  /// run pads, true cost otherwise); `dist`/`hops` track the true metric.
+  /// run pads, true cost otherwise; the tree derives the true cost from
+  /// it); `hops` counts the path's links.
   /// `parent_key` is the key of the current parent candidate, kept so that
   /// equal-key relaxations can be tie-broken exactly like a from-scratch
   /// run (see incremental.hpp).
   struct Node {
     graph::Weight key;
-    graph::Weight dist;
     graph::Weight parent_key;
     graph::NodeId parent;
     graph::EdgeId parent_edge;
@@ -120,7 +120,6 @@ class SpfWorkspace {
     if (stamp_[v] != epoch_) {
       stamp_[v] = epoch_;
       nd.key = graph::kUnreachable;
-      nd.dist = graph::kUnreachable;
       nd.parent_key = graph::kUnreachable;
       nd.parent = graph::kInvalidNode;
       nd.parent_edge = graph::kInvalidEdge;

@@ -22,6 +22,8 @@
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/slo.hpp"
+#include "service/service.hpp"
+#include "topo/generators.hpp"
 #include "util/histogram.hpp"
 
 namespace {
@@ -81,6 +83,7 @@ TEST(RequestTrace, RequestIdsAreUniqueAndNonzero) {
 
 TEST(RequestTrace, RungNamesCoverTheLadder) {
   EXPECT_STREQ(obs::rung_name(obs::Rung::kCached), "cached");
+  EXPECT_STREQ(obs::rung_name(obs::Rung::kCut), "cut");
   EXPECT_STREQ(obs::rung_name(obs::Rung::kRepaired), "repaired");
   EXPECT_STREQ(obs::rung_name(obs::Rung::kScratch), "scratch");
   EXPECT_STREQ(obs::rung_name(obs::Rung::kStaleFec), "stale-fec");
@@ -133,6 +136,25 @@ TEST(FlightRecorder, DumpJsonNamesRequestIdsAndRungs) {
   EXPECT_NE(json.find("\"request_id\": 77"), std::string::npos);
   EXPECT_NE(json.find("\"rung_name\": \"scratch\""), std::string::npos);
   EXPECT_NE(json.find("\"trace_tail\""), std::string::npos);
+}
+
+TEST(FlightRecorder, SingleLinkFailureReroutesShowTheCutRung) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "request tracing disabled";
+  // A 6-ring: failing link 0 (0 - 1) reroutes the demand 0 -> 1 the other
+  // way round, from the two unfailed trees alone.
+  const graph::Graph g = topo::make_ring(6);
+  service::ServiceOptions options;
+  options.workers = 1;
+  service::RestorationService svc(g, {{0, 1}, {3, 4}}, options);
+  svc.ingest({0, /*up=*/false, 1});
+  svc.quiesce();
+  const service::ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.cut_routes, 1u);
+  EXPECT_EQ(stats.cut_fallbacks, 0u);
+  EXPECT_EQ(svc.tree_pool().views_created(), 0u);
+  const std::string json = svc.flight_recorder().dump_json("cut rung");
+  EXPECT_NE(json.find("\"rung_name\": \"cut\""), std::string::npos) << json;
+  svc.stop();
 }
 
 TEST(FlightRecorder, ConcurrentPublishAndCollectStaysCoherent) {

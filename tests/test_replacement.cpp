@@ -1,0 +1,471 @@
+// Differential tests for the single-failure rung (spf/replacement.hpp).
+//
+// The contract is bit-identity: whenever replacement_route answers, its
+// route equals the tree path repair_tree produces under the one-link mask
+// — same nodes, same edges — and a "no route" answer means repair leaves
+// the destination unreachable. The sweep covers the shared test corpus and
+// the ISP and AS Table-1 stand-ins, every link on sampled canonical paths,
+// both metrics and all three tiebreak policies. Guard fallbacks
+// (kUnproven) are allowed and reported per policy; under Restorable on
+// ISP hops, where padding leaves many ties, they must actually occur, so
+// the guard is exercised and not merely present. One test runs the rung
+// from several threads over a shared TreeCache, as the service does; the
+// sanitizer CI jobs run this binary on its own for it.
+#include <gtest/gtest.h>
+
+#include "corpus.hpp"
+
+#include <array>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "graph/failure.hpp"
+#include "graph/graph.hpp"
+#include "graph/path.hpp"
+#include "spf/incremental.hpp"
+#include "spf/metric.hpp"
+#include "spf/replacement.hpp"
+#include "spf/spf.hpp"
+#include "spf/tree.hpp"
+#include "spf/tree_cache.hpp"
+#include "spf/workspace.hpp"
+#include "topo/generators.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
+
+namespace rbpc::spf {
+namespace {
+
+using graph::EdgeId;
+using graph::FailureMask;
+using graph::Graph;
+using graph::NodeId;
+using graph::Path;
+
+constexpr std::array<TiebreakPolicy, kNumTiebreakPolicies> kPolicies = {
+    TiebreakPolicy::Arbitrary, TiebreakPolicy::Lexicographic,
+    TiebreakPolicy::Restorable};
+constexpr std::array<Metric, 2> kMetrics = {Metric::Hops, Metric::Weighted};
+
+SpfOptions padded(Metric metric, TiebreakPolicy policy) {
+  return SpfOptions{.metric = metric, .padded = true, .tiebreak = policy};
+}
+
+std::string flavor(Metric metric, TiebreakPolicy policy) {
+  return std::string(metric == Metric::Hops ? "hops" : "weighted") + "/" +
+         to_string(policy);
+}
+
+struct Tally {
+  std::size_t queries = 0;
+  std::size_t intact = 0;
+  std::size_t cut = 0;
+  std::size_t no_route = 0;
+  std::size_t unproven = 0;
+
+  void add(const Tally& o) {
+    queries += o.queries;
+    intact += o.intact;
+    cut += o.cut;
+    no_route += o.no_route;
+    unproven += o.unproven;
+  }
+};
+
+/// Runs one (s, t, e) query and checks any answer against `repaired`, the
+/// repair_tree result for s under the mask {e}.
+void check_query(const Graph& g, const ShortestPathTree& from_s,
+                 const ShortestPathTree& from_t, EdgeId e,
+                 const ShortestPathTree& repaired, Tally& tally,
+                 const std::string& ctx) {
+  const NodeId t = from_t.source();
+  Path got = Path::trivial(t);  // sentinel: kUnproven must leave it alone
+  const ReplacementKind kind =
+      replacement_route(g, from_s, from_t, e, thread_workspace(), got);
+  ++tally.queries;
+  const bool on_path =
+      from_s.reachable(t) && from_s.path_to(g, t).uses_edge(e);
+  switch (kind) {
+    case ReplacementKind::kUnproven:
+      ++tally.unproven;
+      EXPECT_TRUE(on_path) << ctx << ": an intact path needs no proof";
+      EXPECT_EQ(got, Path::trivial(t)) << ctx << ": kUnproven wrote a route";
+      return;
+    case ReplacementKind::kNoRoute:
+      ++tally.no_route;
+      EXPECT_FALSE(repaired.reachable(t)) << ctx << ": repair found a route";
+      EXPECT_TRUE(got.empty()) << ctx;
+      return;
+    case ReplacementKind::kIntact:
+      ++tally.intact;
+      EXPECT_FALSE(on_path) << ctx << ": the failed link is on the path";
+      break;
+    case ReplacementKind::kCut:
+      ++tally.cut;
+      EXPECT_TRUE(on_path) << ctx << ": the cut scan ran for an intact path";
+      break;
+  }
+  ASSERT_TRUE(repaired.reachable(t)) << ctx << ": repair found no route";
+  const Path want = repaired.path_to(g, t);
+  EXPECT_EQ(got.nodes(), want.nodes()) << ctx << ": nodes differ";
+  EXPECT_EQ(got.edges(), want.edges()) << ctx << ": edges differ";
+}
+
+void report(const std::string& what, const std::string& flavor_name,
+            const Tally& t) {
+  std::printf(
+      "[ replacement ] %-14s %-24s queries %6zu  intact %6zu  cut %6zu  "
+      "no-route %4zu  fallback %4zu\n",
+      what.c_str(), flavor_name.c_str(), t.queries, t.intact, t.cut,
+      t.no_route, t.unproven);
+}
+
+/// Unfailed trees by source, computed on first use.
+class Trees {
+ public:
+  Trees(const Graph& g, SpfOptions options) : g_(g), options_(options) {}
+  const ShortestPathTree& at(NodeId v) {
+    std::unique_ptr<ShortestPathTree>& slot = trees_[v];
+    if (slot == nullptr) {
+      slot = std::make_unique<ShortestPathTree>(
+          shortest_tree(g_, v, FailureMask::none(), options_));
+    }
+    return *slot;
+  }
+
+ private:
+  const Graph& g_;
+  SpfOptions options_;
+  std::map<NodeId, std::unique_ptr<ShortestPathTree>> trees_;
+};
+
+/// Every link on canonical(s, t) for `pairs` sampled (s, t), each failed on
+/// its own, plus one off-path link per pair.
+Tally sweep_sampled_paths(const Graph& g, SpfOptions options,
+                          std::size_t pairs, std::uint64_t seed,
+                          const std::string& ctx) {
+  Trees trees(g, options);
+  SpfWorkspace ws;
+  Rng rng(seed);
+  Tally tally;
+  for (std::size_t p = 0; p < pairs; ++p) {
+    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+    NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
+    if (t == s) t = static_cast<NodeId>((t + 1) % g.num_nodes());
+    const ShortestPathTree& from_s = trees.at(s);
+    if (!from_s.reachable(t)) continue;
+    std::vector<EdgeId> links = from_s.path_to(g, t).edges();
+    links.push_back(static_cast<EdgeId>(rng.below(g.num_edges())));
+    for (const EdgeId e : links) {
+      const ShortestPathTree repaired = repair_tree(
+          g, from_s, FailureMask::of_edges({e}), options, ws);
+      check_query(g, from_s, trees.at(t), e, repaired, tally,
+                  ctx + " s=" + std::to_string(s) + " t=" +
+                      std::to_string(t) + " e=" + std::to_string(e));
+    }
+  }
+  return tally;
+}
+
+// ---------------------------------------------------------------------------
+// Differential sweeps.
+// ---------------------------------------------------------------------------
+
+TEST(ReplacementRoute, MatchesRepairAcrossCorpus) {
+  // Up to 8 sources per topology, every link on each source's tree (so
+  // every canonical path's links), every destination.
+  const std::vector<testing::TopoCase> cases = testing::corpus();
+  for (const Metric metric : kMetrics) {
+    for (const TiebreakPolicy policy : kPolicies) {
+      const SpfOptions options = padded(metric, policy);
+      Tally total;
+      SpfWorkspace ws;
+      for (const testing::TopoCase& c : cases) {
+        const Graph& g = c.g;
+        std::vector<ShortestPathTree> trees;
+        trees.reserve(g.num_nodes());
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          trees.push_back(shortest_tree(g, v, FailureMask::none(), options));
+        }
+        const std::size_t stride = (g.num_nodes() + 7) / 8;
+        for (NodeId s = 0; s < g.num_nodes(); s += stride) {
+          for (NodeId c_node = 0; c_node < g.num_nodes(); ++c_node) {
+            const EdgeId e = trees[s].parent_edge(c_node);
+            if (e == graph::kInvalidEdge) continue;
+            const ShortestPathTree repaired = repair_tree(
+                g, trees[s], FailureMask::of_edges({e}), options, ws);
+            for (NodeId t = 0; t < g.num_nodes(); ++t) {
+              if (t == s) continue;
+              check_query(g, trees[s], trees[t], e, repaired, total,
+                          c.name + " " + flavor(metric, policy) +
+                              " s=" + std::to_string(s) +
+                              " t=" + std::to_string(t) +
+                              " e=" + std::to_string(e));
+            }
+          }
+        }
+      }
+      report("corpus", flavor(metric, policy), total);
+      EXPECT_GT(total.cut, 0u) << flavor(metric, policy);
+      EXPECT_GT(total.intact, 0u) << flavor(metric, policy);
+    }
+  }
+}
+
+TEST(ReplacementRoute, MatchesRepairOnIspAndExercisesTheGuard) {
+  Rng topo_rng(11);
+  const Graph g = topo::make_isp_like(topo_rng);
+  std::map<std::string, Tally> by_policy;
+  Tally restorable_hops;
+  for (const Metric metric : kMetrics) {
+    for (const TiebreakPolicy policy : kPolicies) {
+      const Tally t = sweep_sampled_paths(g, padded(metric, policy), 120, 21,
+                                          "isp " + flavor(metric, policy));
+      report("isp", flavor(metric, policy), t);
+      by_policy[to_string(policy)].add(t);
+      if (metric == Metric::Hops && policy == TiebreakPolicy::Restorable) {
+        restorable_hops = t;
+      }
+      EXPECT_GT(t.cut, 0u) << flavor(metric, policy);
+    }
+  }
+  for (const auto& [policy, t] : by_policy) report("isp (all)", policy, t);
+  // Restorable spends most of the salt range on its hop bias, so padded
+  // ties are common on ISP hops: the guard must have refused some routes.
+  EXPECT_GT(restorable_hops.unproven, 0u);
+}
+
+TEST(ReplacementRoute, MatchesRepairOnAs) {
+  Rng topo_rng(12);
+  const Graph g = topo::make_as_like(topo_rng);
+  for (const Metric metric : kMetrics) {
+    for (const TiebreakPolicy policy : kPolicies) {
+      const Tally t = sweep_sampled_paths(g, padded(metric, policy), 12, 31,
+                                          "as " + flavor(metric, policy));
+      report("as", flavor(metric, policy), t);
+      EXPECT_GT(t.cut, 0u) << flavor(metric, policy);
+    }
+  }
+}
+
+TEST(ReplacementRoute, ConcurrentQueriesOverSharedTreeStore) {
+  // The service's shape: workers read both trees from one shared unfailed
+  // TreeCache — racing the first publish of each tree — and run the rung
+  // on their thread workspaces. Every answer must equal the serial one.
+  Rng topo_rng(14);
+  const Graph g = topo::make_isp_like(topo_rng);
+  const SpfOptions options = padded(Metric::Hops, TiebreakPolicy::Arbitrary);
+  struct Query {
+    NodeId s, t;
+    EdgeId e;
+    ReplacementKind kind;
+    Path route;
+  };
+  std::vector<Query> queries;
+  {
+    Trees trees(g, options);
+    Rng rng(15);
+    while (queries.size() < 400) {
+      const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+      const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
+      if (s == t) continue;
+      const Path path = trees.at(s).path_to(g, t);
+      Query q{s, t, path.edge(rng.below(path.hops())), {}, {}};
+      q.kind = replacement_route(g, trees.at(s), trees.at(t), q.e,
+                                 thread_workspace(), q.route);
+      queries.push_back(std::move(q));
+    }
+  }
+  TreeCache store(g, FailureMask{}, options);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const Query& q = queries[(i + w * 97) % queries.size()];
+        const auto from_s = store.tree(q.s);
+        const auto from_t = store.tree(q.t);
+        Path route;
+        const ReplacementKind kind = replacement_route(
+            g, *from_s, *from_t, q.e, thread_workspace(), route);
+        if (kind != q.kind || (kind != ReplacementKind::kUnproven &&
+                               route != q.route)) {
+          ++mismatches[w];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (std::size_t w = 0; w < kThreads; ++w) {
+    EXPECT_EQ(mismatches[w], 0u) << "thread " << w;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Edge cases.
+// ---------------------------------------------------------------------------
+
+/// 0 - 1 - 2 - 3 square with a 3 - 4 tail: 3 - 4 is a bridge.
+Graph square_with_tail() {
+  graph::GraphBuilder b(5);
+  b.add_edge(0, 1);  // e0
+  b.add_edge(1, 2);  // e1
+  b.add_edge(2, 3);  // e2
+  b.add_edge(3, 0);  // e3
+  b.add_edge(3, 4);  // e4 (bridge)
+  return b.build();
+}
+
+TEST(ReplacementRoute, LinkOffTheSourceTreeKeepsTheTreePath) {
+  const Graph g = square_with_tail();
+  const SpfOptions options = padded(Metric::Hops, TiebreakPolicy::Arbitrary);
+  const ShortestPathTree from_s = shortest_tree(g, 0, {}, options);
+  const ShortestPathTree from_t = shortest_tree(g, 2, {}, options);
+  // The square has one non-tree link in 0's tree; failing it changes
+  // nothing.
+  EdgeId off = graph::kInvalidEdge;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    bool tree_link = false;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      tree_link = tree_link || from_s.parent_edge(v) == e;
+    }
+    if (!tree_link) off = e;
+  }
+  ASSERT_NE(off, graph::kInvalidEdge);
+  Path got;
+  EXPECT_EQ(replacement_route(g, from_s, from_t, off, thread_workspace(), got),
+            ReplacementKind::kIntact);
+  EXPECT_EQ(got, from_s.path_to(g, 2));
+}
+
+TEST(ReplacementRoute, TargetOutsideTheOrphanedSubtreeKeepsTheTreePath) {
+  const Graph g = square_with_tail();
+  const SpfOptions options = padded(Metric::Hops, TiebreakPolicy::Arbitrary);
+  const ShortestPathTree from_s = shortest_tree(g, 0, {}, options);
+  // 0 -> 1 and 0 -> 3 are both tree links of 0; a destination below one
+  // of them is untouched by failing the other.
+  const EdgeId cut = from_s.parent_edge(1);
+  ASSERT_EQ(from_s.parent(1), 0u);
+  const ShortestPathTree from_t = shortest_tree(g, 4, {}, options);
+  ASSERT_FALSE(from_s.path_to(g, 4).uses_edge(cut));
+  Path got;
+  EXPECT_EQ(replacement_route(g, from_s, from_t, cut, thread_workspace(), got),
+            ReplacementKind::kIntact);
+  EXPECT_EQ(got, from_s.path_to(g, 4));
+}
+
+TEST(ReplacementRoute, BridgeFailureHasNoRoute) {
+  const Graph g = square_with_tail();
+  const SpfOptions options =
+      padded(Metric::Weighted, TiebreakPolicy::Lexicographic);
+  const ShortestPathTree from_s = shortest_tree(g, 1, {}, options);
+  const ShortestPathTree from_t = shortest_tree(g, 4, {}, options);
+  Path got = Path::trivial(4);
+  EXPECT_EQ(replacement_route(g, from_s, from_t, 4, thread_workspace(), got),
+            ReplacementKind::kNoRoute);
+  EXPECT_TRUE(got.empty());
+  SpfWorkspace ws;
+  EXPECT_FALSE(repair_tree(g, from_s, FailureMask::of_edges({4}), options, ws)
+                   .reachable(4));
+}
+
+TEST(ReplacementRoute, RingFailureRoutesTheOtherWayRound) {
+  const Graph g = topo::make_ring(6);
+  const SpfOptions options = padded(Metric::Hops, TiebreakPolicy::Arbitrary);
+  const ShortestPathTree from_s = shortest_tree(g, 0, {}, options);
+  const ShortestPathTree from_t = shortest_tree(g, 1, {}, options);
+  const EdgeId direct = from_s.parent_edge(1);
+  ASSERT_EQ(from_s.parent(1), 0u);
+  Path got;
+  ASSERT_EQ(
+      replacement_route(g, from_s, from_t, direct, thread_workspace(), got),
+      ReplacementKind::kCut);
+  EXPECT_EQ(got.hops(), 5u);
+  EXPECT_FALSE(got.uses_edge(direct));
+  EXPECT_EQ(got.source(), 0u);
+  EXPECT_EQ(got.target(), 1u);
+}
+
+TEST(ReplacementRoute, DirectedAndUnpaddedTreesAreNotAnswered) {
+  graph::GraphBuilder b(3, /*directed=*/true);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(0, 2, 3);
+  const Graph directed = b.build();
+  const SpfOptions options =
+      padded(Metric::Weighted, TiebreakPolicy::Arbitrary);
+  const ShortestPathTree from_s = shortest_tree(directed, 0, {}, options);
+  const ShortestPathTree from_t = shortest_tree(directed, 2, {}, options);
+  Path got = Path::trivial(2);
+  EXPECT_EQ(
+      replacement_route(directed, from_s, from_t, 1, thread_workspace(), got),
+      ReplacementKind::kUnproven);
+  EXPECT_EQ(got, Path::trivial(2));
+
+  const Graph ring = topo::make_ring(5);
+  const SpfOptions plain{.metric = Metric::Hops};
+  const ShortestPathTree plain_s = shortest_tree(ring, 0, {}, plain);
+  const ShortestPathTree plain_t = shortest_tree(ring, 2, {}, plain);
+  EXPECT_EQ(replacement_route(ring, plain_s, plain_t, plain_s.parent_edge(1),
+                              thread_workspace(), got),
+            ReplacementKind::kUnproven);
+}
+
+TEST(ReplacementRoute, RejectsMismatchedInputs) {
+  const Graph g = topo::make_ring(5);
+  const ShortestPathTree hops =
+      shortest_tree(g, 0, {}, padded(Metric::Hops, TiebreakPolicy::Arbitrary));
+  const ShortestPathTree lex = shortest_tree(
+      g, 2, {}, padded(Metric::Hops, TiebreakPolicy::Lexicographic));
+  const ShortestPathTree other_graph = shortest_tree(
+      topo::make_ring(6), 2, {},
+      padded(Metric::Hops, TiebreakPolicy::Arbitrary));
+  Path got;
+  EXPECT_THROW(replacement_route(g, hops, lex, 0, thread_workspace(), got),
+               PreconditionError);
+  EXPECT_THROW(
+      replacement_route(g, hops, other_graph, 0, thread_workspace(), got),
+      PreconditionError);
+  EXPECT_THROW(replacement_route(g, hops, hops, 99, thread_workspace(), got),
+               PreconditionError);
+}
+
+TEST(CompactTree, DerivedDistEqualsPathCost) {
+  // dist() is derived from the key; it must equal the true cost of the
+  // tree path for every node, flavor and policy.
+  const std::vector<testing::TopoCase> cases = testing::corpus();
+  for (const testing::TopoCase& c : cases) {
+    for (const Metric metric : kMetrics) {
+      for (const TiebreakPolicy policy : kPolicies) {
+        for (const bool pad : {false, true}) {
+          const SpfOptions options{
+              .metric = metric, .padded = pad, .tiebreak = policy};
+          const ShortestPathTree tree = shortest_tree(c.g, 0, {}, options);
+          for (NodeId v = 0; v < c.g.num_nodes(); ++v) {
+            if (!tree.reachable(v)) {
+              EXPECT_EQ(tree.dist(v), graph::kUnreachable);
+              continue;
+            }
+            graph::Weight cost = 0;
+            const Path path = tree.path_to(c.g, v);
+            for (const EdgeId e : path.edges()) {
+              cost += metric_weight(c.g, e, metric);
+            }
+            EXPECT_EQ(tree.dist(v), cost) << c.name << " v=" << v;
+          }
+        }
+      }
+    }
+  }
+  // 20 B/node: key (8) + hops (4) + parent (4) + parent edge (4).
+  const ShortestPathTree tree = shortest_tree(topo::make_ring(100), 0);
+  EXPECT_EQ(tree.memory_bytes(), 100u * 20u);
+}
+
+}  // namespace
+}  // namespace rbpc::spf

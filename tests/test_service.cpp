@@ -335,6 +335,49 @@ TEST(ShardedLsdb, GenerationGatingMirrorsLsdb) {
   }
 }
 
+TEST(ShardedLsdb, FailedLinkListsMatchFullScan) {
+  // Snapshots enumerate the failure set from per-shard lists kept at apply
+  // time. After random sequences of fresh, duplicate, stale and ungated
+  // (generation 0) LSAs — including downs of links already down — the lists
+  // must agree with a scan of every link, for any shard count.
+  constexpr std::size_t kEdges = 37;
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{64}}) {
+    Rng rng(900 + shards);
+    ShardedLsdb db(kEdges, shards);
+    std::vector<std::uint64_t> gen(kEdges, 0);
+    for (int i = 0; i < 400; ++i) {
+      const EdgeId e = static_cast<EdgeId>(rng.below(kEdges));
+      lsdb::LinkEvent ev{e, rng.chance(0.4), 0};
+      const double kind = rng.uniform();
+      if (kind < 0.5) {
+        ev.generation = ++gen[e];
+      } else if (kind < 0.7) {
+        ev.generation = gen[e];  // duplicate (or ungated while gen is 0)
+      } else if (kind < 0.85 && gen[e] > 1) {
+        ev.generation = 1 + rng.below(gen[e] - 1);  // stale
+      }  // else: generation 0, applied without gating
+      db.apply(ev);
+
+      const ShardedLsdb::Snapshot snap = db.snapshot();
+      FailureMask scan;
+      for (EdgeId x = 0; x < kEdges; ++x) {
+        if (snap.edge_failed(x)) scan.fail_edge(x);
+      }
+      const std::string ctx =
+          "shards=" + std::to_string(shards) + " step=" + std::to_string(i);
+      ASSERT_EQ(snap.to_mask().failed_edges(), scan.failed_edges()) << ctx;
+      ASSERT_EQ(snap.failed_edge_count(), scan.failed_edge_count()) << ctx;
+      std::vector<EdgeId> listed;
+      for (std::size_t k = 0; k < snap.failed_edge_count(); ++k) {
+        listed.push_back(snap.failed_edge(k));
+      }
+      std::sort(listed.begin(), listed.end());
+      ASSERT_EQ(listed, scan.failed_edges()) << ctx;
+    }
+  }
+}
+
 TEST(ShardedLsdb, SnapshotPinsBlockReclamationUntilDropped) {
   ShardedLsdb db(4, 2);
   ASSERT_TRUE(db.apply({0, false, 1}));
@@ -650,6 +693,108 @@ TEST(ServiceEquivalence, OverloadDefersButStillConverges) {
       svc.routes(), "overload");
   const ServiceStats stats = svc.stats();
   EXPECT_GT(stats.reroutes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The single-failure rung: k = 1 reroutes come from two unfailed trees.
+// ---------------------------------------------------------------------------
+
+/// Ingests one LSA for `e` and waits for the service to settle.
+void flip(RestorationService& svc, std::vector<std::uint64_t>& gens, EdgeId e,
+          bool up) {
+  svc.ingest({e, up, ++gens[e]});
+  svc.quiesce();
+}
+
+TEST(ServiceRung, SingleFailuresBuildNoViews) {
+  // Closed loop over the corpus: fail a link, settle, check the table,
+  // recover. Every fail pass sees exactly one failed link, so it must run
+  // at the cut rung and build no pool view, unless the guard fell back.
+  // A second phase overlaps two failures; only the events that leave two
+  // links down may add views (at most one each).
+  std::uint64_t cut_routes = 0;
+  for (const TopoCase& c : corpus()) {
+    const Graph& g = c.g;
+    Rng rng(4400 + g.num_nodes());
+    const std::vector<Demand> demands = random_demands(g, 10, rng);
+    ServiceOptions options;
+    options.workers = 2;
+    RestorationService svc(g, demands, options);
+    std::vector<std::uint64_t> gens(g.num_edges(), 0);
+
+    for (int i = 0; i < 6; ++i) {
+      const EdgeId e = static_cast<EdgeId>(rng.below(g.num_edges()));
+      flip(svc, gens, e, /*up=*/false);
+      expect_identical_tables(
+          serial_replay(g, options.metric, demands, FailureMask::of_edges({e})),
+          svc.routes(), c.name + " fail " + std::to_string(e));
+      flip(svc, gens, e, /*up=*/true);
+    }
+    ServiceStats stats = svc.stats();
+    EXPECT_LE(svc.tree_pool().views_created(), stats.cut_fallbacks) << c.name;
+
+    std::size_t two_down = 0;
+    for (int i = 0; i < 3; ++i) {
+      const std::vector<std::uint64_t> pair = rng.sample_distinct(
+          g.num_edges(), 2);
+      const EdgeId a = static_cast<EdgeId>(pair[0]);
+      const EdgeId b = static_cast<EdgeId>(pair[1]);
+      flip(svc, gens, a, false);
+      flip(svc, gens, b, false);
+      ++two_down;
+      flip(svc, gens, a, true);
+      expect_identical_tables(
+          serial_replay(g, options.metric, demands, FailureMask::of_edges({b})),
+          svc.routes(), c.name + " overlap " + std::to_string(b));
+      flip(svc, gens, b, true);
+    }
+    stats = svc.stats();
+    EXPECT_LE(svc.tree_pool().views_created(), two_down + stats.cut_fallbacks)
+        << c.name;
+    cut_routes += stats.cut_routes;
+    svc.stop();
+  }
+  EXPECT_GT(cut_routes, 0u);
+}
+
+TEST(ServiceRung, BridgeFailureNoRouteMatchesSerialReplay) {
+  // Two 5-rings joined by one bridge (link 10): failing it strands every
+  // demand that crosses, which the cut rung must report as "no route"
+  // exactly like the serial replay — and the no_route count must agree.
+  graph::GraphBuilder b(10);
+  for (NodeId i = 0; i < 5; ++i) {
+    b.add_edge(i, (i + 1) % 5);
+    b.add_edge(5 + i, 5 + (i + 1) % 5);
+  }
+  const EdgeId bridge = b.add_edge(2, 7);
+  const Graph g = b.build();
+  const std::vector<Demand> demands = {{0, 9}, {1, 6}, {3, 4}, {8, 5},
+                                       {4, 7}, {0, 2}};
+  ServiceOptions options;
+  options.workers = 2;
+  RestorationService svc(g, demands, options);
+  std::vector<std::uint64_t> gens(g.num_edges(), 0);
+
+  flip(svc, gens, bridge, /*up=*/false);
+  const std::vector<core::Restoration> want = serial_replay(
+      g, options.metric, demands, FailureMask::of_edges({bridge}));
+  expect_identical_tables(want, svc.routes(), "bridge down");
+  const std::size_t stranded = static_cast<std::size_t>(
+      std::count_if(want.begin(), want.end(),
+                    [](const core::Restoration& r) { return !r.restored(); }));
+  EXPECT_EQ(stranded, 3u);
+  ServiceStats stats = svc.stats();
+  EXPECT_EQ(stats.no_route, stranded);
+  EXPECT_EQ(stats.cut_routes, 3u);
+  EXPECT_EQ(stats.cut_fallbacks, 0u);
+  EXPECT_EQ(svc.tree_pool().views_created(), 0u);
+
+  flip(svc, gens, bridge, /*up=*/true);
+  expect_identical_tables(
+      serial_replay(g, options.metric, demands, FailureMask{}), svc.routes(),
+      "bridge up");
+  EXPECT_EQ(svc.stats().no_route, 0u);
+  svc.stop();
 }
 
 // ---------------------------------------------------------------------------
