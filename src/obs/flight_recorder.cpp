@@ -115,6 +115,7 @@ void append_record_json(std::ostringstream& os, const RerouteRecord& r) {
      << ((r.flags & kFlagRevalidated) ? "true" : "false")
      << ", \"deferred\": " << ((r.flags & kFlagDeferred) ? "true" : "false")
      << ", \"recovery\": " << ((r.flags & kFlagRecovery) ? "true" : "false")
+     << ", \"group\": " << int{r.group}
      << ", \"snapshot_version\": " << r.snapshot_version
      << ",\n     \"enqueue_ns\": " << r.enqueue_ns
      << ", \"start_ns\": " << r.start_ns

@@ -32,7 +32,8 @@ void RerouteRecord::pack(std::uint64_t words[kWords]) const {
   words[8] = snapshot_version;
   words[9] = (std::uint64_t{demand} << 32) | src;
   words[10] = (std::uint64_t{dst} << 32) | worker;
-  words[11] = (std::uint64_t{rung} << 8) | flags;
+  words[11] = (std::uint64_t{group} << 16) | (std::uint64_t{rung} << 8) |
+              flags;
 }
 
 RerouteRecord RerouteRecord::unpack(const std::uint64_t words[kWords]) {
@@ -52,6 +53,7 @@ RerouteRecord RerouteRecord::unpack(const std::uint64_t words[kWords]) {
   r.worker = static_cast<std::uint32_t>(words[10]);
   r.rung = static_cast<std::uint8_t>(words[11] >> 8);
   r.flags = static_cast<std::uint8_t>(words[11]);
+  r.group = static_cast<std::uint8_t>(words[11] >> 16);
   return r;
 }
 

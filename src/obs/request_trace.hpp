@@ -65,7 +65,11 @@ struct RerouteRecord {
   std::uint64_t snapshot_ns = 0; ///< LSDB snapshot pinned (EBR slot held)
   std::uint64_t spf_ns = 0;      ///< shortest-path tree ready
   std::uint64_t decompose_ns = 0;///< greedy decomposition done
-  std::uint64_t install_ns = 0;  ///< FEC install lock released
+  /// The worker's commit group finished: routes installed under one lock
+  /// hold and the group's WAL records appended. A demand's install stage
+  /// therefore includes the compute time of the demands after it in its
+  /// group.
+  std::uint64_t install_ns = 0;
   std::uint64_t done_ns = 0;     ///< record sealed (after revalidation check)
   std::uint64_t snapshot_version = 0;  ///< LSDB version rerouted against
   std::uint32_t demand = 0;      ///< demand index in the service
@@ -74,7 +78,8 @@ struct RerouteRecord {
   std::uint32_t worker = 0;      ///< worker slot that ran the reroute
   std::uint8_t rung = 0;         ///< Rung, worst reached
   std::uint8_t flags = 0;        ///< kFlag* bits
-  std::uint8_t pad_[6] = {};     ///< keep the packed word count stable
+  std::uint8_t group = 0;        ///< size of the commit group (0 = none)
+  std::uint8_t pad_[5] = {};     ///< keep the packed word count stable
 
   /// 64-bit words a record packs into (flight-recorder slot width).
   static constexpr std::size_t kWords = 12;

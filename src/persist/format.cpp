@@ -225,33 +225,41 @@ std::vector<std::uint8_t> encode_wal_header(std::uint64_t snapshot_seq) {
 }
 
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& rec) {
-  BufWriter payload;
-  payload.u8(static_cast<std::uint8_t>(rec.type));
+  std::vector<std::uint8_t> out;
+  encode_wal_record_into(rec, out);
+  return out;
+}
+
+void encode_wal_record_into(const WalRecord& rec,
+                            std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
+  BufWriter w(std::move(out));
+  w.u32(0);  // payload length, patched once the payload is written
+  w.u8(static_cast<std::uint8_t>(rec.type));
   switch (rec.type) {
     case WalType::kLinkEvent:
-      payload.u32(rec.link.edge);
-      payload.u8(rec.link.up ? 1 : 0);
-      payload.u64(rec.link.generation);
+      w.u32(rec.link.edge);
+      w.u8(rec.link.up ? 1 : 0);
+      w.u64(rec.link.generation);
       break;
     case WalType::kFecInstall:
-      payload.u32(rec.fec.demand);
-      payload.u64(rec.fec.stamp);
+      w.u32(rec.fec.demand);
+      w.u64(rec.fec.stamp);
       RBPC_ASSERT(rec.fec.nodes.empty()
                       ? rec.fec.edges.empty()
                       : rec.fec.edges.size() == rec.fec.nodes.size() - 1);
-      payload.u32(static_cast<std::uint32_t>(rec.fec.nodes.size()));
-      payload.u32_span(rec.fec.nodes);
-      payload.u32_span(rec.fec.edges);
+      w.u32(static_cast<std::uint32_t>(rec.fec.nodes.size()));
+      w.u32_span(rec.fec.nodes);
+      w.u32_span(rec.fec.edges);
       break;
   }
-
-  BufWriter out;
-  out.u32(static_cast<std::uint32_t>(payload.bytes().size()));
-  out.raw(payload.bytes().data(), payload.bytes().size());
+  out = w.take();
+  const std::size_t len = out.size() - start - 4;
+  for (int i = 0; i < 4; ++i) out[start + i] = (len >> (8 * i)) & 0xFFu;
   // The CRC covers the length prefix as well, so a record cannot lie about
   // its own extent without failing the checksum.
-  out.u32(crc32(out.bytes().data(), out.bytes().size()));
-  return out.take();
+  const std::uint32_t crc = crc32(out.data() + start, out.size() - start);
+  for (int i = 0; i < 4; ++i) out.push_back((crc >> (8 * i)) & 0xFFu);
 }
 
 namespace {

@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/path_arena.hpp"
@@ -66,6 +67,11 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 
 class BufWriter {
  public:
+  BufWriter() = default;
+  /// Appends after the bytes already in `bytes` (take() hands them back).
+  explicit BufWriter(std::vector<std::uint8_t> bytes)
+      : bytes_(std::move(bytes)) {}
+
   void u8(std::uint8_t v) { bytes_.push_back(v); }
   void u32(std::uint32_t v);
   void u64(std::uint64_t v);
@@ -156,6 +162,10 @@ struct WalRecord {
 
 std::vector<std::uint8_t> encode_wal_header(std::uint64_t snapshot_seq);
 std::vector<std::uint8_t> encode_wal_record(const WalRecord& rec);
+/// Appends rec's framed image to `out` (the bytes encode_wal_record
+/// returns). A group append encodes every record into one buffer this way.
+void encode_wal_record_into(const WalRecord& rec,
+                            std::vector<std::uint8_t>& out);
 
 /// Result of scanning a WAL image: the valid record prefix plus where it
 /// ended. `truncated` is true when a torn/corrupt tail was detected past

@@ -144,19 +144,25 @@ void PersistentStore::open_fresh_wal(std::uint64_t seq) {
 }
 
 void PersistentStore::append(const WalRecord& rec) {
+  append_group({&rec, 1});
+}
+
+void PersistentStore::append_group(std::span<const WalRecord> recs) {
   require(recovered_, "PersistentStore::append: recover() first");
   require(wal_ != nullptr && has_snapshot(),
           "PersistentStore::append: no snapshot yet (rotate() first)");
-  const std::vector<std::uint8_t> bytes = encode_wal_record(rec);
-  wal_->write(bytes.data(), bytes.size());
+  if (recs.empty()) return;
+  encode_buf_.clear();
+  for (const WalRecord& rec : recs) encode_wal_record_into(rec, encode_buf_);
+  wal_->write(encode_buf_.data(), encode_buf_.size());
   if (options_.sync_each_record) wal_->sync();
-  ++records_since_;
-  ++appends_;
-  bytes_appended_ += bytes.size();
+  records_since_ += recs.size();
+  appends_ += recs.size();
+  bytes_appended_ += encode_buf_.size();
   static obs::Counter appends_c = registry().counter("persist.wal.appends");
   static obs::Counter bytes_c = registry().counter("persist.wal.bytes");
-  appends_c.inc();
-  bytes_c.add(bytes.size());
+  appends_c.add(recs.size());
+  bytes_c.add(encode_buf_.size());
 }
 
 std::uint64_t PersistentStore::rotate(SnapshotState state) {

@@ -30,6 +30,12 @@
 // before the caller proceeds; without it, a crash loses a suffix of
 // appends but never corrupts the prefix.
 //
+// append_group() writes several records with one write and (with
+// sync_each_record) one fsync. Its bytes are exactly those of the same
+// records appended one by one, so recovery cannot tell the two apart: a
+// crash mid-group leaves a prefix of the group's records (the torn one
+// truncated), never a hole.
+//
 // Thread safety: none — the owner serializes calls (RestorationService
 // holds its persist mutex across append/rotate). recover() must be called
 // first and once.
@@ -37,6 +43,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,8 +54,9 @@ namespace rbpc::persist {
 
 struct StoreOptions {
   std::string dir;
-  /// fsync after every WAL append. The crash sweep runs with this on (a
-  /// committed reroute is durable); benches may trade it for throughput.
+  /// fsync after every WAL append call (once per append_group). The crash
+  /// sweep runs with this on (a committed reroute is durable); benches may
+  /// trade it for throughput.
   bool sync_each_record = true;
 };
 
@@ -80,6 +88,9 @@ class PersistentStore {
 
   /// Appends one record to the current WAL (fsync per StoreOptions).
   void append(const WalRecord& rec);
+  /// Appends `recs` in order with one encode buffer, one write and at most
+  /// one fsync. Counters move as for recs.size() single appends.
+  void append_group(std::span<const WalRecord> recs);
 
   /// Publishes `state` as the new snapshot via the rotation protocol above
   /// and starts a fresh WAL. Returns the assigned sequence number.
@@ -114,6 +125,7 @@ class PersistentStore {
   std::uint64_t appends_ = 0;
   std::uint64_t bytes_appended_ = 0;
   std::uint64_t rotations_ = 0;
+  std::vector<std::uint8_t> encode_buf_;  ///< reused by every append
 };
 
 }  // namespace rbpc::persist

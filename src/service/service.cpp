@@ -48,10 +48,22 @@
 // and greedy decomposition over the canonical base set is a deterministic
 // function of the route, so the whole Restoration matches bit for bit.
 //
-// The SPF ladder a reroute climbs down (compute_backup):
+// Group commit keeps every step of that argument per demand. A worker
+// computes several demands (each clears its dedup flag before its own
+// snapshot) and then installs them under one routes_mu_ hold, each stamped
+// with its own snapshot's version and gated against its own stamp; the
+// version re-read comes after that hold, so it still follows each install,
+// and each demand is compared against its own snapshot version. Delaying
+// an install until the group commits only widens the window in which an
+// event can race it, and the race is closed the same way. The baseline
+// copy a pass makes when its snapshot has no failed link is the route the
+// ladder's cached rung would compute (same unfailed tree, same
+// decomposition), so it changes no bit either.
 //
-//  * no failed link: the source's unfailed tree from the pool's base
-//    store (rung "cached");
+// The SPF ladder a reroute climbs down (compute_reroute, compute_backup):
+//
+//  * no failed link: a copy of the demand's provisioned baseline, which
+//    was read off the source's unfailed tree (rung "cached");
 //  * exactly one failed link: spf::replacement_route reads the route off
 //    the source's and the destination's unfailed trees, both from the same
 //    base store (rung "cut"). It builds no view, runs no SPF once both
@@ -96,15 +108,20 @@
 // Busy workers never touch wake_mu_, and a batch of N demands costs one
 // fence and one load, plus one notify only when a worker is parked. The
 // short poll a worker runs before it registers (poll_for_work) changes
-// nothing above: it returns only when work is already visible.
+// nothing above: it returns only when work is already visible. Neither does
+// group commit: a worker commits its group (and only then drops the
+// group's count from inflight_) before it polls, parks or exits, so the
+// pending count never reaches zero, and no worker sleeps, while a computed
+// route is uninstalled.
 //
 // Crash consistency of the persistence plane (DESIGN.md §14):
 //
 // Applied LSAs and committed reroutes append to the WAL *after* their
-// in-memory mutation (lsdb apply / install under routes_mu_), and snapshot
-// capture runs with persist_mu_ held — the same mutex every append holds.
-// So for any append A and rotation R: if A's append happened before R took
-// persist_mu_, A's mutation is visible to R's capture (the snapshot
+// in-memory mutation (lsdb apply / a group's installs under routes_mu_; the
+// group's records go out in one append after routes_mu_ is released), and
+// snapshot capture runs with persist_mu_ held — the same mutex every append
+// holds. So for any append A and rotation R: if A's append happened before
+// R took persist_mu_, A's mutation is visible to R's capture (the snapshot
 // supersedes the record, and losing the old WAL is safe); if A's append
 // happened after, the record lands in the *new* WAL. A record can land in
 // the new WAL even though the snapshot already covers it (append raced
@@ -114,8 +131,9 @@
 //
 // A crash can only lose the *suffix* of in-memory work whose WAL append
 // never became durable (plus torn bytes of the record mid-write, which the
-// per-record CRC catches and recovery truncates). What remains is a
-// consistent *earlier* state of this same service: recovery rebuilds it,
+// per-record CRC catches and recovery truncates; a group torn mid-write
+// keeps a prefix of its records). What remains is a consistent *earlier*
+// state of this same service: recovery rebuilds it,
 // re-enqueues every demand that is dirty or riding a known-down edge (a
 // superset of the work that was in flight), and the LSA flood's
 // retransmission/refresh re-delivers whatever the LSDB never durably
@@ -143,6 +161,13 @@ constexpr std::chrono::milliseconds kIdleWait{1};
 /// polls, so an idle service still sleeps.
 constexpr std::uint64_t kPollBeforeParkNs = 100'000;
 
+/// Commit-group bounds (DESIGN.md §10): a worker commits its computed
+/// reroutes once it holds kGroupMax of them or kGroupWindowNs after it
+/// popped the first, whichever comes first, and at once when its queue pop
+/// comes back empty. The size fits RerouteRecord::group.
+constexpr std::size_t kGroupMax = 32;
+constexpr std::uint64_t kGroupWindowNs = 50'000;
+
 /// Failure states whose tree views the pool keeps at once. Churn revisits
 /// recent masks (a flapping link alternates two), so a small LRU wins.
 constexpr std::size_t kMaxViews = 8;
@@ -169,6 +194,7 @@ RestorationService::RestorationService(const graph::Graph& g,
       cut_routes_(registry().counter("svc.rung.cut")),
       cut_fallbacks_(registry().counter("svc.rung.cut_fallback")),
       no_route_g_(registry().gauge("svc.no_route")),
+      dirty_g_(registry().gauge("svc.dirty")),
       flight_(options.workers == 0 ? ThreadPool::default_threads()
                                    : options.workers,
               options.flight_ring),
@@ -197,7 +223,6 @@ RestorationService::RestorationService(const graph::Graph& g,
     }
     st.baseline = r;
     st.route = std::move(r);
-    st.dirty = false;
   });
 
   // Warm restart: load the persisted state plane (snapshot + WAL replay)
@@ -208,6 +233,7 @@ RestorationService::RestorationService(const graph::Graph& g,
 
   rebuild_route_index();
   no_route_g_.set(static_cast<std::int64_t>(no_route_count_));
+  dirty_g_.set(static_cast<std::int64_t>(dirty_.size()));
   registry().gauge("svc.demands").set(
       static_cast<std::int64_t>(demands_.size()));
 
@@ -394,7 +420,7 @@ void RestorationService::apply_recovered(const persist::RecoverResult& rec) {
       }
     }
     st.stamp = 0;
-    st.dirty = !(st.route.backup == st.baseline.backup);
+    const bool dirty = !(st.route.backup == st.baseline.backup);
     bool rides_down_edge = false;
     for (const EdgeId e : st.route.backup.edges()) {
       if (snap.edge_failed(e)) {
@@ -402,7 +428,7 @@ void RestorationService::apply_recovered(const persist::RecoverResult& rec) {
         break;
       }
     }
-    if (st.dirty || rides_down_edge) {
+    if (dirty || rides_down_edge) {
       enqueue_demand(i, obs::kFlagRecovery);
       ++recovery_reenqueued_;
     }
@@ -453,9 +479,12 @@ persist::SnapshotState RestorationService::capture_state() {
 
 void RestorationService::rebuild_route_index() {
   for (auto& list : edge_demands_) list.clear();
+  dirty_.clear();
   no_route_count_ = 0;
   for (std::size_t i = 0; i < demands_.size(); ++i) {
-    const DemandState& st = demands_[i];
+    DemandState& st = demands_[i];
+    st.dirty_at = kClean;
+    set_dirty_locked(i, !(st.route.backup == st.baseline.backup));
     if (!st.route.restored()) ++no_route_count_;
     for (const EdgeId e : st.route.backup.edges()) {
       edge_demands_[e].push_back(static_cast<std::uint32_t>(i));
@@ -542,9 +571,7 @@ bool RestorationService::ingest(const lsdb::LinkEvent& ev) {
         affected.push_back(d);
       }
     } else {
-      for (std::size_t d = 0; d < demands_.size(); ++d) {
-        if (demands_[d].dirty) affected.push_back(d);
-      }
+      affected.assign(dirty_.begin(), dirty_.end());
     }
   }
   for (const std::size_t d : affected) enqueue_demand(d);
@@ -641,7 +668,9 @@ void RestorationService::drain_deferred(bool force) {
 }
 
 void RestorationService::worker_loop(std::size_t worker) {
-  bool in_task = false;
+  CommitGroup group;
+  group.items.reserve(kGroupMax);
+  std::size_t held = 0;  // demands popped and not yet retired
   bool idle = true;  // no task run since the worker last polled or parked
   try {
     std::size_t d = 0;
@@ -653,11 +682,21 @@ void RestorationService::worker_loop(std::size_t worker) {
       heartbeats_[worker].store(now, std::memory_order_relaxed);
       heartbeat_g_[worker].set(static_cast<std::int64_t>(now));
       if (queue_.pop(d)) {
-        in_task = true;
-        run_reroute(d, worker);
-        in_task = false;
-        complete_task();
+        ++held;
+        if (group.items.empty()) group.opened_ns = now;
+        compute_reroute(d, worker, group.items.emplace_back());
+        if (group.items.size() >= kGroupMax ||
+            obs::now_ns() - group.opened_ns >= kGroupWindowNs) {
+          commit_group(group);
+          complete_tasks(std::exchange(held, 0));
+        }
         idle = false;
+        continue;
+      }
+      // Nothing queued: commit before anything that may park or exit.
+      if (!group.items.empty()) {
+        commit_group(group);
+        complete_tasks(std::exchange(held, 0));
         continue;
       }
       if (stopping_.load(std::memory_order_seq_cst)) return;
@@ -666,10 +705,10 @@ void RestorationService::worker_loop(std::size_t worker) {
       wait_for_work();
     }
   } catch (...) {
-    // Record before the task's count drops: a quiescer woken by that drop
-    // must find the failure. The worker then exits.
+    // Record before the held demands' count drops: a quiescer woken by that
+    // drop must find the failure. The worker then exits.
     record_failure(std::current_exception());
-    if (in_task) complete_task();
+    if (held != 0) complete_tasks(held);
   }
 }
 
@@ -714,8 +753,8 @@ void RestorationService::wait_for_work() {
   sleepers_.fetch_sub(1, std::memory_order_seq_cst);
 }
 
-void RestorationService::complete_task() {
-  if (inflight_.fetch_sub(1, std::memory_order_seq_cst) != 1) return;
+void RestorationService::complete_tasks(std::size_t n) {
+  if (inflight_.fetch_sub(n, std::memory_order_seq_cst) != n) return;
   if (quiescers_.load(std::memory_order_seq_cst) == 0) return;
   // Passing through the mutex orders this notify after a quiescer's
   // predicate check, so a quiescer that saw a non-zero count is waiting.
@@ -731,15 +770,16 @@ void RestorationService::record_failure(std::exception_ptr error) {
   idle_cv_.notify_all();
 }
 
-void RestorationService::run_reroute(std::size_t d, std::size_t worker) {
+void RestorationService::compute_reroute(std::size_t d, std::size_t worker,
+                                         Pending& out) {
   RBPC_TRACE_SPAN("svc.reroute");
-  static obs::Histogram latency = registry().histogram("svc.restore.latency");
-
   DemandState& st = demands_[d];
-  // The causal record for this pass lives on the stack — no allocation on
-  // the warm path. The trace fields must be read *before* the dedup flag is
-  // cleared below: afterwards a fresh enqueue may overwrite them.
-  obs::RerouteRecord rec;
+  out.demand = d;
+  // The causal record for this pass rides in the group's reused storage —
+  // no allocation for it on the warm path. The trace fields must be read
+  // *before* the dedup flag is cleared below: afterwards a fresh enqueue
+  // may overwrite them.
+  obs::RerouteRecord& rec = out.rec;
   if constexpr (obs::kObsEnabled) {
     rec.request_id = st.request_id.load(std::memory_order_relaxed);
     rec.enqueue_ns = st.enqueue_ns.load(std::memory_order_relaxed);
@@ -760,66 +800,104 @@ void RestorationService::run_reroute(std::size_t d, std::size_t worker) {
 
   ShardedLsdb::Snapshot snap = lsdb_.snapshot();
   snapshots_.inc();
-  const std::uint64_t v = snap.version();
+  out.version = snap.version();
   if constexpr (obs::kObsEnabled) {
     rec.snapshot_ns = obs::now_ns();
-    rec.snapshot_version = v;
+    rec.snapshot_version = out.version;
   }
 
-  core::Restoration r;
-  const obs::Rung rung = compute_backup(st, snap, r.backup);
-  if constexpr (obs::kObsEnabled) {
-    rec.spf_ns = obs::now_ns();
-    rec.rung = static_cast<std::uint8_t>(rung);
+  core::Restoration& r = out.route;
+  obs::Rung rung = obs::Rung::kCached;
+  // No link down: the route is the provisioned baseline (same unfailed
+  // tree, same decomposition), which is immutable — copy it.
+  const bool baseline = snap.failed_edge_count() == 0;
+  if (baseline) {
+    r = st.baseline;
+  } else {
+    rung = compute_backup(st, snap, r.backup);
   }
+  if constexpr (obs::kObsEnabled) rec.spf_ns = obs::now_ns();
   const bool reachable = !r.backup.empty();
-  if (reachable) {
+  if (reachable && !baseline) {
     RBPC_TRACE_SPAN("svc.decompose");
     r.decomposition = core::greedy_decompose(base_, r.backup);
   }
   if constexpr (obs::kObsEnabled) {
     rec.decompose_ns = obs::now_ns();
-    if (!reachable) rec.rung = static_cast<std::uint8_t>(obs::Rung::kNoRoute);
+    rec.rung = static_cast<std::uint8_t>(reachable ? rung
+                                                   : obs::Rung::kNoRoute);
   }
 
-  // Build the WAL image before install() consumes the route. The append
-  // happens only when the install actually won (stamp gate), so the WAL
+  // The WAL image is built here, outside the install lock; commit_group()
+  // appends it only when the install won the stamp gate, so the WAL
   // carries exactly the committed route sequence.
-  persist::WalRecord wr;
   if (store_ != nullptr) {
-    wr.type = persist::WalType::kFecInstall;
-    wr.fec.demand = static_cast<std::uint32_t>(d);
-    wr.fec.stamp = v;
-    wr.fec.nodes.assign(r.backup.nodes().begin(), r.backup.nodes().end());
-    wr.fec.edges.assign(r.backup.edges().begin(), r.backup.edges().end());
+    out.wal.type = persist::WalType::kFecInstall;
+    out.wal.fec.demand = static_cast<std::uint32_t>(d);
+    out.wal.fec.stamp = out.version;
+    out.wal.fec.nodes.assign(r.backup.nodes().begin(), r.backup.nodes().end());
+    out.wal.fec.edges.assign(r.backup.edges().begin(), r.backup.edges().end());
   }
-  if (install(d, std::move(r), v)) {
-    installs_.inc();
-    if (store_ != nullptr) append_wal(wr);
-    if constexpr (obs::kObsEnabled) rec.flags |= obs::kFlagInstalled;
-  }
-  reroutes_.inc();
-  if constexpr (obs::kObsEnabled) rec.install_ns = obs::now_ns();
+}
 
-  // Revalidation: events applied during the computation may not have seen
-  // the route we just installed when they scanned for affected demands.
-  // Any version movement past our snapshot re-queues the demand; the rerun
-  // snapshots fresh state and usually installs the identical route.
-  if (lsdb_.version() != v) {
-    revalidations_.inc();
-    if constexpr (obs::kObsEnabled) rec.flags |= obs::kFlagRevalidated;
-    enqueue_demand(d);
-  }
+void RestorationService::commit_group(CommitGroup& group) {
+  RBPC_TRACE_SPAN("svc.commit");
+  static obs::Histogram latency = registry().histogram("svc.restore.latency");
 
-  if constexpr (obs::kObsEnabled) {
-    rec.done_ns = obs::now_ns();
-    latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
-                                 rec.request_id);
-    flight_.publish(worker, rec);
-    if (!reachable) {
-      maybe_dump_flight("degradation ladder: no-route install");
+  std::uint64_t installed = 0;
+  {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    for (Pending& p : group.items) {
+      p.installed = install_locked(p);
+      installed += p.installed ? 1 : 0;
+    }
+    if (installed != 0) {
+      no_route_g_.set(static_cast<std::int64_t>(no_route_count_));
+      dirty_g_.set(static_cast<std::int64_t>(dirty_.size()));
     }
   }
+  // routes_mu_ is released before persist_mu_ is taken (the lock order the
+  // crash-consistency comment relies on).
+  if (store_ != nullptr && installed != 0) {
+    group.wal.clear();
+    for (Pending& p : group.items) {
+      if (p.installed) group.wal.push_back(std::move(p.wal));
+    }
+    std::lock_guard<std::mutex> lock(persist_mu_);
+    store_->append_group(group.wal);
+  }
+  installs_.add(installed);
+  reroutes_.add(group.items.size());
+
+  // Revalidation: events applied during a computation may not have seen
+  // the route just installed when they scanned for affected demands. Any
+  // version movement past a demand's own snapshot re-queues it; the rerun
+  // snapshots fresh state and usually installs the identical route. One
+  // version read after the whole commit follows every install in it.
+  const std::uint64_t version = lsdb_.version();
+  const std::uint64_t committed_ns = obs::kObsEnabled ? obs::now_ns() : 0;
+  for (Pending& p : group.items) {
+    const bool stale = version != p.version;
+    if (stale) {
+      revalidations_.inc();
+      enqueue_demand(p.demand);
+    }
+    if constexpr (obs::kObsEnabled) {
+      obs::RerouteRecord& rec = p.rec;
+      if (p.installed) rec.flags |= obs::kFlagInstalled;
+      if (stale) rec.flags |= obs::kFlagRevalidated;
+      rec.group = static_cast<std::uint8_t>(group.items.size());
+      rec.install_ns = committed_ns;
+      rec.done_ns = obs::now_ns();
+      latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
+                                   rec.request_id);
+      flight_.publish(rec.worker, rec);
+      if (rec.rung == static_cast<std::uint8_t>(obs::Rung::kNoRoute)) {
+        maybe_dump_flight("degradation ladder: no-route install");
+      }
+    }
+  }
+  group.items.clear();  // frees the replaced routes, outside every lock
 }
 
 obs::Rung RestorationService::compute_backup(const DemandState& st,
@@ -838,15 +916,11 @@ obs::Rung RestorationService::compute_backup(const DemandState& st,
     }
     cut_fallbacks_.inc();
   }
-  std::shared_ptr<spf::TreeCache> view;  // keeps an evicted view alive
-  std::shared_ptr<const spf::ShortestPathTree> tree;
+  // Keeps the view alive even if the pool evicts it meanwhile.
+  const std::shared_ptr<spf::TreeCache> view = pool_.cache_for(snap.to_mask());
   spf::TreeOutcome outcome = spf::TreeOutcome::kHit;
-  if (failed == 0) {
-    tree = pool_.base().tree(st.src, &outcome);
-  } else {
-    view = pool_.cache_for(snap.to_mask());
-    tree = view->tree(st.src, &outcome);
-  }
+  const std::shared_ptr<const spf::ShortestPathTree> tree =
+      view->tree(st.src, &outcome);
   if (tree->reachable(st.dst)) out = tree->path_to(g_, st.dst);
   // TreeOutcome is the rung this pass ran at: a settled tree is the cached
   // rung, a repaired tree the incremental rung, scratch SPF (direct or
@@ -863,27 +937,38 @@ obs::Rung RestorationService::compute_backup(const DemandState& st,
   return obs::Rung::kScratch;
 }
 
-bool RestorationService::install(std::size_t d, core::Restoration r,
-                                 std::uint64_t stamp) {
-  DemandState& st = demands_[d];
-  std::lock_guard<std::mutex> lock(routes_mu_);
-  if (stamp < st.stamp) return false;  // a newer concurrent install won
-  st.stamp = stamp;
-  const bool changed = !(r.backup == st.route.backup);
-  if (changed) {
-    for (const EdgeId e : st.route.backup.edges()) {
-      std::erase(edge_demands_[e], static_cast<std::uint32_t>(d));
-    }
-    for (const EdgeId e : r.backup.edges()) {
-      edge_demands_[e].push_back(static_cast<std::uint32_t>(d));
-    }
-    if (st.route.restored() && !r.restored()) ++no_route_count_;
-    if (!st.route.restored() && r.restored()) --no_route_count_;
-    no_route_g_.set(static_cast<std::int64_t>(no_route_count_));
-    st.route = std::move(r);
-    st.dirty = !(st.route.backup == st.baseline.backup);
+bool RestorationService::install_locked(Pending& p) {
+  DemandState& st = demands_[p.demand];
+  if (p.version < st.stamp) return false;  // a newer concurrent install won
+  st.stamp = p.version;
+  if (p.route.backup == st.route.backup) return false;
+  const auto d = static_cast<std::uint32_t>(p.demand);
+  for (const EdgeId e : st.route.backup.edges()) {
+    std::erase(edge_demands_[e], d);
   }
-  return changed;
+  for (const EdgeId e : p.route.backup.edges()) {
+    edge_demands_[e].push_back(d);
+  }
+  if (st.route.restored() && !p.route.restored()) ++no_route_count_;
+  if (!st.route.restored() && p.route.restored()) --no_route_count_;
+  std::swap(st.route, p.route);
+  set_dirty_locked(p.demand, !(st.route.backup == st.baseline.backup));
+  return true;
+}
+
+void RestorationService::set_dirty_locked(std::size_t d, bool dirty) {
+  DemandState& st = demands_[d];
+  if (dirty == (st.dirty_at != kClean)) return;
+  if (dirty) {
+    st.dirty_at = static_cast<std::uint32_t>(dirty_.size());
+    dirty_.push_back(static_cast<std::uint32_t>(d));
+    return;
+  }
+  const std::uint32_t last = dirty_.back();
+  dirty_[st.dirty_at] = last;
+  demands_[last].dirty_at = st.dirty_at;
+  dirty_.pop_back();
+  st.dirty_at = kClean;
 }
 
 void RestorationService::quiesce() {
@@ -921,7 +1006,7 @@ std::vector<core::Restoration> RestorationService::routes() const {
 bool RestorationService::dirty(std::size_t demand) const {
   require(demand < demands_.size(), "RestorationService::dirty: bad demand");
   std::lock_guard<std::mutex> lock(routes_mu_);
-  return demands_[demand].dirty;
+  return demands_[demand].dirty_at != kClean;
 }
 
 ServiceStats RestorationService::stats() const {
@@ -943,6 +1028,7 @@ ServiceStats RestorationService::stats() const {
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
     s.no_route = no_route_count_;
+    s.dirty = dirty_.size();
   }
   if (store_ != nullptr) {
     std::lock_guard<std::mutex> lock(persist_mu_);

@@ -32,7 +32,15 @@
 // tree pool's base cache serves both SPF repair and canonical membership
 // (core::SharedCanonicalBaseSet), and it is thread-safe, so workers
 // decompose without a lock. Provisioning the baseline routes runs on the
-// worker threads before their loops start (DESIGN.md §10).
+// worker threads before their loops start (DESIGN.md §10). A reroute whose
+// snapshot has no failed link copies the provisioned baseline instead of
+// recomputing it.
+//
+// Workers commit in groups: each computes up to kGroupMax demands, then
+// installs them all under one hold of the install lock and appends their
+// WAL records with one write (and one fsync). A worker commits when its
+// queue pop comes back empty, when the group is full, or when the group's
+// window has elapsed, so it never parks or exits holding computed routes.
 //
 // The event -> restored path has no sleep poll. A worker that runs out of
 // work polls the queue for a moment, then registers as a sleeper and parks
@@ -98,8 +106,8 @@ struct PersistOptions {
   /// then only happens through explicit checkpoint() calls, which is what
   /// the deterministic crash-injection sweep uses.
   std::uint64_t maintenance_interval_us = 2000;
-  /// fsync after every WAL append (a committed reroute is durable before
-  /// the worker moves on).
+  /// fsync after every WAL append: once per applied LSA and once per commit
+  /// group (a committed reroute is durable before its worker moves on).
   bool sync_each_record = true;
   /// Injected I/O backend (crash tests pass a FailpointIo); must outlive
   /// the service. nullptr = the service owns a plain FileIo.
@@ -153,6 +161,9 @@ struct ServiceStats {
   /// Reroutes with one failed link where the cut scan could not prove the
   /// route unique and the pass fell back to a pooled view.
   std::uint64_t cut_fallbacks = 0;
+  /// Demands whose route differs from their baseline (the dirty index a
+  /// link-up event enqueues from); equals the count of dirty(d).
+  std::uint64_t dirty = 0;
 
   // Persistence plane (all zero when persistence is disabled).
   std::uint64_t wal_appends = 0;       ///< records appended this lifetime
@@ -245,7 +256,7 @@ class RestorationService {
   std::uint16_t metrics_port() const;
 
  private:
-  /// Per-demand state. Routes / dirty / stamp / reverse index are guarded
+  /// Per-demand state. Routes / dirty_at / stamp / reverse index are guarded
   /// by routes_mu_; `queued` is the lock-free enqueue dedup flag. The
   /// request-trace fields ride the same dedup protocol: the enqueuer that
   /// wins the CAS stamps request_id/enqueue_ns, and the worker that later
@@ -257,12 +268,33 @@ class RestorationService {
     std::atomic<bool> queued{false};
     core::Restoration baseline;  ///< unfailed-network route (immutable)
     core::Restoration route;     ///< current route
-    bool dirty = false;          ///< route != baseline
+    /// Position in dirty_ while route != baseline, else kClean.
+    std::uint32_t dirty_at = kClean;
     std::uint64_t stamp = 0;     ///< snapshot version of the last install
     std::atomic<std::uint64_t> request_id{0};   ///< causal id of this pass
     std::atomic<std::uint64_t> enqueue_ns{0};   ///< when the pass was queued
     std::atomic<bool> was_deferred{false};      ///< pass hit the queue-full rung
     std::atomic<std::uint8_t> enqueue_flags{0}; ///< kFlag* set by the enqueuer
+  };
+
+  static constexpr std::uint32_t kClean = ~std::uint32_t{0};
+
+  /// One computed reroute waiting for its group's commit.
+  struct Pending {
+    std::size_t demand = 0;
+    std::uint64_t version = 0;  ///< snapshot version, the install stamp
+    /// The computed route; after an install, the route it replaced (freed
+    /// with the group, outside the install lock).
+    core::Restoration route;
+    persist::WalRecord wal;  ///< the install's WAL image (persistence on)
+    bool installed = false;
+    obs::RerouteRecord rec;
+  };
+  /// A worker's uncommitted reroutes (worker-local; storage is reused).
+  struct CommitGroup {
+    std::vector<Pending> items;
+    std::vector<persist::WalRecord> wal;  ///< winning records, in order
+    std::uint64_t opened_ns = 0;          ///< when the first item was popped
   };
 
   void worker_loop(std::size_t worker);
@@ -276,9 +308,9 @@ class RestorationService {
   /// Wakes parked workers after new work was queued; no lock and no
   /// syscall when none is parked. Called once per batch, not per demand.
   void wake_workers();
-  /// Retires one pending demand; the task that drops the count to zero
+  /// Retires n pending demands; the call that drops the count to zero
   /// wakes any quiesce() caller.
-  void complete_task();
+  void complete_tasks(std::size_t n);
   /// Records a worker's exception (the first one sticks) and wakes every
   /// quiesce() caller so it can rethrow it.
   void record_failure(std::exception_ptr error);
@@ -290,19 +322,29 @@ class RestorationService {
   /// after a failed attempt unless a quiesce() caller waits; quiesce()
   /// forces the attempt (convergence never waits on a retry timer).
   void drain_deferred(bool force = false);
-  /// One reroute task: snapshot, compute, install, revalidate.
-  void run_reroute(std::size_t d, std::size_t worker);
-  /// The demand's canonical route under `snap` into `out` (left empty when
-  /// the destination is unreachable); returns the SPF-ladder rung that
-  /// produced it (see the ladder notes in service.cpp).
+  /// First half of a reroute: clear the dedup flag, snapshot, climb the
+  /// ladder, decompose, into `out`.
+  void compute_reroute(std::size_t d, std::size_t worker, Pending& out);
+  /// Second half, once per group: install every item under one routes_mu_
+  /// hold, append the winners' WAL records in one call, revalidate each
+  /// item against its own snapshot, publish the flight records. Leaves the
+  /// group empty; the caller retires its demands.
+  void commit_group(CommitGroup& group);
+  /// The demand's canonical route under `snap`, which has at least one
+  /// failed link, into `out` (left empty when the destination is
+  /// unreachable); returns the SPF-ladder rung that produced it (see the
+  /// ladder notes in service.cpp).
   obs::Rung compute_backup(const DemandState& st,
                            const ShardedLsdb::Snapshot& snap,
                            graph::Path& out);
   /// One-shot flight dump when the ladder escalates past scratch SPF.
   void maybe_dump_flight(const char* reason);
-  /// Installs `r` for demand d (stamp = snapshot version); returns whether
-  /// the route changed. Caller must NOT hold routes_mu_.
-  bool install(std::size_t d, core::Restoration r, std::uint64_t stamp);
+  /// Installs p.route for p.demand (stamp = p.version), swapping the
+  /// replaced route into p.route; returns whether the route changed.
+  /// Caller holds routes_mu_.
+  bool install_locked(Pending& p);
+  /// Adds d to or removes it from the dirty index. Caller holds routes_mu_.
+  void set_dirty_locked(std::size_t d, bool dirty);
 
   // --- Persistence plane (service.cpp, "crash consistency" comment) ---------
 
@@ -317,8 +359,8 @@ class RestorationService {
   /// Consistent capture of (LSDB records, FEC table) for a snapshot.
   /// Caller holds persist_mu_; takes routes_mu_ internally.
   persist::SnapshotState capture_state();
-  /// Rebuilds edge_demands_ and no_route_count_ from the current routes
-  /// (constructor-only, after recovery may have replaced them).
+  /// Rebuilds edge_demands_, dirty_ and no_route_count_ from the current
+  /// routes (constructor-only, after recovery may have replaced them).
   void rebuild_route_index();
   /// Appends one WAL record under persist_mu_ (no-op when disabled).
   void append_wal(const persist::WalRecord& rec);
@@ -340,6 +382,9 @@ class RestorationService {
   mutable std::mutex routes_mu_;
   /// Reverse index: demands whose *current* route uses each edge.
   std::vector<std::vector<std::uint32_t>> edge_demands_;
+  /// Dirty index: the demands whose route differs from their baseline, in
+  /// no particular order (DemandState::dirty_at points back into it).
+  std::vector<std::uint32_t> dirty_;
   std::size_t no_route_count_ = 0;
 
   MpmcQueue<std::size_t> queue_;
@@ -398,6 +443,7 @@ class RestorationService {
   obs::InstanceCounter cut_routes_;     ///< svc.rung.cut
   obs::InstanceCounter cut_fallbacks_;  ///< svc.rung.cut_fallback
   obs::Gauge no_route_g_;  ///< mirrors no_route_count_ (set under routes_mu_)
+  obs::Gauge dirty_g_;     ///< svc.dirty, mirrors dirty_.size() (ditto)
 
   obs::FlightRecorder flight_;
   std::atomic<bool> escalation_dumped_{false};

@@ -47,6 +47,7 @@ obs::RerouteRecord make_record(std::uint64_t id) {
   r.worker = 1;
   r.rung = static_cast<std::uint8_t>(obs::Rung::kRepaired);
   r.flags = obs::kFlagInstalled | obs::kFlagRevalidated;
+  r.group = 32;
   return r;
 }
 
@@ -70,6 +71,7 @@ TEST(RequestTrace, PackUnpackRoundTripsEveryField) {
   EXPECT_EQ(out.worker, in.worker);
   EXPECT_EQ(out.rung, in.rung);
   EXPECT_EQ(out.flags, in.flags);
+  EXPECT_EQ(out.group, in.group);
 }
 
 TEST(RequestTrace, RequestIdsAreUniqueAndNonzero) {
@@ -154,6 +156,50 @@ TEST(FlightRecorder, SingleLinkFailureReroutesShowTheCutRung) {
   EXPECT_EQ(svc.tree_pool().views_created(), 0u);
   const std::string json = svc.flight_recorder().dump_json("cut rung");
   EXPECT_NE(json.find("\"rung_name\": \"cut\""), std::string::npos) << json;
+  svc.stop();
+}
+
+TEST(FlightRecorder, GroupCommitRecordsAreMonotoneAndSized) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "request tracing disabled";
+  // A 12x12 grid with 300 demands: failing a central link reroutes many
+  // demands at once, so the workers commit them in groups. Every record's
+  // stage stamps run forward from enqueue to done, and each names the size
+  // of the group it was committed in.
+  const graph::Graph g = topo::make_grid(12, 12);
+  std::vector<service::Demand> demands;
+  for (graph::NodeId i = 0; demands.size() < 300; ++i) {
+    const graph::NodeId s = (i * 7) % g.num_nodes();
+    const graph::NodeId t = (i * 13 + 5) % g.num_nodes();
+    if (s != t) demands.push_back({s, t});
+  }
+  service::ServiceOptions options;
+  options.workers = 2;
+  options.flight_ring = 512;
+  options.queue_capacity = 1024;  // no deferral: every record is a worker's
+  service::RestorationService svc(g, demands, options);
+  std::uint64_t gen = 0;
+  for (const graph::EdgeId e : {graph::EdgeId{130}, graph::EdgeId{131}}) {
+    svc.ingest({e, /*up=*/false, ++gen});
+    svc.quiesce();
+    svc.ingest({e, /*up=*/true, ++gen});
+    svc.quiesce();
+  }
+  const std::vector<obs::RerouteRecord> records =
+      svc.flight_recorder().collect();
+  ASSERT_FALSE(records.empty());
+  for (const obs::RerouteRecord& r : records) {
+    const std::string ctx = "request " + std::to_string(r.request_id);
+    EXPECT_LE(r.enqueue_ns, r.start_ns) << ctx;
+    EXPECT_LE(r.start_ns, r.snapshot_ns) << ctx;
+    EXPECT_LE(r.snapshot_ns, r.spf_ns) << ctx;
+    EXPECT_LE(r.spf_ns, r.decompose_ns) << ctx;
+    EXPECT_LE(r.decompose_ns, r.install_ns) << ctx;
+    EXPECT_LE(r.install_ns, r.done_ns) << ctx;
+    EXPECT_GE(r.group, 1) << ctx;
+    EXPECT_LE(r.group, 32) << ctx;
+  }
+  const std::string json = svc.flight_recorder().dump_json("group commit");
+  EXPECT_NE(json.find("\"group\": "), std::string::npos);
   svc.stop();
 }
 

@@ -24,6 +24,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
@@ -514,6 +515,89 @@ TEST(PersistentStore, WipeClearsTheDirectory) {
   persist::PersistentStore::wipe(disk, dir.path);
   persist::PersistentStore store(disk, {dir.path});
   EXPECT_FALSE(store.recover().found);
+}
+
+persist::WalRecord fec_record(std::uint32_t demand, std::uint64_t stamp,
+                              std::vector<std::uint32_t> nodes,
+                              std::vector<std::uint32_t> edges) {
+  persist::WalRecord r;
+  r.type = persist::WalType::kFecInstall;
+  r.fec.demand = demand;
+  r.fec.stamp = stamp;
+  r.fec.nodes = std::move(nodes);
+  r.fec.edges = std::move(edges);
+  return r;
+}
+
+TEST(PersistentStore, GroupAppendWritesTheBytesOfSingleAppends) {
+  // One append_group() call must leave the WAL, and the store's counters,
+  // exactly as the same records appended one at a time would.
+  const std::vector<persist::WalRecord> recs = {
+      link_record(3, false, 1), fec_record(0, 1, {0, 4, 2}, {7, 9}),
+      fec_record(5, 1, {}, {}), link_record(3, true, 2),
+      fec_record(0, 2, {0, 1}, {3})};
+  persist::FileIo disk;
+  TempDir single_dir;
+  TempDir group_dir;
+  persist::PersistentStore single(disk, {single_dir.path});
+  persist::PersistentStore group(disk, {group_dir.path});
+  single.recover();
+  group.recover();
+  const std::uint64_t seq = single.rotate(persist::SnapshotState{});
+  ASSERT_EQ(group.rotate(persist::SnapshotState{}), seq);
+  for (const persist::WalRecord& r : recs) single.append(r);
+  group.append_group(recs);
+  group.append_group({});  // an empty group writes nothing
+
+  EXPECT_EQ(group.appends(), single.appends());
+  EXPECT_EQ(group.appends(), recs.size());
+  EXPECT_EQ(group.bytes_appended(), single.bytes_appended());
+  EXPECT_EQ(group.records_since_rotate(), single.records_since_rotate());
+  const std::string wal = "/wal-" + std::to_string(seq) + ".log";
+  std::vector<std::uint8_t> single_bytes;
+  std::vector<std::uint8_t> group_bytes;
+  ASSERT_TRUE(disk.read_file(single_dir.path + wal, single_bytes));
+  ASSERT_TRUE(disk.read_file(group_dir.path + wal, group_bytes));
+  EXPECT_EQ(group_bytes, single_bytes);
+  EXPECT_EQ(group_bytes.size(),
+            persist::kWalHeaderBytes + group.bytes_appended());
+
+  persist::PersistentStore again(disk, {group_dir.path});
+  const persist::RecoverResult rec = again.recover();
+  ASSERT_EQ(rec.wal.size(), recs.size());
+  EXPECT_EQ(rec.wal[1].fec.nodes, recs[1].fec.nodes);
+  EXPECT_EQ(rec.wal[4].fec.stamp, 2u);
+}
+
+TEST(PersistentStore, TornGroupWriteRecoversAPrefixOfTheGroup) {
+  // Five 22-byte records in one group; a torn kill lands the first half of
+  // the in-flight bytes (55), so recovery keeps two whole records and
+  // truncates the torn third, whether the kill hits the write or the sync.
+  std::vector<persist::WalRecord> recs;
+  for (EdgeId e = 0; e < 5; ++e) recs.push_back(link_record(e, false, e + 1));
+  for (const std::uint64_t kill_at : {0u, 1u}) {  // 0 = write, 1 = fsync
+    const std::string ctx = "kill at group op " + std::to_string(kill_at);
+    TempDir dir;
+    persist::FileIo disk;
+    persist::FailpointIo fp(disk);
+    {
+      persist::PersistentStore store(fp, {dir.path});
+      store.recover();
+      store.rotate(persist::SnapshotState{});
+      fp.arm(kill_at, persist::FailMode::kTorn);  // counts from here
+      store.append_group(recs);
+      EXPECT_TRUE(fp.fired()) << ctx;
+    }
+    persist::PersistentStore store(disk, {dir.path});
+    const persist::RecoverResult rec = store.recover();
+    ASSERT_TRUE(rec.found) << ctx;
+    EXPECT_TRUE(rec.wal_truncated) << ctx;
+    ASSERT_EQ(rec.wal.size(), 2u) << ctx;
+    for (std::size_t i = 0; i < rec.wal.size(); ++i) {
+      EXPECT_EQ(rec.wal[i].link.edge, recs[i].link.edge) << ctx;
+      EXPECT_EQ(rec.wal[i].link.generation, recs[i].link.generation) << ctx;
+    }
+  }
 }
 
 // --- Format round-trips ----------------------------------------------------

@@ -1325,5 +1325,141 @@ TEST(ServiceWake, DeferredDrainWakesWorkers) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Group commit: workers install a group of computed reroutes under one
+// install-lock hold and append its WAL records with one write. Per demand
+// nothing changes, so every table must still be the serial replay.
+// ---------------------------------------------------------------------------
+
+/// The corpus topologies the group-commit tests storm: the three largest,
+/// where one event reroutes the most demands (so groups hold more than one).
+std::vector<TopoCase> largest_cases(std::size_t n) {
+  std::vector<TopoCase> cases = corpus();
+  std::sort(cases.begin(), cases.end(),
+            [](const TopoCase& a, const TopoCase& b) {
+              return a.g.num_nodes() > b.g.num_nodes();
+            });
+  cases.resize(std::min(n, cases.size()));
+  return cases;
+}
+
+std::size_t count_dirty(const RestorationService& svc) {
+  std::size_t n = 0;
+  for (std::size_t d = 0; d < svc.num_demands(); ++d) n += svc.dirty(d);
+  return n;
+}
+
+TEST(ServiceGroupCommit, PersistentTablesMatchSerialReplayAtAnyWorkerCount) {
+  // Persistence on: every group ends in one WAL write. The quiescent table
+  // must be the serial replay at 1, 2 and 4 workers, and the WAL must hold
+  // exactly one record per applied LSA and one per install.
+  for (const TopoCase& tc : largest_cases(3)) {
+    const Graph& g = tc.g;
+    Rng rng(6100 + g.num_nodes());
+    const std::vector<Demand> demands = random_demands(g, 60, rng);
+    const chaos::Storm storm = chaos::plan_storm(g, storm_config(), rng);
+    const std::vector<core::Restoration> want = serial_replay(
+        g, ServiceOptions{}.metric, demands, storm.final_mask());
+    for (const std::size_t workers :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const std::string ctx = tc.name + " workers=" + std::to_string(workers);
+      TempDir dir;
+      ServiceOptions options;
+      options.workers = workers;
+      options.persist.dir = dir.path;
+      RestorationService svc(g, demands, options);
+      ingest_all(svc, storm.deliveries);
+      expect_view_matches_truth(svc, storm, ctx);
+      expect_identical_tables(want, svc.routes(), ctx);
+      const ServiceStats stats = svc.stats();
+      EXPECT_GT(stats.installs, 0u) << ctx;
+      EXPECT_EQ(stats.wal_appends, stats.installs + stats.events_applied)
+          << ctx;
+      svc.stop();
+    }
+  }
+}
+
+TEST(ServiceGroupCommit, DirtyIndexMatchesDirtyFlagsAfterStorms) {
+  // The dirty index a link-up event enqueues from is kept in the commit
+  // section; its size (ServiceStats::dirty, the svc.dirty gauge) must equal
+  // the number of demands dirty(d) reports, with links still down and
+  // after every link came back.
+  const obs::Gauge dirty_g = obs::MetricsRegistry::global().gauge("svc.dirty");
+  std::size_t dirty_seen = 0;
+  for (const TopoCase& tc : largest_cases(4)) {
+    const Graph& g = tc.g;
+    Rng rng(6200 + g.num_nodes());
+    const std::vector<Demand> demands = random_demands(g, 40, rng);
+    chaos::StormConfig config = storm_config();
+    config.events = 24;
+    const chaos::Storm storm = chaos::plan_storm(g, config, rng);
+    ServiceOptions options;
+    options.workers = 2;
+    RestorationService svc(g, demands, options);
+    ingest_all(svc, storm.deliveries);
+    expect_identical_tables(
+        serial_replay(g, options.metric, demands, storm.final_mask()),
+        svc.routes(), tc.name);
+    const std::size_t dirty = count_dirty(svc);
+    dirty_seen += dirty;
+    EXPECT_EQ(svc.stats().dirty, dirty) << tc.name;
+    if (obs::kObsEnabled) {
+      EXPECT_EQ(dirty_g.value(), static_cast<std::int64_t>(dirty)) << tc.name;
+    }
+
+    // Bring every link back: the index must drain to empty.
+    const ShardedLsdb::Snapshot view = svc.lsdb().snapshot();
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (view.edge_failed(e)) svc.ingest({e, true, view.generation(e) + 1});
+    }
+    svc.quiesce();
+    EXPECT_EQ(count_dirty(svc), 0u) << tc.name;
+    EXPECT_EQ(svc.stats().dirty, 0u) << tc.name;
+    if (obs::kObsEnabled) {
+      EXPECT_EQ(dirty_g.value(), 0) << tc.name;
+    }
+    svc.stop();
+  }
+  EXPECT_GT(dirty_seen, 0u) << "no storm left a demand dirty";
+}
+
+TEST(ServiceGroupCommit, RecoveryToEmptyMaskReusesTheBaseline) {
+  // A link-up that empties the failure mask reroutes every dirty demand
+  // onto its provisioned baseline by copying it: no greedy decomposition
+  // runs (no decompose.pieces samples), and every route equals the
+  // provisioned one.
+  const obs::Histogram pieces =
+      obs::MetricsRegistry::global().histogram("decompose.pieces");
+  for (const TopoCase& tc : largest_cases(3)) {
+    const Graph& g = tc.g;
+    Rng rng(6300 + g.num_nodes());
+    const std::vector<Demand> demands = random_demands(g, 40, rng);
+    ServiceOptions options;
+    options.workers = 2;
+    RestorationService svc(g, demands, options);
+    const std::vector<core::Restoration> provisioned = svc.routes();
+    std::vector<std::uint64_t> gens(g.num_edges(), 0);
+    std::uint64_t recovered_reroutes = 0;
+    for (int i = 0; i < 6; ++i) {
+      // A link on some demand's route, so the failure dirties it.
+      const graph::Path& hit = provisioned[rng.below(demands.size())].backup;
+      if (hit.empty()) continue;
+      const EdgeId e = hit.edges()[rng.below(hit.edges().size())];
+      flip(svc, gens, e, /*up=*/false);
+      const std::uint64_t pieces_before = pieces.count();
+      const std::uint64_t reroutes_before = svc.stats().reroutes;
+      flip(svc, gens, e, /*up=*/true);
+      const std::string ctx = tc.name + " recover " + std::to_string(e);
+      EXPECT_EQ(pieces.count(), pieces_before) << ctx;
+      expect_identical_tables(provisioned, svc.routes(), ctx);
+      EXPECT_EQ(svc.stats().dirty, 0u) << ctx;
+      recovered_reroutes += svc.stats().reroutes - reroutes_before;
+    }
+    EXPECT_GT(recovered_reroutes, 0u) << tc.name;
+    svc.stop();
+  }
+}
+
 }  // namespace
 }  // namespace rbpc::service
