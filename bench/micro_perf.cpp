@@ -5,9 +5,7 @@
 // re-provisioning, and measure the substrate primitives.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <new>
 #include <vector>
 
@@ -29,49 +27,9 @@
 #include "topo/generators.hpp"
 #include "util/rng.hpp"
 
-// --- Allocation-counting hook ----------------------------------------------
-//
-// Program-wide operator new replacement that counts every heap allocation.
-// BM_ArenaRestoreZeroAlloc uses the counter delta around its measured loop
-// to *prove* the arena hot path allocates nothing once warm — a property a
-// profiler can only suggest. Allocation goes through malloc/free so the
-// replacement composes with the unreplaced deallocation forms.
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(al);
-  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
+// Heap allocations counted so far by the program-wide operator new
+// replacement in alloc_counter.cpp.
+std::uint64_t heap_allocs();
 
 namespace {
 
@@ -281,12 +239,31 @@ void BM_SourceRbpcRestore(benchmark::State& state) {
 }
 BENCHMARK(BM_SourceRbpcRestore);
 
+/// The zero-allocation gate: records `allocs` (the counter delta around a
+/// measured loop) and fails the benchmark when it is nonzero — or when one
+/// known allocation does not move the counter, since a hook that stopped
+/// counting would read zero for every loop.
+void gate_zero_allocs(benchmark::State& state, std::uint64_t allocs,
+                      const char* failure) {
+  state.counters["heap_allocs"] = static_cast<double>(allocs);
+  const std::uint64_t before = heap_allocs();
+  void* probe = ::operator new(1);
+  benchmark::DoNotOptimize(probe);
+  ::operator delete(probe);
+  if (heap_allocs() == before) {
+    state.SkipWithError("allocation hook did not count a known allocation");
+  } else if (allocs != 0) {
+    state.SkipWithError(failure);
+  }
+}
+
 void BM_ArenaRestoreZeroAlloc(benchmark::State& state) {
   // The allocation-free hot path (DESIGN.md §11): after one warm-up pass
   // sizes the scratch to its high-water mark, restoring any of the fixed
-  // scenarios must perform zero heap allocations. The operator-new hook
-  // above counts; any allocation in the measured loop fails the benchmark
-  // (SkipWithError -> "ERROR OCCURRED" in the output, gated in CI).
+  // scenarios must perform zero heap allocations. The operator-new hook in
+  // alloc_counter.cpp counts; any allocation in the measured loop fails the
+  // benchmark (SkipWithError -> "ERROR OCCURRED" in the output, gated in
+  // CI).
   const Graph& g = isp_graph();
   spf::DistanceOracle oracle(g, FailureMask{}, spf::Metric::Weighted);
   core::AllPairsShortestBaseSet base(oracle);
@@ -320,11 +297,8 @@ void BM_ArenaRestoreZeroAlloc(benchmark::State& state) {
     core::source_rbpc_restore_into(base, c.s, c.t, c.mask, scratch);
     benchmark::DoNotOptimize(scratch.backup);
   }
-  const std::uint64_t allocs = heap_allocs() - before;
-  state.counters["heap_allocs"] = static_cast<double>(allocs);
-  if (allocs != 0) {
-    state.SkipWithError("warm restoration allocated on the heap");
-  }
+  gate_zero_allocs(state, heap_allocs() - before,
+                   "warm restoration allocated on the heap");
 }
 BENCHMARK(BM_ArenaRestoreZeroAlloc);
 
@@ -536,11 +510,8 @@ void BM_ArenaRestoreTracedZeroAlloc(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(scratch.backup);
   }
-  const std::uint64_t allocs = heap_allocs() - before;
-  state.counters["heap_allocs"] = static_cast<double>(allocs);
-  if (allocs != 0) {
-    state.SkipWithError("traced warm restoration allocated on the heap");
-  }
+  gate_zero_allocs(state, heap_allocs() - before,
+                   "traced warm restoration allocated on the heap");
 }
 BENCHMARK(BM_ArenaRestoreTracedZeroAlloc);
 

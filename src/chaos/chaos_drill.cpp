@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "chaos/chaos_flood.hpp"
+#include "chaos/storm.hpp"
 #include "lsdb/event_queue.hpp"
 #include "obs/metrics.hpp"
 #include "spf/spf.hpp"
@@ -43,14 +44,6 @@ std::string fmt(SimTime t) {
   os << std::fixed << std::setprecision(3) << t;
   return os.str();
 }
-
-/// One planned edge state change (events expand to several under flaps).
-struct Transition {
-  SimTime at;
-  EdgeId e;
-  bool up;
-  std::uint64_t gen;
-};
 
 }  // namespace
 
@@ -89,55 +82,15 @@ ChaosReport run_chaos_drill(const graph::Graph& g, spf::Metric metric,
   // faults from a FaultPlan forked off it.
   const FaultPlan plan(config.faults, rng.next());
 
-  // ---- plan the transition schedule ---------------------------------------
-  // Planned per-edge final state; an edge is eligible for a new event only
-  // after its previous transition sequence (flap tail included) ended.
-  std::vector<Transition> transitions;
-  std::vector<std::uint64_t> gen(g.num_edges(), 0);
-  std::vector<char> planned_down(g.num_edges(), 0);
-  std::vector<SimTime> busy_until(g.num_edges(), -1.0);
-  std::size_t down_count = 0;
-  for (std::size_t i = 0; i < config.events; ++i) {
-    const SimTime t = static_cast<SimTime>(i + 1) * config.event_spacing;
-    bool handled = false;
-    const bool want_recover =
-        down_count > 0 && (down_count >= config.max_concurrent ||
-                           rng.chance(config.recover_bias));
-    if (want_recover) {
-      std::vector<EdgeId> candidates;
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        if (planned_down[e] && busy_until[e] < t) candidates.push_back(e);
-      }
-      if (!candidates.empty()) {
-        const EdgeId e = candidates[rng.below(candidates.size())];
-        transitions.push_back({t, e, true, ++gen[e]});
-        planned_down[e] = 0;
-        --down_count;
-        busy_until[e] = t;
-        ++report.events;
-        handled = true;
-      }
-    }
-    if (!handled && down_count < config.max_concurrent) {
-      for (int attempt = 0; attempt < 8; ++attempt) {
-        const EdgeId e = static_cast<EdgeId>(rng.below(g.num_edges()));
-        if (planned_down[e] || busy_until[e] >= t) continue;
-        SimTime at = t;
-        transitions.push_back({at, e, false, ++gen[e]});
-        for (std::size_t k = 0; k < config.faults.flap_count; ++k) {
-          at += plan.dwell(e, gen[e], 2 * k, /*down=*/true);
-          transitions.push_back({at, e, true, ++gen[e]});
-          at += plan.dwell(e, gen[e], 2 * k + 1, /*down=*/false);
-          transitions.push_back({at, e, false, ++gen[e]});
-        }
-        planned_down[e] = 1;
-        ++down_count;
-        busy_until[e] = at;
-        ++report.events;
-        break;
-      }
-    }
-  }
+  // ---- plan the transition schedule (shared with plan_storm) -------------
+  StormConfig schedule;
+  schedule.faults = config.faults;
+  schedule.events = config.events;
+  schedule.event_spacing = config.event_spacing;
+  schedule.max_concurrent = config.max_concurrent;
+  schedule.recover_bias = config.recover_bias;
+  const std::vector<StormEvent> transitions =
+      plan_transitions(g, schedule, plan, rng, &report.events);
 
   // ---- runtime state -------------------------------------------------------
   graph::FailureMask truth;
@@ -201,42 +154,44 @@ ChaosReport run_chaos_drill(const graph::Graph& g, spf::Metric metric,
   };
 
   // ---- schedule the transitions -------------------------------------------
-  for (const Transition& tr : transitions) {
-    q.schedule_at(tr.at, [&, tr] {
-      if (tr.up) {
-        truth.restore_edge(tr.e);
+  for (const StormEvent& tr : transitions) {
+    q.schedule_at(tr.at, [&, ev = tr.event] {
+      if (ev.up) {
+        truth.restore_edge(ev.edge);
       } else {
-        truth.fail_edge(tr.e);
+        truth.fail_edge(ev.edge);
       }
-      truth_gen[tr.e] = tr.gen;
-      gen_time[gen_key(tr.e, tr.gen)] = q.now();
+      truth_gen[ev.edge] = ev.generation;
+      gen_time[gen_key(ev.edge, ev.generation)] = q.now();
       ++report.transitions;
       --transitions_remaining;
       actions.set_data_failures(truth);
-      trace_line("t=" + fmt(q.now()) + " edge " + std::to_string(tr.e) +
-                 (tr.up ? " up" : " down") + " gen " + std::to_string(tr.gen));
+      trace_line("t=" + fmt(q.now()) + " edge " + std::to_string(ev.edge) +
+                 (ev.up ? " up" : " down") + " gen " +
+                 std::to_string(ev.generation));
 
-      for (lsdb::EventToken token : pending_tokens[tr.e]) {
+      for (lsdb::EventToken token : pending_tokens[ev.edge]) {
         if (q.cancel(token)) ++report.lsa_cancelled;
       }
-      pending_tokens[tr.e].clear();
+      pending_tokens[ev.edge].clear();
 
       const ChaosLsaOutcome out =
-          chaos_vantage_delivery(g, truth, tr.e, tr.gen, q.now(),
+          chaos_vantage_delivery(g, truth, ev.edge, ev.generation, q.now(),
                                  config.vantage, plan, config.flood);
       if (out.detection_missed) {
         ++report.lsa_missed;
         trace_line("t=" + fmt(q.now()) + " detection missed for edge " +
-                   std::to_string(tr.e) + " gen " + std::to_string(tr.gen));
+                   std::to_string(ev.edge) + " gen " +
+                   std::to_string(ev.generation));
       }
       if (out.primary_lost) {
         ++report.lsa_lost;
         trace_line("t=" + fmt(q.now()) + " LSA lost for edge " +
-                   std::to_string(tr.e) + " gen " + std::to_string(tr.gen));
+                   std::to_string(ev.edge) + " gen " +
+                   std::to_string(ev.generation));
       }
       for (const ChaosDelivery& d : out.deliveries) {
-        const lsdb::LinkEvent ev{tr.e, tr.up, tr.gen};
-        pending_tokens[tr.e].push_back(
+        pending_tokens[ev.edge].push_back(
             q.schedule_at(d.at, [&, ev] { deliver(ev); }));
       }
     });
@@ -337,7 +292,7 @@ ChaosReport run_chaos_drill(const graph::Graph& g, spf::Metric metric,
       ++report.gave_up;
     }
   };
-  for (const Transition& tr : transitions) {
+  for (const StormEvent& tr : transitions) {
     for (std::size_t p = 0; p < config.probes_per_event; ++p) {
       const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
       const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));

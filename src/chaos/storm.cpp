@@ -9,30 +9,6 @@ namespace rbpc::chaos {
 using graph::EdgeId;
 using lsdb::SimTime;
 
-namespace {
-
-/// One planned edge state change (events expand to several under flaps).
-struct Transition {
-  SimTime at;
-  EdgeId e;
-  bool up;
-  std::uint64_t gen;
-};
-
-}  // namespace
-
-graph::FailureMask Storm::final_mask() const {
-  graph::FailureMask mask;
-  for (const StormEvent& t : truth) {
-    if (t.event.up) {
-      mask.restore_edge(t.event.edge);
-    } else {
-      mask.fail_edge(t.event.edge);
-    }
-  }
-  return mask;
-}
-
 graph::FailureMask Storm::mask_at(lsdb::SimTime t) const {
   graph::FailureMask mask;
   for (const StormEvent& tr : truth) {
@@ -55,22 +31,23 @@ std::vector<std::uint64_t> Storm::final_generations(
   return gen;
 }
 
-Storm plan_storm(const graph::Graph& g, const StormConfig& config, Rng& rng) {
-  require(g.num_edges() >= 1, "plan_storm: graph has no links");
-
-  // One storm seed drives everything: the scenario comes from `rng`, the
-  // delivery fates from a FaultPlan forked off it.
-  const FaultPlan plan(config.faults, rng.next());
-
-  // ---- plan the transition schedule ---------------------------------------
-  // Same scheduling regime as the chaos drill: an edge is eligible for a new
-  // event only once its previous transition sequence (flap tail included)
-  // ended, and at most max_concurrent links are planned-down at once.
-  std::vector<Transition> transitions;
+std::vector<StormEvent> plan_transitions(const graph::Graph& g,
+                                         const StormConfig& config,
+                                         const FaultPlan& plan, Rng& rng,
+                                         std::size_t* events) {
+  require(g.num_edges() >= 1, "plan_transitions: graph has no links");
+  // An edge is eligible for a new event only once its previous transition
+  // sequence (flap tail included) ended, and at most max_concurrent links
+  // are planned-down at once.
+  std::vector<StormEvent> transitions;
+  const auto add = [&](SimTime at, EdgeId e, bool up, std::uint64_t gen) {
+    transitions.push_back({at, lsdb::LinkEvent{e, up, gen}});
+  };
   std::vector<std::uint64_t> gen(g.num_edges(), 0);
   std::vector<char> planned_down(g.num_edges(), 0);
   std::vector<SimTime> busy_until(g.num_edges(), -1.0);
   std::size_t down_count = 0;
+  std::size_t planned_events = 0;
   for (std::size_t i = 0; i < config.events; ++i) {
     const SimTime t = static_cast<SimTime>(i + 1) * config.event_spacing;
     bool handled = false;
@@ -84,7 +61,7 @@ Storm plan_storm(const graph::Graph& g, const StormConfig& config, Rng& rng) {
       }
       if (!candidates.empty()) {
         const EdgeId e = candidates[rng.below(candidates.size())];
-        transitions.push_back({t, e, true, ++gen[e]});
+        add(t, e, true, ++gen[e]);
         planned_down[e] = 0;
         --down_count;
         busy_until[e] = t;
@@ -109,7 +86,7 @@ Storm plan_storm(const graph::Graph& g, const StormConfig& config, Rng& rng) {
         }
         if (!eligible) continue;
         for (const EdgeId e : group) {
-          transitions.push_back({t, e, false, ++gen[e]});
+          add(t, e, false, ++gen[e]);
           planned_down[e] = 1;
           ++down_count;
           busy_until[e] = t;
@@ -122,56 +99,61 @@ Storm plan_storm(const graph::Graph& g, const StormConfig& config, Rng& rng) {
         const EdgeId e = static_cast<EdgeId>(rng.below(g.num_edges()));
         if (planned_down[e] || busy_until[e] >= t) continue;
         SimTime at = t;
-        transitions.push_back({at, e, false, ++gen[e]});
+        add(at, e, false, ++gen[e]);
         for (std::size_t k = 0; k < config.faults.flap_count; ++k) {
           at += plan.dwell(e, gen[e], 2 * k, /*down=*/true);
-          transitions.push_back({at, e, true, ++gen[e]});
+          add(at, e, true, ++gen[e]);
           at += plan.dwell(e, gen[e], 2 * k + 1, /*down=*/false);
-          transitions.push_back({at, e, false, ++gen[e]});
+          add(at, e, false, ++gen[e]);
         }
         planned_down[e] = 1;
         ++down_count;
         busy_until[e] = at;
+        handled = true;
         break;
       }
     }
+    if (handled) ++planned_events;
   }
-  std::stable_sort(transitions.begin(), transitions.end(),
-                   [](const Transition& a, const Transition& b) {
+  if (events != nullptr) *events = planned_events;
+  return transitions;
+}
+
+Storm plan_storm(const graph::Graph& g, const StormConfig& config, Rng& rng) {
+  // One storm seed drives everything: the scenario comes from `rng`, the
+  // delivery fates from a FaultPlan forked off it.
+  const FaultPlan plan(config.faults, rng.next());
+  Storm storm;
+  storm.truth = plan_transitions(g, config, plan, rng, nullptr);
+  std::stable_sort(storm.truth.begin(), storm.truth.end(),
+                   [](const StormEvent& a, const StormEvent& b) {
                      return a.at < b.at;
                    });
-
-  Storm storm;
-  storm.truth.reserve(transitions.size());
   SimTime horizon = 0.0;
-  for (const Transition& tr : transitions) {
-    storm.truth.push_back({tr.at, lsdb::LinkEvent{tr.e, tr.up, tr.gen}});
-    horizon = std::max(horizon, tr.at);
-  }
+  for (const StormEvent& tr : storm.truth) horizon = std::max(horizon, tr.at);
 
   // ---- perturb into the delivery stream -----------------------------------
   // The storm has one consumer (the service), so fates are keyed as if it
   // were router 0 — what matters is that they are deterministic per
   // (edge, generation), not which router id tags them.
-  for (const Transition& tr : transitions) {
-    const DetectFate detect = plan.detect_fate(tr.e, tr.gen);
+  for (const StormEvent& tr : storm.truth) {
+    const lsdb::LinkEvent& ev = tr.event;
+    const DetectFate detect = plan.detect_fate(ev.edge, ev.generation);
     if (detect.missed) {
       ++storm.lost;
       continue;  // only the closing refresh announces this generation
     }
     const SimTime base = tr.at + detect.latency + config.delivery_delay;
-    const LsaFate fate = plan.lsa_fate(tr.e, tr.gen, /*router=*/0);
+    const LsaFate fate = plan.lsa_fate(ev.edge, ev.generation, /*router=*/0);
     if (fate.lost) {
       ++storm.lost;
     } else {
-      storm.deliveries.push_back(
-          {base + fate.extra_delay, lsdb::LinkEvent{tr.e, tr.up, tr.gen}});
+      storm.deliveries.push_back({base + fate.extra_delay, ev});
       horizon = std::max(horizon, base + fate.extra_delay);
     }
     if (fate.duplicated) {
       ++storm.duplicated;
-      storm.deliveries.push_back(
-          {base + fate.duplicate_delay, lsdb::LinkEvent{tr.e, tr.up, tr.gen}});
+      storm.deliveries.push_back({base + fate.duplicate_delay, ev});
       horizon = std::max(horizon, base + fate.duplicate_delay);
     }
   }
@@ -182,6 +164,7 @@ Storm plan_storm(const graph::Graph& g, const StormConfig& config, Rng& rng) {
   // view to the ground truth (the generation gate discards everything this
   // supersedes).
   const graph::FailureMask final = storm.final_mask();
+  const std::vector<std::uint64_t> gen = storm.final_generations(g.num_edges());
   const SimTime refresh_at = horizon + config.faults.refresh_interval;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (gen[e] == 0) continue;

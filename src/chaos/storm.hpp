@@ -3,10 +3,10 @@
 //
 // The chaos drill (chaos_drill.hpp) drives a controller inside a simulated
 // event queue; the service instead consumes a pre-planned, timestamped LSA
-// stream and reroutes concurrently while it keeps arriving. plan_storm
-// factors the drill's transition scheduling (seeded fail/recover churn with
-// flap expansion, per-edge generation numbering) out into a reusable form
-// and applies the FaultPlan's delivery fates on top:
+// stream and reroutes concurrently while it keeps arriving. Both plan their
+// ground truth with one scheduler, plan_transitions (seeded fail/recover
+// churn with flap expansion, per-edge generation numbering); plan_storm
+// applies the FaultPlan's delivery fates on top:
 //
 //  * lost deliveries are dropped from the stream (the closing refresh
 //    re-announces the edge, as the protocol's retransmission would);
@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
@@ -74,7 +75,9 @@ struct Storm {
   std::size_t duplicated = 0;
 
   /// The ground-truth failure state after all transitions.
-  graph::FailureMask final_mask() const;
+  graph::FailureMask final_mask() const {
+    return mask_at(std::numeric_limits<lsdb::SimTime>::infinity());
+  }
   /// The ground-truth failure state after the transitions with at <= t —
   /// what the data plane enforces at time t. The graceful-restart drill
   /// uses this to grade retained FECs while the control plane is down:
@@ -83,6 +86,22 @@ struct Storm {
   /// Highest generation per edge (0 = untouched), from the truth stream.
   std::vector<std::uint64_t> final_generations(std::size_t num_edges) const;
 };
+
+/// The transition scheduler the storm and the chaos drill share: seeded
+/// fail/recover churn, `config.events` event slots `event_spacing` apart,
+/// at most max_concurrent links planned down, an edge eligible again only
+/// once its previous sequence (flap tail included) ended, and each failure
+/// expanded into `faults.flap_count` jittered bounces drawn from `plan`.
+/// Generations number each edge's transitions from 1. Returns the ground-
+/// truth transitions in planning order (not time order: flap tails
+/// interleave); `events`, when non-null, receives the number of event
+/// slots that planned a change. With srlg_bias == 0 no shared-risk group
+/// is drawn, so the drill (which plans none) and a storm with the same seed
+/// and settings get the same transitions.
+std::vector<StormEvent> plan_transitions(const graph::Graph& g,
+                                         const StormConfig& config,
+                                         const FaultPlan& plan, Rng& rng,
+                                         std::size_t* events);
 
 /// Plans a seeded flap storm over `g`. The scenario comes from `rng`; the
 /// delivery fates from a FaultPlan forked off it (so two storms with the

@@ -7,17 +7,11 @@ namespace rbpc::core {
 // --- AllPairsShortestBaseSet -------------------------------------------------
 
 AllPairsShortestBaseSet::AllPairsShortestBaseSet(spf::DistanceOracle& oracle)
-    : oracle_(oracle) {
+    : BasePathSet(oracle.graph(), oracle.metric()), oracle_(oracle) {
   require(oracle.mask().empty(),
           "AllPairsShortestBaseSet: base sets are defined on the unfailed "
           "network; the oracle must carry no failures");
 }
-
-const graph::Graph& AllPairsShortestBaseSet::graph() const {
-  return oracle_.graph();
-}
-
-spf::Metric AllPairsShortestBaseSet::metric() const { return oracle_.metric(); }
 
 bool AllPairsShortestBaseSet::contains(graph::PathView segment) {
   return oracle_.is_shortest(segment);
@@ -42,15 +36,11 @@ bool AllPairsShortestBaseSet::connected(graph::NodeId u, graph::NodeId v) {
 // --- CanonicalBaseSet --------------------------------------------------------
 
 CanonicalBaseSet::CanonicalBaseSet(spf::DistanceOracle& oracle)
-    : oracle_(oracle) {
+    : BasePathSet(oracle.graph(), oracle.metric()), oracle_(oracle) {
   require(oracle.mask().empty(),
           "CanonicalBaseSet: base sets are defined on the unfailed network; "
           "the oracle must carry no failures");
 }
-
-const graph::Graph& CanonicalBaseSet::graph() const { return oracle_.graph(); }
-
-spf::Metric CanonicalBaseSet::metric() const { return oracle_.metric(); }
 
 bool CanonicalBaseSet::contains(graph::PathView segment) {
   return oracle_.is_canonical(segment);
@@ -74,20 +64,12 @@ bool CanonicalBaseSet::connected(graph::NodeId u, graph::NodeId v) {
 // --- SharedCanonicalBaseSet --------------------------------------------------
 
 SharedCanonicalBaseSet::SharedCanonicalBaseSet(spf::TreeCache& trees)
-    : trees_(trees) {
+    : BasePathSet(trees.graph(), trees.options().metric), trees_(trees) {
   require(trees.mask().empty(),
           "SharedCanonicalBaseSet: base sets are defined on the unfailed "
           "network; the tree cache must carry no failures");
   require(trees.options().padded,
           "SharedCanonicalBaseSet: canonical membership needs padded trees");
-}
-
-const graph::Graph& SharedCanonicalBaseSet::graph() const {
-  return trees_.graph();
-}
-
-spf::Metric SharedCanonicalBaseSet::metric() const {
-  return trees_.options().metric;
 }
 
 bool SharedCanonicalBaseSet::contains(graph::PathView segment) {
@@ -119,15 +101,11 @@ bool SharedCanonicalBaseSet::connected(graph::NodeId u, graph::NodeId v) {
 // --- ExpandedBaseSet ---------------------------------------------------------
 
 ExpandedBaseSet::ExpandedBaseSet(spf::DistanceOracle& oracle)
-    : oracle_(oracle) {
+    : BasePathSet(oracle.graph(), oracle.metric()), oracle_(oracle) {
   require(oracle.mask().empty(),
           "ExpandedBaseSet: base sets are defined on the unfailed network; "
           "the oracle must carry no failures");
 }
-
-const graph::Graph& ExpandedBaseSet::graph() const { return oracle_.graph(); }
-
-spf::Metric ExpandedBaseSet::metric() const { return oracle_.metric(); }
 
 bool ExpandedBaseSet::contains(graph::PathView segment) {
   if (segment.empty() || segment.hops() == 0) return true;
@@ -164,17 +142,13 @@ bool ExpandedBaseSet::connected(graph::NodeId u, graph::NodeId v) {
 
 FaultTolerantBaseSet::FaultTolerantBaseSet(spf::DistanceOracle& oracle,
                                            std::size_t max_failure_oracles)
-    : oracle_(oracle), max_failure_oracles_(max_failure_oracles) {
+    : BasePathSet(oracle.graph(), oracle.metric()),
+      oracle_(oracle),
+      max_failure_oracles_(max_failure_oracles) {
   require(oracle.mask().empty(),
           "FaultTolerantBaseSet: base sets are defined on the unfailed "
           "network; the oracle must carry no failures");
 }
-
-const graph::Graph& FaultTolerantBaseSet::graph() const {
-  return oracle_.graph();
-}
-
-spf::Metric FaultTolerantBaseSet::metric() const { return oracle_.metric(); }
 
 spf::DistanceOracle& FaultTolerantBaseSet::failure_oracle(graph::EdgeId e) {
   auto it = failure_oracles_.find(e);

@@ -48,12 +48,22 @@
 
 namespace rbpc::core {
 
+/// A family of base paths over the unfailed network.
+///
+/// Every set must be subpath-closed: each subpath of a member is a member.
+/// Greedy decomposition relies on it twice: binary search on prefix length
+/// finds the longest member prefix only because membership of a route's
+/// prefixes is monotone, and the greedy cover is optimal only for such
+/// sets. All five sets below satisfy it: subpaths of shortest paths are
+/// shortest (all-pairs), Theorem 3 (padded canonical paths, both canonical
+/// sets), Corollary 4 (their one-edge extensions) and Bodwin–Wang (the
+/// fault-tolerant set).
 class BasePathSet {
  public:
   virtual ~BasePathSet() = default;
 
-  virtual const graph::Graph& graph() const = 0;
-  virtual spf::Metric metric() const = 0;
+  const graph::Graph& graph() const { return graph_; }
+  spf::Metric metric() const { return metric_; }
 
   /// Is `segment` (a concrete path in the graph) a member base path?
   /// Trivial (<= 1 node) segments are members by convention. The PathView
@@ -79,13 +89,16 @@ class BasePathSet {
   /// a path.
   virtual bool connected(graph::NodeId u, graph::NodeId v) = 0;
 
-  /// True when membership of a path's prefixes is monotone (every prefix of
-  /// a member is a member). Greedy longest-prefix decomposition may then
-  /// binary-search prefix lengths.
-  virtual bool prefix_monotone() const = 0;
-
   /// Human-readable name for benches and logs.
   virtual const char* name() const = 0;
+
+ protected:
+  BasePathSet(const graph::Graph& g, spf::Metric metric)
+      : graph_(g), metric_(metric) {}
+
+ private:
+  const graph::Graph& graph_;
+  spf::Metric metric_;
 };
 
 /// The all-pairs all-shortest-paths base set (metric-oracle membership).
@@ -94,15 +107,12 @@ class AllPairsShortestBaseSet final : public BasePathSet {
   /// `oracle` must be built over the unfailed network and outlive this set.
   explicit AllPairsShortestBaseSet(spf::DistanceOracle& oracle);
 
-  const graph::Graph& graph() const override;
-  spf::Metric metric() const override;
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
   graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
-  bool prefix_monotone() const override { return true; }
   const char* name() const override { return "all-pairs-shortest"; }
 
  private:
@@ -114,15 +124,12 @@ class CanonicalBaseSet final : public BasePathSet {
  public:
   explicit CanonicalBaseSet(spf::DistanceOracle& oracle);
 
-  const graph::Graph& graph() const override;
-  spf::Metric metric() const override;
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
   graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
-  bool prefix_monotone() const override { return true; }
   const char* name() const override { return "canonical-one-per-pair"; }
 
  private:
@@ -140,15 +147,12 @@ class SharedCanonicalBaseSet final : public BasePathSet {
   /// set.
   explicit SharedCanonicalBaseSet(spf::TreeCache& trees);
 
-  const graph::Graph& graph() const override;
-  spf::Metric metric() const override;
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
   graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
-  bool prefix_monotone() const override { return true; }
   const char* name() const override { return "canonical-one-per-pair"; }
 
  private:
@@ -160,18 +164,12 @@ class ExpandedBaseSet final : public BasePathSet {
  public:
   explicit ExpandedBaseSet(spf::DistanceOracle& oracle);
 
-  const graph::Graph& graph() const override;
-  spf::Metric metric() const override;
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
   graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
-  /// Subpath-closed: a prefix of "canonical + trailing edge" is either a
-  /// canonical subpath or a shorter canonical + the same edge, and likewise
-  /// for leading extensions. Greedy may therefore binary-search prefixes.
-  bool prefix_monotone() const override { return true; }
   const char* name() const override { return "expanded-corollary4"; }
 
  private:
@@ -197,16 +195,12 @@ class FaultTolerantBaseSet final : public BasePathSet {
   explicit FaultTolerantBaseSet(spf::DistanceOracle& oracle,
                                 std::size_t max_failure_oracles = 64);
 
-  const graph::Graph& graph() const override;
-  spf::Metric metric() const override;
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
   graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
-  /// Subpath-closed (see above), so prefixes of members are members.
-  bool prefix_monotone() const override { return true; }
   const char* name() const override { return "fault-tolerant-bw"; }
 
   /// Punctured oracles currently pooled (eviction-test observability).

@@ -46,112 +46,67 @@ Path Decomposition::joined() const {
   return out;
 }
 
-Decomposition greedy_decompose(BasePathSet& base, const Path& route) {
+namespace {
+
+/// The greedy cover, the one loop both forms share: repeatedly takes the
+/// longest prefix of the rest of `route` that is a base path, or its first
+/// hop as a loose edge (Theorem 2's interleaved edges) when not even that
+/// hop is a member. Membership of prefixes is monotone (every BasePathSet
+/// is subpath-closed), so the longest member prefix is found by binary
+/// search on its length. Reports each piece as emit(from, to, is_base),
+/// node indices into `route`, in route order.
+template <typename Emit>
+void greedy_cover(BasePathSet& base, graph::PathView route, Emit&& emit) {
   RBPC_TRACE_SPAN("decompose");
   require(!route.empty(), "greedy_decompose: empty route");
-  Decomposition out;
   const std::size_t last = route.num_nodes() - 1;
-  std::size_t pos = 0;
-  while (pos < last) {
-    std::size_t best = pos;  // farthest node index reachable by one base piece
-    if (base.contains(route.subpath(pos, pos + 1))) {
-      if (base.prefix_monotone()) {
-        // Largest j with subpath(pos, j) in the set; membership is monotone
-        // in j, so binary search.
-        std::size_t lo = pos + 1;  // known member
-        std::size_t hi = last;     // candidate range upper end
-        while (lo < hi) {
-          const std::size_t mid = lo + (hi - lo + 1) / 2;
-          if (base.contains(route.subpath(pos, mid))) {
-            lo = mid;
-          } else {
-            hi = mid - 1;
-          }
-        }
-        best = lo;
-      } else {
-        // Linear scan from the far end.
-        for (std::size_t j = last; j > pos; --j) {
-          if (base.contains(route.subpath(pos, j))) {
-            best = j;
-            break;
-          }
+  std::size_t pieces = 0;
+  for (std::size_t pos = 0; pos < last; ++pieces) {
+    const bool is_base = base.contains(route.subview(pos, pos + 1));
+    std::size_t lo = pos + 1;  // known member (or the loose edge's end)
+    if (is_base) {
+      std::size_t hi = last;  // candidate range upper end
+      while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo + 1) / 2;
+        if (base.contains(route.subview(pos, mid))) {
+          lo = mid;
+        } else {
+          hi = mid - 1;
         }
       }
     }
-    if (best == pos) {
-      // Not even the first hop is a base path: emit it as a loose edge
-      // (Theorem 2's interleaved edges).
-      out.pieces.push_back(route.subpath(pos, pos + 1));
-      out.is_base.push_back(false);
-      pos = pos + 1;
-    } else {
-      out.pieces.push_back(route.subpath(pos, best));
-      out.is_base.push_back(true);
-      pos = best;
-    }
+    emit(pos, lo, is_base);
+    pos = lo;
   }
   if constexpr (obs::kObsEnabled) {
     // Concatenation length — the paper's figure of merit (pieces per
     // restored route).
-    static obs::Histogram pieces =
+    static obs::Histogram histogram =
         obs::MetricsRegistry::global().histogram("decompose.pieces");
-    pieces.record(out.pieces.size());
+    histogram.record(pieces);
   }
+}
+
+}  // namespace
+
+Decomposition greedy_decompose(BasePathSet& base, const Path& route) {
+  Decomposition out;
+  greedy_cover(base, route.view(),
+               [&](std::size_t from, std::size_t to, bool is_base) {
+                 out.pieces.push_back(route.subpath(from, to));
+                 out.is_base.push_back(is_base);
+               });
   return out;
 }
 
 void greedy_decompose_into(BasePathSet& base, const graph::PathArena& arena,
                            graph::PathRef route, DecompositionRef& out) {
-  RBPC_TRACE_SPAN("decompose");
-  require(!route.empty(), "greedy_decompose: empty route");
   out.clear();
-  const std::size_t last = route.num_nodes() - 1;
-  std::size_t pos = 0;
-  while (pos < last) {
-    std::size_t best = pos;  // farthest node index reachable by one base piece
-    if (base.contains(arena.view(arena.subref(route, pos, pos + 1)))) {
-      if (base.prefix_monotone()) {
-        // Largest j with subref(pos, j) in the set; membership is monotone
-        // in j, so binary search.
-        std::size_t lo = pos + 1;  // known member
-        std::size_t hi = last;     // candidate range upper end
-        while (lo < hi) {
-          const std::size_t mid = lo + (hi - lo + 1) / 2;
-          if (base.contains(arena.view(arena.subref(route, pos, mid)))) {
-            lo = mid;
-          } else {
-            hi = mid - 1;
-          }
-        }
-        best = lo;
-      } else {
-        // Linear scan from the far end.
-        for (std::size_t j = last; j > pos; --j) {
-          if (base.contains(arena.view(arena.subref(route, pos, j)))) {
-            best = j;
-            break;
-          }
-        }
-      }
-    }
-    if (best == pos) {
-      // Not even the first hop is a base path: emit it as a loose edge
-      // (Theorem 2's interleaved edges).
-      out.pieces.push_back(arena.subref(route, pos, pos + 1));
-      out.is_base.push_back(0);
-      pos = pos + 1;
-    } else {
-      out.pieces.push_back(arena.subref(route, pos, best));
-      out.is_base.push_back(1);
-      pos = best;
-    }
-  }
-  if constexpr (obs::kObsEnabled) {
-    static obs::Histogram pieces =
-        obs::MetricsRegistry::global().histogram("decompose.pieces");
-    pieces.record(out.pieces.size());
-  }
+  greedy_cover(base, arena.view(route),
+               [&](std::size_t from, std::size_t to, bool is_base) {
+                 out.pieces.push_back(arena.subref(route, from, to));
+                 out.is_base.push_back(is_base ? 1 : 0);
+               });
 }
 
 void overlay_decompose_into(BasePathSet& base, const graph::FailureMask& mask,

@@ -4,10 +4,10 @@
 // Two algorithms, as in the paper:
 //  * greedy_decompose — the paper's greedy: repeatedly take the longest
 //    prefix of the remaining route that is a base path (binary search on
-//    prefix length when the set is prefix-monotone), falling back to a
-//    single edge when not even the first hop is a base path (Theorem 2's
-//    k loose edges). Covers exactly the given route. Optimal piece count
-//    for subpath-closed sets.
+//    prefix length, valid because every BasePathSet is subpath-closed),
+//    falling back to a single edge when not even the first hop is a base
+//    path (Theorem 2's k loose edges). Covers exactly the given route with
+//    the optimal piece count.
 //  * overlay_decompose — the paper's fallback for sparse base sets:
 //    Dijkstra on the overlay graph whose edges are the *surviving* base
 //    paths plus surviving single edges. Returns a minimum-cost (then
@@ -81,7 +81,8 @@ Decomposition greedy_decompose(BasePathSet& base, const graph::Path& route);
 /// Arena form of greedy_decompose: `route` lives in `arena`, the resulting
 /// pieces are subrange handles into the same storage (no new slots are
 /// consumed — subref is offset math), appended to `out` after clear().
-/// Same algorithm, same probes, same pieces as greedy_decompose.
+/// Both forms run one greedy loop over a PathView and differ only in how
+/// they hold the pieces, so they probe and answer identically.
 void greedy_decompose_into(BasePathSet& base, const graph::PathArena& arena,
                            graph::PathRef route, DecompositionRef& out);
 

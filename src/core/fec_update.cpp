@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/restoration.hpp"
-#include "spf/spf.hpp"
 #include "util/error.hpp"
 
 namespace rbpc::core {
@@ -40,18 +39,9 @@ FecUpdatePlan compute_fec_update_plan(BasePathSet& base, EdgeId link) {
       FecUpdate update;
       update.src = s;
       update.dst = t;
-      spf::shortest_tree_into(
-          g, s, mask,
-          spf::SpfOptions{.metric = base.metric(), .padded = true,
-                          .stop_at = t},
-          scratch.workspace, scratch.tree);
-      if (scratch.tree.reachable(t)) {
-        const graph::PathRef backup =
-            scratch.tree.path_to_ref(g, t, scratch.arena);
-        greedy_decompose_into(base, scratch.arena, backup,
-                              scratch.decomposition);
-        update.chain =
-            scratch.decomposition.materialize(g, scratch.arena);
+      source_rbpc_restore_into(base, s, t, mask, scratch);
+      if (scratch.restored()) {
+        update.chain = scratch.decomposition.materialize(g, scratch.arena);
       }
       plan.updates.push_back(std::move(update));
     }

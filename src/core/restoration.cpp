@@ -12,28 +12,6 @@ using graph::Graph;
 using graph::NodeId;
 using graph::Path;
 
-Restoration source_rbpc_restore(BasePathSet& base, NodeId s, NodeId t,
-                                const FailureMask& mask) {
-  RBPC_TRACE_SPAN("restore.source");
-  static obs::Counter restored =
-      obs::MetricsRegistry::global().counter("restore.source.restored");
-  static obs::Counter unrestorable =
-      obs::MetricsRegistry::global().counter("restore.source.unrestorable");
-  Restoration out;
-  // Canonical (padded) route so the result is deterministic and, with a
-  // canonical base set, maximally decomposable.
-  out.backup = spf::shortest_path(
-      base.graph(), s, t, mask,
-      spf::SpfOptions{.metric = base.metric(), .padded = true});
-  if (out.backup.empty()) {
-    unrestorable.inc();
-    return out;
-  }
-  out.decomposition = greedy_decompose(base, out.backup);
-  restored.inc();
-  return out;
-}
-
 Restoration RestoreScratch::materialize(const graph::Graph& g) const {
   Restoration out;
   if (backup.empty()) return out;
@@ -70,6 +48,15 @@ void source_rbpc_restore_into(BasePathSet& base, NodeId s, NodeId t,
   greedy_decompose_into(base, scratch.arena, scratch.backup,
                         scratch.decomposition);
   restored.inc();
+}
+
+Restoration source_rbpc_restore(BasePathSet& base, NodeId s, NodeId t,
+                                const FailureMask& mask) {
+  // One scratch per thread, as spf::thread_workspace() keeps one SPF
+  // workspace: the owning form is the arena kernel plus materialize().
+  thread_local RestoreScratch scratch;
+  source_rbpc_restore_into(base, s, t, mask, scratch);
+  return scratch.materialize(base.graph());
 }
 
 namespace {

@@ -30,13 +30,6 @@ struct Restoration {
   std::size_t pc_length() const { return decomposition.size(); }
 };
 
-/// Source-router RBPC: compute the canonical shortest s->t route in the
-/// failed network and cover it greedily with surviving base paths.
-/// `base` must be defined over the unfailed network.
-Restoration source_rbpc_restore(BasePathSet& base, graph::NodeId s,
-                                graph::NodeId t,
-                                const graph::FailureMask& mask);
-
 /// Reusable per-engine scratch for arena-backed restorations. After the
 /// first few restorations size every member to its high-water mark, a warm
 /// scratch makes source_rbpc_restore_into perform zero heap allocations
@@ -57,14 +50,20 @@ struct RestoreScratch {
   Restoration materialize(const graph::Graph& g) const;
 };
 
-/// Allocation-free source-router RBPC: same backup route, same greedy cover
-/// and same counters as source_rbpc_restore, but the route and its pieces
-/// live in scratch.arena (cleared on entry) and the SPF runs through
-/// scratch.workspace into scratch.tree. Results are bit-identical to the
-/// legacy engine's (the differential test in tests/test_arena.cpp).
+/// Source-router RBPC: compute the canonical shortest s->t route in the
+/// failed network and cover it greedily with surviving base paths.
+/// `base` must be defined over the unfailed network. The route and its
+/// pieces live in scratch.arena (cleared on entry) and the SPF runs through
+/// scratch.workspace into scratch.tree, so a warm scratch allocates nothing.
 void source_rbpc_restore_into(BasePathSet& base, graph::NodeId s,
                               graph::NodeId t, const graph::FailureMask& mask,
                               RestoreScratch& scratch);
+
+/// Owning form of source_rbpc_restore_into: runs it on the calling thread's
+/// scratch and returns RestoreScratch::materialize().
+Restoration source_rbpc_restore(BasePathSet& base, graph::NodeId s,
+                                graph::NodeId t,
+                                const graph::FailureMask& mask);
 
 /// End-route local RBPC (Figure 8): the router adjacent to the failure,
 /// R1 = lsp_path.node(fail_index), keeps the original route up to R1 and

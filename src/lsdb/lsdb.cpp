@@ -12,17 +12,18 @@ using graph::EdgeId;
 using graph::NodeId;
 
 bool Lsdb::apply(const LinkEvent& ev) {
-  if (ev.generation != 0) {
-    if (generation_.size() <= ev.edge) generation_.resize(ev.edge + 1, 0);
-    const std::uint64_t applied = generation_[ev.edge];
-    if (ev.generation == applied) {
+  switch (gate_generation(ev.generation, applied_generation(ev.edge))) {
+    case GenerationVerdict::kDuplicate:
       ++duplicates_;
       return false;
-    }
-    if (ev.generation < applied) {
+    case GenerationVerdict::kStale:
       ++stale_;
       return false;
-    }
+    case GenerationVerdict::kApply:
+      break;
+  }
+  if (ev.generation != 0) {
+    if (generation_.size() <= ev.edge) generation_.resize(ev.edge + 1, 0);
     generation_[ev.edge] = ev.generation;
   }
   if (ev.up) {

@@ -31,6 +31,24 @@ struct LinkEvent {
   std::uint64_t generation = 0;
 };
 
+/// What the newest-wins generation rule does with an incoming LSA.
+enum class GenerationVerdict {
+  kApply,      ///< unsequenced, or newer than the applied generation
+  kDuplicate,  ///< a re-flooded copy of the applied generation
+  kStale,      ///< a reordered LSA older than the applied generation
+};
+
+/// The generation gate every link-state view applies (Lsdb::apply and
+/// service::ShardedLsdb::apply): `incoming` is the LSA's generation,
+/// `applied` the highest one already applied for its edge (0 = none).
+/// Generation 0 marks an unsequenced event, which always applies.
+constexpr GenerationVerdict gate_generation(std::uint64_t incoming,
+                                            std::uint64_t applied) {
+  if (incoming == 0 || incoming > applied) return GenerationVerdict::kApply;
+  return incoming == applied ? GenerationVerdict::kDuplicate
+                             : GenerationVerdict::kStale;
+}
+
 /// One edge's durable link state: the pair a persistence plane must carry
 /// to reconstruct an Lsdb exactly. Replaying records through the
 /// generation-gated apply() is order-independent per edge (newest wins,

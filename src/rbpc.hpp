@@ -6,10 +6,10 @@
 //            fixed-size thread pool backing the parallel engines
 //   graph  — graphs, paths, failure masks, analysis, serialization
 //   spf    — shortest-path machinery (Dijkstra/BFS, padding, oracle,
-//            bypass, disjoint pairs, k-shortest, bidirectional), the
-//            allocation-free SPF workspace kernel (workspace), incremental
-//            SPT repair (incremental), and the thread-safe per-source tree
-//            cache (tree_cache)
+//            bypass, disjoint pairs, k-shortest), the allocation-free SPF
+//            workspace kernel (workspace), incremental SPT repair
+//            (incremental), and the thread-safe per-source tree cache
+//            (tree_cache)
 //   topo   — topology generators and the paper's gadget constructions
 //   lsdb   — link-state database, discrete events, failure floods
 //   mpls   — label switching: LSRs, ILM/FEC, LSPs, merged trees, LDP model
@@ -38,7 +38,6 @@
 #include "graph/path.hpp"       // IWYU pragma: export
 #include "graph/types.hpp"      // IWYU pragma: export
 
-#include "spf/bidirectional.hpp"  // IWYU pragma: export
 #include "spf/bypass.hpp"         // IWYU pragma: export
 #include "spf/counting.hpp"       // IWYU pragma: export
 #include "spf/disjoint.hpp"       // IWYU pragma: export

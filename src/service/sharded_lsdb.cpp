@@ -31,16 +31,15 @@ bool ShardedLsdb::apply(const lsdb::LinkEvent& ev) {
 
   std::lock_guard<std::mutex> lock(shard.writer_mu);
   const ShardSnapshot& cur = *shard.owner;
-  if (ev.generation != 0) {
-    const std::uint64_t applied = cur.generation[local];
-    if (ev.generation == applied) {
+  switch (lsdb::gate_generation(ev.generation, cur.generation[local])) {
+    case lsdb::GenerationVerdict::kDuplicate:
       duplicates_.fetch_add(1, std::memory_order_relaxed);
       return false;
-    }
-    if (ev.generation < applied) {
+    case lsdb::GenerationVerdict::kStale:
       stale_.fetch_add(1, std::memory_order_relaxed);
       return false;
-    }
+    case lsdb::GenerationVerdict::kApply:
+      break;
   }
 
   auto next = std::make_shared<ShardSnapshot>(cur);

@@ -5,7 +5,7 @@
 // Layout: edge e lives in shard e % num_shards. Each shard's state is an
 // *immutable* ShardSnapshot (per-edge down flag + highest applied LSA
 // generation). Writers copy the shard's current snapshot, apply the event
-// (same duplicate/stale generation gating as lsdb::Lsdb::apply, so a
+// (the generation gate lsdb::Lsdb::apply uses, lsdb::gate_generation, so a
 // perturbed ingest stream still converges newest-wins), publish the copy
 // with one atomic pointer store, and retire the old snapshot through the
 // EpochManager. Writers to different shards never contend; writers to the
@@ -51,8 +51,8 @@ class ShardedLsdb {
   std::size_t num_edges() const { return num_edges_; }
 
   /// Applies one LSA (thread-safe, any number of concurrent callers).
-  /// Nonzero generations are gated newest-wins exactly like
-  /// lsdb::Lsdb::apply; returns true when the view changed ownership of
+  /// Nonzero generations are gated newest-wins by lsdb::gate_generation,
+  /// as in lsdb::Lsdb::apply; returns true when the view changed ownership of
   /// the event (it was applied), false when it was discarded.
   bool apply(const lsdb::LinkEvent& ev);
 

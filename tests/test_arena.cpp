@@ -6,6 +6,8 @@
 // where lifetime bugs would hide).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "spf/oracle.hpp"
 #include "spf/spf.hpp"
 #include "spf/workspace.hpp"
+#include "topo/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -200,8 +203,10 @@ TEST(ArenaDifferential, RestorationBitIdenticalAcrossCorpus) {
 }
 
 TEST(ArenaDifferential, GreedyDecomposeIdenticalForCanonicalSet) {
-  // The canonical set is not the restoration default, so cover it
-  // separately: same greedy pieces through the arena as through Paths.
+  // Both forms run one greedy loop, so this pins only that the two shells
+  // turn its ranges into the same pieces on the corpus; the independent
+  // reference for the loop itself is
+  // GreedyDecompose.GreedyIsOptimalForSubpathClosedSets.
   for (const auto& tc : testing::corpus()) {
     const spf::Metric metric =
         tc.g.is_unit_weight() ? spf::Metric::Hops : spf::Metric::Weighted;
@@ -284,26 +289,82 @@ TEST(ArenaDifferential, BulkTreesMatchSerial) {
 }
 
 TEST(ArenaDifferential, BoundedDistanceMatchesDijkstra) {
+  // spf::bounded_distance is the library's one bidirectional search; every
+  // input shape it must agree with one-sided Dijkstra on: the corpus under
+  // zero, one and three link failures, pairs a failure disconnects, and the
+  // hop metric on a grid.
   spf::SpfWorkspace fwd;
   spf::SpfWorkspace bwd;
+  const auto expect_matches = [&](const Graph& g, NodeId s, NodeId t,
+                                  const FailureMask& mask,
+                                  spf::SpfOptions options,
+                                  const std::string& context) {
+    ASSERT_EQ(spf::bounded_distance(g, s, t, mask, options, fwd, bwd),
+              spf::distance(g, s, t, mask, options))
+        << context << " " << s << "->" << t;
+  };
   for (const auto& tc : testing::corpus()) {
     const spf::Metric metric =
         tc.g.is_unit_weight() ? spf::Metric::Hops : spf::Metric::Weighted;
     const spf::SpfOptions options{.metric = metric};
     Rng rng(97);
-    for (int i = 0; i < 16; ++i) {
+    for (int i = 0; i < 24; ++i) {
       const NodeId s = static_cast<NodeId>(rng.below(tc.g.num_nodes()));
       const NodeId t = static_cast<NodeId>(rng.below(tc.g.num_nodes()));
       FailureMask mask;
-      if (i % 2 == 1) {
-        mask.fail_edge(static_cast<EdgeId>(rng.below(tc.g.num_edges())));
+      const std::size_t failures =
+          i % 3 == 0 ? 0 : std::min<std::size_t>(i % 3 == 1 ? 1 : 3,
+                                                 tc.g.num_edges());
+      for (const auto e : rng.sample_distinct(tc.g.num_edges(), failures)) {
+        mask.fail_edge(static_cast<EdgeId>(e));
       }
-      ASSERT_EQ(
-          spf::bounded_distance(tc.g, s, t, mask, options, fwd, bwd),
-          spf::distance(tc.g, s, t, mask, options))
-          << tc.name << " " << s << "->" << t;
+      expect_matches(tc.g, s, t, mask, options, tc.name);
     }
   }
+
+  // Disconnected pairs: a failed bridge splits a chain, so both searches
+  // run dry and report kUnreachable.
+  const Graph chain = topo::make_chain(6);
+  const FailureMask cut = FailureMask::of_edges({2});
+  ASSERT_EQ(spf::bounded_distance(chain, 0, 5, cut, {}, fwd, bwd),
+            graph::kUnreachable);
+  for (NodeId s = 0; s < chain.num_nodes(); ++s) {
+    for (NodeId t = 0; t < chain.num_nodes(); ++t) {
+      expect_matches(chain, s, t, cut, {}, "chain6 cut");
+    }
+  }
+
+  // Hop metric on a weighted grid: corner to corner is 3 + 4 hops.
+  GraphBuilder b(20);
+  for (NodeId r = 0; r < 4; ++r) {
+    for (NodeId c = 0; c < 5; ++c) {
+      const NodeId v = r * 5 + c;
+      if (c + 1 < 5) b.add_edge(v, v + 1, 1 + (v % 3));
+      if (r + 1 < 4) b.add_edge(v, v + 5, 2 + (v % 2));
+    }
+  }
+  const Graph grid = b.build();
+  const spf::SpfOptions hops{.metric = spf::Metric::Hops};
+  ASSERT_EQ(spf::bounded_distance(grid, 0, 19, FailureMask{}, hops, fwd, bwd),
+            7);
+  for (NodeId s = 0; s < grid.num_nodes(); ++s) {
+    for (NodeId t = 0; t < grid.num_nodes(); ++t) {
+      expect_matches(grid, s, t, FailureMask{}, hops, "grid4x5 hops");
+      expect_matches(grid, s, t, FailureMask{}, {}, "grid4x5 weighted");
+    }
+  }
+
+  // Rejected inputs: directed graphs and out-of-range endpoints.
+  GraphBuilder directed(3, /*directed=*/true);
+  directed.add_edge(0, 1);
+  directed.add_edge(1, 2);
+  const Graph dg = directed.build();
+  EXPECT_THROW(spf::bounded_distance(dg, 0, 2, FailureMask{}, {}, fwd, bwd),
+               PreconditionError);
+  EXPECT_THROW(spf::bounded_distance(chain, 0, 9, FailureMask{}, {}, fwd, bwd),
+               PreconditionError);
+  EXPECT_THROW(spf::bounded_distance(chain, 9, 0, FailureMask{}, {}, fwd, bwd),
+               PreconditionError);
 }
 
 // --- Oracle memory bounds ---------------------------------------------------

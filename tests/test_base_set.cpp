@@ -1,11 +1,14 @@
-// Unit tests for core/base_set: membership semantics of the three base sets.
+// Unit tests for core/base_set: membership semantics of the base sets.
 #include <gtest/gtest.h>
 
 #include <functional>
 
 #include "core/base_set.hpp"
+#include "corpus.hpp"
 #include "graph/graph.hpp"
 #include "spf/oracle.hpp"
+#include "spf/spf.hpp"
+#include "spf/tree_cache.hpp"
 #include "topo/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -37,7 +40,6 @@ TEST(AllPairsSet, AcceptsEveryShortestPath) {
   EXPECT_TRUE(set.contains(Path::from_nodes(g, {0, 1, 3})));
   EXPECT_TRUE(set.contains(Path::from_nodes(g, {0, 1, 2, 3})));
   EXPECT_FALSE(set.contains(Path::from_nodes(g, {0, 2, 3})));
-  EXPECT_TRUE(set.prefix_monotone());
   EXPECT_STREQ(set.name(), "all-pairs-shortest");
 }
 
@@ -93,7 +95,6 @@ TEST(ExpandedSet, AcceptsCanonicalPlusEdgeExtensions) {
     extended.extend(g, 3, 2);  // edge 3 is (2,3)
     EXPECT_TRUE(set.contains(extended));
   }
-  EXPECT_TRUE(set.prefix_monotone());
 }
 
 TEST(ExpandedSet, RejectsDoublyExtendedPaths) {
@@ -190,6 +191,64 @@ TEST(BaseSets, HopMetricMembership) {
   }
   // But going 5 hops around a 6-ring is not shortest (the other way is 1).
   EXPECT_FALSE(set.contains(Path::from_nodes(g, {0, 1, 2, 3, 4, 5})));
+}
+
+TEST(BaseSets, EveryPrefixOfAMemberIsAMember) {
+  // Greedy decomposition binary-searches prefix lengths, which is sound only
+  // when membership of a route's prefixes is monotone. Check it on every
+  // set over the corpus: take members — base paths, one-failure backup
+  // routes, base paths extended by one edge — and require each prefix of
+  // each of them to be a member too.
+  std::size_t checked = 0;
+  for (const auto& tc : testing::corpus()) {
+    const Graph& g = tc.g;
+    const spf::Metric metric =
+        g.is_unit_weight() ? spf::Metric::Hops : spf::Metric::Weighted;
+    spf::DistanceOracle oracle(g, FailureMask{}, metric);
+    spf::TreeCache trees(g, FailureMask{},
+                         spf::SpfOptions{.metric = metric, .padded = true});
+    AllPairsShortestBaseSet all_pairs(oracle);
+    CanonicalBaseSet canonical(oracle);
+    SharedCanonicalBaseSet shared(trees);
+    ExpandedBaseSet expanded(oracle);
+    FaultTolerantBaseSet fault_tolerant(oracle);
+    BasePathSet* const sets[] = {&all_pairs, &canonical, &shared, &expanded,
+                                 &fault_tolerant};
+
+    Rng rng(41);
+    std::vector<Path> candidates;
+    for (int i = 0; i < 6; ++i) {
+      const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+      const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
+      const Path lsp = oracle.canonical_path(s, t);
+      if (s == t || lsp.hops() == 0) continue;
+      candidates.push_back(lsp);
+      const FailureMask mask =
+          FailureMask::of_edges({lsp.edge(rng.below(lsp.hops()))});
+      const Path backup = spf::shortest_path(
+          g, s, t, mask, spf::SpfOptions{.metric = metric, .padded = true});
+      if (!backup.empty()) candidates.push_back(backup);
+      for (const graph::Arc& a : g.arcs(t)) {
+        if (lsp.visits_node(a.to)) continue;
+        Path extended = lsp;
+        extended.extend(g, a.edge, a.to);
+        candidates.push_back(extended);
+        break;
+      }
+    }
+    for (BasePathSet* set : sets) {
+      for (const Path& p : candidates) {
+        if (!set->contains(p)) continue;
+        for (std::size_t j = 1; j < p.num_nodes(); ++j) {
+          ASSERT_TRUE(set->contains(p.subpath(0, j)))
+              << tc.name << " " << set->name() << ": prefix " << j << " of "
+              << p.to_string();
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
 // Unit tests for core/decompose: greedy and overlay decomposition.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/base_set.hpp"
 #include "core/decompose.hpp"
 #include "graph/graph.hpp"
+#include "spf/oracle.hpp"
 #include "spf/spf.hpp"
+#include "spf/tree_cache.hpp"
 #include "topo/gadgets.hpp"
 #include "topo/generators.hpp"
 #include "util/error.hpp"
@@ -106,40 +113,84 @@ TEST(GreedyDecompose, CanonicalSetStillCovers) {
 }
 
 TEST(GreedyDecompose, GreedyIsOptimalForSubpathClosedSets) {
-  // For the all-pairs set (subpath-closed), greedy longest-prefix yields
-  // the minimum number of pieces. Verify against brute force on small
-  // routes.
+  // The greedy's specification, checked independently of its code on all
+  // five base sets (each subpath-closed): the pieces join to the route,
+  // each piece is the longest member prefix of what is left (or one loose
+  // edge when not even the first hop is a member), and the piece count is
+  // the minimum a brute-force dynamic program over all cut points finds.
+  // The arena form must produce the same pieces.
   Rng rng(37);
-  const Graph g = topo::make_random_connected(16, 32, rng, 4);
-  spf::DistanceOracle oracle(g, FailureMask{}, spf::Metric::Weighted);
-  AllPairsShortestBaseSet set(oracle);
+  const Graph weighted = topo::make_random_connected(16, 32, rng, 4);
+  const Graph grid = topo::make_grid(4, 5);
+  for (const Graph* gp : {&weighted, &grid}) {
+    const Graph& g = *gp;
+    const spf::Metric metric =
+        g.is_unit_weight() ? spf::Metric::Hops : spf::Metric::Weighted;
+    spf::DistanceOracle oracle(g, FailureMask{}, metric);
+    spf::TreeCache trees(g, FailureMask{},
+                         spf::SpfOptions{.metric = metric, .padded = true});
+    AllPairsShortestBaseSet all_pairs(oracle);
+    CanonicalBaseSet canonical(oracle);
+    SharedCanonicalBaseSet shared(trees);
+    ExpandedBaseSet expanded(oracle);
+    FaultTolerantBaseSet fault_tolerant(oracle);
+    BasePathSet* const sets[] = {&all_pairs, &canonical, &shared, &expanded,
+                                 &fault_tolerant};
 
-  auto brute_min_pieces = [&](const Path& route) {
-    const std::size_t n = route.num_nodes();
-    std::vector<std::size_t> best(n, SIZE_MAX);
-    best[0] = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (best[i] == SIZE_MAX) continue;
-      for (std::size_t j = i + 1; j < n; ++j) {
-        // single edges always allowed; base paths when members
-        const bool ok = (j == i + 1) || set.contains(route.subpath(i, j));
-        if (ok) best[j] = std::min(best[j], best[i] + 1);
+    for (int trial = 0; trial < 40; ++trial) {
+      const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+      const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
+      if (s == t) continue;
+      // One or two failed links: longer detours, more pieces to place.
+      FailureMask mask;
+      for (const auto e : rng.sample_distinct(g.num_edges(), 1 + trial % 2)) {
+        mask.fail_edge(static_cast<graph::EdgeId>(e));
+      }
+      const Path backup = spf::shortest_path(
+          g, s, t, mask, spf::SpfOptions{.metric = metric, .padded = true});
+      if (backup.empty() || backup.hops() == 0) continue;
+      for (BasePathSet* set : sets) {
+        // best[j]: fewest pieces covering nodes [0, j] of the route.
+        const std::size_t n = backup.num_nodes();
+        std::vector<std::size_t> best(n, SIZE_MAX);
+        best[0] = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = i + 1; j < n; ++j) {
+            // Single edges are always admissible; longer pieces when members.
+            if (j == i + 1 || set->contains(backup.subpath(i, j))) {
+              best[j] = std::min(best[j], best[i] + 1);
+            }
+          }
+        }
+        const std::string ctx =
+            std::string(set->name()) + " " + backup.to_string();
+        const Decomposition d = greedy_decompose(*set, backup);
+        EXPECT_EQ(d.size(), best[n - 1]) << ctx;
+        EXPECT_EQ(d.joined(), backup) << ctx;
+        // Each piece is the longest member prefix of the rest of the route:
+        // a base piece is a member that stops growing where membership
+        // ends; a loose piece is one edge that is not itself a member.
+        std::size_t from = 0;
+        for (std::size_t i = 0; i < d.size(); ++i) {
+          const std::size_t to = from + d.pieces[i].hops();
+          const std::string at = ctx + " piece " + std::to_string(i);
+          if (d.is_base[i]) {
+            EXPECT_TRUE(set->contains(d.pieces[i])) << at;
+            if (to + 1 < n) {
+              EXPECT_FALSE(set->contains(backup.subpath(from, to + 1))) << at;
+            }
+          } else {
+            EXPECT_EQ(d.pieces[i].hops(), 1u) << at;
+            EXPECT_FALSE(set->contains(d.pieces[i])) << at;
+          }
+          from = to;
+        }
+        graph::PathArena arena;
+        DecompositionRef ref;
+        greedy_decompose_into(*set, arena, arena.store(backup), ref);
+        EXPECT_EQ(ref.materialize(g, arena), d) << ctx;
       }
     }
-    return best[n - 1];
-  };
-
-  for (int trial = 0; trial < 30; ++trial) {
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    const graph::EdgeId fail =
-        static_cast<graph::EdgeId>(rng.below(g.num_edges()));
-    const Path backup = spf::shortest_path(
-        g, s, t, FailureMask::of_edges({fail}), spf::SpfOptions{.padded = true});
-    if (backup.empty() || backup.hops() == 0) continue;
-    const Decomposition d = greedy_decompose(set, backup);
-    EXPECT_EQ(d.size(), brute_min_pieces(backup)) << backup.to_string();
   }
 }
 

@@ -335,6 +335,33 @@ TEST(ShardedLsdb, GenerationGatingMirrorsLsdb) {
   }
 }
 
+TEST(ShardedLsdb, GenerationsSuppressDuplicatesAndStaleLsas) {
+  // Lsdb.GenerationsSuppressDuplicatesAndStaleLsas's sequence, replayed on
+  // the sharded view: both apply lsdb::gate_generation, so the verdicts,
+  // the discard counts and the resulting view must be the same.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    ShardedLsdb db(8, shards);
+    EXPECT_TRUE(db.apply(lsdb::LinkEvent{3, /*up=*/false, /*generation=*/2}));
+    EXPECT_TRUE(db.snapshot().edge_failed(3));
+    EXPECT_EQ(db.snapshot().generation(3), 2u);
+
+    // A re-flooded copy of the same generation is discarded.
+    EXPECT_FALSE(db.apply(lsdb::LinkEvent{3, /*up=*/false, /*generation=*/2}));
+    EXPECT_EQ(db.duplicates_discarded(), 1u);
+
+    // A reordered older LSA must not roll the view back.
+    EXPECT_FALSE(db.apply(lsdb::LinkEvent{3, /*up=*/true, /*generation=*/1}));
+    EXPECT_TRUE(db.snapshot().edge_failed(3));
+    EXPECT_EQ(db.stale_discarded(), 1u);
+
+    // Newer generations win.
+    EXPECT_TRUE(db.apply(lsdb::LinkEvent{3, /*up=*/true, /*generation=*/5}));
+    EXPECT_FALSE(db.snapshot().edge_failed(3));
+    EXPECT_EQ(db.snapshot().generation(3), 5u);
+    EXPECT_EQ(db.version(), 2u);
+  }
+}
+
 TEST(ShardedLsdb, FailedLinkListsMatchFullScan) {
   // Snapshots enumerate the failure set from per-shard lists kept at apply
   // time. After random sequences of fresh, duplicate, stale and ungated

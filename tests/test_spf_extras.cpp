@@ -1,10 +1,9 @@
-// Tests for the SPF extras: Floyd–Warshall APSP (oracle) and bidirectional
-// Dijkstra, cross-checked against each other and against plain Dijkstra.
+// Tests for the SPF extras: the Floyd–Warshall APSP oracle cross-checked
+// against plain Dijkstra, and DOT export.
 #include <gtest/gtest.h>
 
 #include "graph/dot.hpp"
 #include "apsp.hpp"
-#include "spf/bidirectional.hpp"
 #include "spf/spf.hpp"
 #include "topo/gadgets.hpp"
 #include "topo/generators.hpp"
@@ -70,81 +69,6 @@ TEST(Apsp, DiameterOfGadgets) {
             2);
   const Graph ring = topo::make_ring(10);
   EXPECT_EQ(ApspMatrix(ring, FailureMask::none(), Metric::Hops).diameter(), 5);
-}
-
-TEST(Bidirectional, MatchesDijkstraCosts) {
-  Rng rng(127);
-  const Graph g = topo::make_random_connected(60, 150, rng, 12);
-  for (int trial = 0; trial < 60; ++trial) {
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    const auto bi = bidirectional_shortest_path(g, s, t);
-    EXPECT_EQ(bi.cost, distance(g, s, t)) << s << "->" << t;
-    ASSERT_FALSE(bi.path.empty());
-    EXPECT_EQ(bi.path.source(), s);
-    EXPECT_EQ(bi.path.target(), t);
-    EXPECT_EQ(bi.path.cost(g), bi.cost);
-  }
-}
-
-TEST(Bidirectional, MatchesUnderFailures) {
-  Rng rng(131);
-  const Graph g = topo::make_random_connected(40, 90, rng, 6);
-  for (int trial = 0; trial < 40; ++trial) {
-    FailureMask mask;
-    for (auto e : rng.sample_distinct(g.num_edges(), 3)) {
-      mask.fail_edge(static_cast<graph::EdgeId>(e));
-    }
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    const auto bi = bidirectional_shortest_path(g, s, t, mask);
-    const auto want = distance(g, s, t, mask);
-    EXPECT_EQ(bi.cost, want);
-    if (want != graph::kUnreachable) {
-      EXPECT_TRUE(bi.path.alive(g, mask));
-    } else {
-      EXPECT_TRUE(bi.path.empty());
-    }
-  }
-}
-
-TEST(Bidirectional, HopMetric) {
-  const Graph g = topo::make_grid(4, 4);
-  const auto bi =
-      bidirectional_shortest_path(g, 0, 15, FailureMask::none(), Metric::Hops);
-  EXPECT_EQ(bi.cost, 6);
-  EXPECT_EQ(bi.path.hops(), 6u);
-}
-
-TEST(Bidirectional, SettlesFewerNodesThanFullDijkstraOnMeshes) {
-  Rng rng(137);
-  const Graph g = topo::make_as_like(rng, 0.2);  // ~950 nodes
-  std::size_t fewer = 0;
-  int evaluated = 0;
-  for (int trial = 0; trial < 20; ++trial) {
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    ++evaluated;
-    const auto bi = bidirectional_shortest_path(g, s, t, FailureMask::none(),
-                                                Metric::Hops);
-    if (bi.settled < g.num_nodes() / 2) ++fewer;
-  }
-  // On power-law meshes, the meet-in-the-middle frontier is usually tiny.
-  EXPECT_GT(fewer * 2, static_cast<std::size_t>(evaluated));
-}
-
-TEST(Bidirectional, Validation) {
-  const Graph g = topo::make_ring(4);
-  EXPECT_THROW(bidirectional_shortest_path(g, 0, 0), PreconditionError);
-  EXPECT_THROW(bidirectional_shortest_path(g, 0, 9), PreconditionError);
-  GraphBuilder b(3, /*directed=*/true);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  const Graph dg = b.build();
-  EXPECT_THROW(bidirectional_shortest_path(dg, 0, 2), PreconditionError);
 }
 
 // --- DOT export ----------------------------------------------------------------
