@@ -36,7 +36,6 @@
 //        --ingest-threads N  concurrent ingest threads (default 2)
 //        --workers N         reroute workers (default 0 = hardware)
 //        --shards N          LSDB shards (default 4)
-//        --queue N           MPMC queue capacity (default 64)
 //        --loss P            LSA loss probability (default 0.1)
 //        --metrics-json PATH, --trace-out PATH, --obs-check LIST
 //
@@ -211,7 +210,6 @@ int main(int argc, char** argv) {
       std::max<std::size_t>(1, args.get_uint("ingest-threads", 2));
   const std::size_t workers = args.get_uint("workers", 0);
   const std::size_t shards = args.get_uint("shards", 4);
-  const std::size_t queue = args.get_uint("queue", 64);
   const double loss = args.get_double("loss", 0.1);
   const std::uint64_t slo_p99_us = args.get_uint("slo-p99-us", 200'000);
   const std::uint64_t slo_no_route_pm = args.get_uint("slo-no-route-pm", 1000);
@@ -277,8 +275,7 @@ int main(int argc, char** argv) {
             << " ingest threads\n\n";
 
   TablePrinter table({"topology", "nodes", "edges", "deliveries", "reroutes",
-                      "installs", "revalidated", "deferred", "wall ms",
-                      "violations"});
+                      "installs", "revalidated", "wall ms", "violations"});
   std::size_t total_violations = 0;
   std::uint64_t total_reroutes = 0;
   std::uint64_t total_wall_ns = 0;
@@ -288,7 +285,7 @@ int main(int argc, char** argv) {
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
     const Graph& g = cases[ci].g;
     std::size_t deliveries = 0, violations = 0;
-    std::uint64_t reroutes = 0, installs = 0, revalidated = 0, deferred = 0;
+    std::uint64_t reroutes = 0, installs = 0, revalidated = 0;
     std::uint64_t wall_ns = 0;
 
     for (std::size_t s = 0; s < storms; ++s) {
@@ -301,7 +298,6 @@ int main(int argc, char** argv) {
       ServiceOptions options;
       options.shards = shards;
       options.workers = workers;
-      options.queue_capacity = queue;
       if (!persist_dir.empty()) {
         // One journal directory per storm: demands differ per storm, so a
         // later restart must recover against the matching demand set.
@@ -389,7 +385,6 @@ int main(int argc, char** argv) {
       reroutes += stats.reroutes;
       installs += stats.installs;
       revalidated += stats.revalidations;
-      deferred += stats.deferred;
       svc->stop();
 
       if (restart && !persist_dir.empty()) {
@@ -418,7 +413,7 @@ int main(int argc, char** argv) {
     table.add_row({cases[ci].name, std::to_string(g.num_nodes()),
                    std::to_string(g.num_edges()), std::to_string(deliveries),
                    std::to_string(reroutes), std::to_string(installs),
-                   std::to_string(revalidated), std::to_string(deferred),
+                   std::to_string(revalidated),
                    std::to_string(wall_ns / 1'000'000),
                    std::to_string(violations)});
   }

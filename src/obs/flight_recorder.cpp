@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/trace.hpp"
+#include "util/error.hpp"
 
 namespace rbpc::obs {
 
@@ -27,10 +28,11 @@ FlightRecorder::FlightRecorder(std::size_t workers, std::size_t ring_size) {
   for (std::size_t r = 0; r < num_rings_; ++r) {
     rings_[r].slots = std::make_unique<Slot[]>(size);
   }
-  control_.slots = std::make_unique<Slot[]>(size);
 }
 
-void FlightRecorder::write_slot(Ring& ring, const RerouteRecord& rec) {
+void FlightRecorder::publish(std::size_t worker, const RerouteRecord& rec) {
+  RBPC_ASSERT(worker < num_rings_);
+  Ring& ring = rings_[worker];
   const std::uint64_t h = ring.head.load(std::memory_order_relaxed);
   Slot& slot = ring.slots[h & mask_];
   // Seqlock publish: odd marks the write in progress; the final even value
@@ -44,19 +46,6 @@ void FlightRecorder::write_slot(Ring& ring, const RerouteRecord& rec) {
   slot.seq.store(2 * (h + 1), std::memory_order_release);
   ring.head.store(h + 1, std::memory_order_release);
   published_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void FlightRecorder::publish(std::size_t worker, const RerouteRecord& rec) {
-  if (worker >= num_rings_) {
-    publish_control(rec);
-    return;
-  }
-  write_slot(rings_[worker], rec);
-}
-
-void FlightRecorder::publish_control(const RerouteRecord& rec) {
-  std::lock_guard<std::mutex> lock(control_mu_);
-  write_slot(control_, rec);
 }
 
 void FlightRecorder::collect_ring(const Ring& ring,
@@ -89,9 +78,8 @@ void FlightRecorder::collect_ring(const Ring& ring,
 
 std::vector<RerouteRecord> FlightRecorder::collect() const {
   std::vector<RerouteRecord> out;
-  out.reserve((num_rings_ + 1) * (mask_ + 1));
+  out.reserve(num_rings_ * (mask_ + 1));
   for (std::size_t r = 0; r < num_rings_; ++r) collect_ring(rings_[r], out);
-  collect_ring(control_, out);
   std::sort(out.begin(), out.end(),
             [](const RerouteRecord& a, const RerouteRecord& b) {
               return a.done_ns != b.done_ns ? a.done_ns < b.done_ns
@@ -113,7 +101,6 @@ void append_record_json(std::ostringstream& os, const RerouteRecord& r) {
      << ", \"installed\": " << ((r.flags & kFlagInstalled) ? "true" : "false")
      << ", \"revalidated\": "
      << ((r.flags & kFlagRevalidated) ? "true" : "false")
-     << ", \"deferred\": " << ((r.flags & kFlagDeferred) ? "true" : "false")
      << ", \"recovery\": " << ((r.flags & kFlagRecovery) ? "true" : "false")
      << ", \"group\": " << int{r.group}
      << ", \"snapshot_version\": " << r.snapshot_version

@@ -16,11 +16,6 @@
 // is best-effort evidence, not an audit log; records lost to lapping were
 // by definition not among the most recent N.
 //
-// A separate mutex-guarded "control" ring records degradations that happen
-// off the worker path (queue-full deferrals hit by ingest threads): that
-// path is already the overload rung of the ladder, so a cold mutex there
-// costs nothing that matters.
-//
 // dump_json() bundles the rings with the last kTraceTail trace spans (when
 // the Tracer is enabled) and the reason for the dump — every red chaos /
 // churn CI run uploads one of these, so the artifact names the offending
@@ -31,7 +26,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,15 +50,10 @@ class FlightRecorder {
   std::size_t workers() const { return num_rings_; }
   std::size_t ring_size() const { return mask_ + 1; }
 
-  /// Publishes `rec` into worker `worker`'s ring, overwriting the oldest
-  /// record once the ring is full. Wait-free; the caller must be the only
-  /// publisher for that worker index. Out-of-range workers fall through to
-  /// publish_control().
+  /// Publishes `rec` into worker `worker`'s ring (worker < workers()),
+  /// overwriting the oldest record once the ring is full. Wait-free; the
+  /// caller must be the only publisher for that worker index.
   void publish(std::size_t worker, const RerouteRecord& rec);
-
-  /// Publishes from any thread (mutex-guarded); for off-worker events such
-  /// as ingest-side queue-full deferrals.
-  void publish_control(const RerouteRecord& rec);
 
   /// Total records ever published (including overwritten ones).
   std::uint64_t published() const {
@@ -100,14 +89,11 @@ class FlightRecorder {
     std::unique_ptr<Slot[]> slots;
   };
 
-  void write_slot(Ring& ring, const RerouteRecord& rec);
   void collect_ring(const Ring& ring, std::vector<RerouteRecord>& out) const;
 
   std::size_t mask_ = 0;  ///< ring_size - 1 (power of two)
   std::size_t num_rings_ = 0;
   std::unique_ptr<Ring[]> rings_;
-  Ring control_;
-  std::mutex control_mu_;
   std::atomic<std::uint64_t> published_{0};
   mutable std::atomic<std::uint64_t> torn_{0};
 };

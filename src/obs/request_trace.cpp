@@ -12,8 +12,6 @@ const char* rung_name(Rung r) {
       return "repaired";
     case Rung::kScratch:
       return "scratch";
-    case Rung::kStaleFec:
-      return "stale-fec";
     case Rung::kNoRoute:
       return "no-route";
   }

@@ -15,11 +15,10 @@
 // a concrete reroute to go look up in the flight dump.
 //
 // The record also captures *which rung of the graceful-degradation ladder*
-// served the reroute (see core/degrade.hpp and DESIGN.md section 9/10):
-// cached tree -> single-failure cut scan -> incremental repair -> scratch
-// SPF -> stale-FEC retention (queue-full deferral) -> explicit no-route. A flight dump after a failed
-// drill therefore shows not just how slow each reroute was but how far it
-// degraded and why.
+// served the reroute (see DESIGN.md sections 10 and 12): cached tree ->
+// single-failure cut scan -> incremental repair -> scratch SPF -> explicit
+// no-route. A flight dump after a failed drill therefore shows not just how
+// slow each reroute was but how far it degraded and why.
 //
 // With RBPC_OBS_DISABLED the service compiles the capture out entirely
 // (~0 ns); this header stays included so the types remain nameable.
@@ -37,8 +36,7 @@ enum class Rung : std::uint8_t {
   kCut = 1,       ///< one failed link: route from two unfailed trees
   kRepaired = 2,  ///< incremental SPT repair from the unfailed base tree
   kScratch = 3,   ///< from-scratch SPF (repair fallback or no pooled view)
-  kStaleFec = 4,  ///< queue-full deferral: stale FEC retained, catch up later
-  kNoRoute = 5,   ///< destination unreachable: explicit empty route
+  kNoRoute = 4,   ///< destination unreachable: explicit empty route
 };
 
 /// Human-readable rung name ("cached", "repaired", ...).
@@ -47,10 +45,9 @@ const char* rung_name(Rung r);
 /// RerouteRecord flag bits.
 inline constexpr std::uint8_t kFlagInstalled = 1u << 0;    ///< route changed
 inline constexpr std::uint8_t kFlagRevalidated = 1u << 1;  ///< re-enqueued
-inline constexpr std::uint8_t kFlagDeferred = 1u << 2;     ///< sat in deferred set
 /// Pass was (re-)enqueued by startup recovery (snapshot + WAL replay), not
 /// by a live LSA — flight dumps from a warm restart label catch-up work.
-inline constexpr std::uint8_t kFlagRecovery = 1u << 3;
+inline constexpr std::uint8_t kFlagRecovery = 1u << 2;
 
 /// One reroute's lifecycle. Plain trivially-copyable data: built on the
 /// worker's stack, published into the flight recorder by relaxed atomic

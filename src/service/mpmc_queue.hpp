@@ -2,9 +2,16 @@
 // bounded MPMC design): a power-of-two ring of cells, each carrying a
 // sequence number that encodes whether the cell is ready to be written
 // (seq == pos) or read (seq == pos + 1). Producers and consumers claim
-// positions with a single CAS each and never block one another; a full
-// queue rejects the push instead of waiting, which is exactly the
-// backpressure signal the restoration service's overload ladder needs.
+// positions with a single CAS each; a full queue rejects the push instead
+// of waiting.
+//
+// "Full" means full by count: push fails only when capacity() items have
+// been claimed by producers and not yet by consumers. A producer that
+// reaches a cell whose previous item a consumer has claimed but is still
+// moving out waits for that move (a few instructions) rather than
+// reporting a full ring. The restoration service relies on this: it sizes
+// the ring to hold every demand once and asserts that no push fails
+// (service.cpp, "why the queue never fills").
 //
 // close() is a soft shutdown: subsequent pushes fail, but items already in
 // the ring stay poppable so consumers can drain in-flight work. pop() on an
@@ -15,6 +22,7 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,9 +49,13 @@ class MpmcQueue {
 
   /// Enqueues `v`. Returns false (leaving `v` unconsumed) when the queue
   /// is full or closed.
+  ///
+  /// enqueue_pos_ is read with acquire and advanced with acq_rel, so a
+  /// producer sees every pop claimed before a push it follows; on x86 this
+  /// costs nothing over relaxed.
   bool push(T v) {
     if (closed_.load(std::memory_order_acquire)) return false;
-    std::size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
+    std::size_t pos = enqueue_pos_.load(std::memory_order_acquire);
     for (;;) {
       Cell& cell = buffer_[pos & mask_];
       const std::size_t seq = cell.seq.load(std::memory_order_acquire);
@@ -51,16 +63,26 @@ class MpmcQueue {
                                   static_cast<std::ptrdiff_t>(pos);
       if (diff == 0) {
         if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_acquire)) {
           cell.value = std::move(v);
           cell.seq.store(pos + 1, std::memory_order_release);
           return true;
         }
         // CAS reloaded pos; retry with the new position.
       } else if (diff < 0) {
-        return false;  // the cell is a full lap behind: queue full
+        // The cell still holds the item from a lap ago. Full only when no
+        // consumer has claimed that item; otherwise its consumer is moving
+        // it out right now.
+        const std::size_t deq = dequeue_pos_.load(std::memory_order_acquire);
+        if (static_cast<std::ptrdiff_t>(pos - deq) >=
+            static_cast<std::ptrdiff_t>(buffer_.size())) {
+          return false;
+        }
+        std::this_thread::yield();
+        pos = enqueue_pos_.load(std::memory_order_acquire);
       } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);
+        pos = enqueue_pos_.load(std::memory_order_acquire);
       }
     }
   }

@@ -82,20 +82,16 @@
 // publishes first and then reads the registration:
 //
 //  * An idle worker bumps sleepers_, issues a seq_cst fence, reads
-//    wake_seq_, and only then re-checks the queue and the deferred set. It
-//    parks until wake_seq_ moves past the value it read. A notifier
-//    (ingest() after its whole batch, drain_deferred() after moving
-//    demands) publishes the work, issues a seq_cst fence, and reads
-//    sleepers_; when it is non-zero it bumps wake_seq_ under wake_mu_ and
-//    notifies. By the fences, either the notifier sees the registration or
-//    the worker's re-check sees the work: a queue push is an atomic the
-//    fence orders, and a deferral happens under deferred_mu_, which the
-//    worker's re-check also takes, so if the deferral comes second the
-//    registration happens-before the notifier's read. A bump that precedes
-//    the worker's read of wake_seq_ happens-before the re-check, so that
-//    re-check sees the work; a bump after it ends the wait. The wait is
-//    also bounded (kIdleWait, or the deferred set's backoff deadline), so
-//    the heartbeat keeps moving, and stop() sets stopping_ under wake_mu_.
+//    wake_seq_, and only then re-checks the queue. It parks until wake_seq_
+//    moves past the value it read. The notifier (ingest() after its whole
+//    batch) pushes the work, issues a seq_cst fence, and reads sleepers_;
+//    when it is non-zero it bumps wake_seq_ under wake_mu_ and notifies. A
+//    queue push is an atomic the fences order, so either the notifier sees
+//    the registration or the worker's re-check sees the work. A bump that
+//    precedes the worker's read of wake_seq_ happens-before the re-check,
+//    so that re-check sees the work; a bump after it ends the wait. The
+//    wait is also bounded (kIdleWait), so the heartbeat keeps moving, and
+//    stop() sets stopping_ under wake_mu_.
 //  * A quiesce() caller bumps quiescers_ (seq_cst) and waits under
 //    wake_mu_ for inflight_ == 0 or a recorded failure. The task whose
 //    seq_cst decrement takes inflight_ from 1 to 0 then reads quiescers_
@@ -112,7 +108,18 @@
 // group commit: a worker commits its group (and only then drops the
 // group's count from inflight_) before it polls, parks or exits, so the
 // pending count never reaches zero, and no worker sleeps, while a computed
-// route is uninstalled.
+// route is uninstalled. A revalidation re-enqueue from a worker needs no
+// notify either: that worker pops it before it polls or parks.
+//
+// Why the queue never fills: only the thread whose CAS takes a demand's
+// `queued` flag from false to true pushes it, and the flag returns to false
+// only in compute_reroute, after the worker popped that entry. So the ring
+// holds each demand at most once, and it has a slot per demand. That holds
+// for every producer: ingest (before and after stop()), revalidation and
+// recovery's re-enqueues. MpmcQueue counts an entry a consumer has claimed
+// as gone, so a slow pop cannot make a push fail either. The ring costs
+// bit_ceil(D) 64-byte cells, and a pending demand waits behind at most
+// D - 1 others.
 //
 // Crash consistency of the persistence plane (DESIGN.md §14):
 //
@@ -184,13 +191,11 @@ RestorationService::RestorationService(const graph::Graph& g,
             spf::TreePoolOptions{.max_views = kMaxViews}),
       base_(pool_.base()),
       edge_demands_(g.num_edges()),
-      queue_(options.queue_capacity),
+      queue_(std::max(options.queue_capacity, demands.size())),
       reroutes_(registry().counter("svc.reroutes")),
       installs_(registry().counter("svc.installs")),
       revalidations_(registry().counter("svc.revalidations")),
-      deferred_count_(registry().counter("svc.deferred")),
       snapshots_(registry().counter("svc.snapshots")),
-      backoff_waits_(registry().counter("svc.defer.backoff.waits")),
       cut_routes_(registry().counter("svc.rung.cut")),
       cut_fallbacks_(registry().counter("svc.rung.cut_fallback")),
       no_route_g_(registry().gauge("svc.no_route")),
@@ -604,67 +609,14 @@ void RestorationService::enqueue_demand(std::size_t d, std::uint8_t flags) {
     // `queued` is the only reader, ordered through the flag.
     st.request_id.store(obs::next_request_id(), std::memory_order_relaxed);
     st.enqueue_ns.store(obs::now_ns(), std::memory_order_relaxed);
-    st.was_deferred.store(false, std::memory_order_relaxed);
     st.enqueue_flags.store(flags, std::memory_order_relaxed);
   }
   inflight_.fetch_add(1, std::memory_order_seq_cst);
-  if (!queue_.push(d)) {
-    // Overload: the ladder's stale-FEC rung. The route stays as it is and
-    // the demand waits in the deferred set until the queue has room.
-    deferred_count_.inc();
-    if constexpr (obs::kObsEnabled) {
-      st.was_deferred.store(true, std::memory_order_relaxed);
-      obs::RerouteRecord rec;
-      rec.request_id = st.request_id.load(std::memory_order_relaxed);
-      rec.enqueue_ns = st.enqueue_ns.load(std::memory_order_relaxed);
-      rec.done_ns = obs::now_ns();
-      rec.demand = static_cast<std::uint32_t>(d);
-      rec.src = st.src;
-      rec.dst = st.dst;
-      rec.worker = static_cast<std::uint32_t>(flight_.workers());
-      rec.rung = static_cast<std::uint8_t>(obs::Rung::kStaleFec);
-      rec.flags = static_cast<std::uint8_t>(obs::kFlagDeferred | flags);
-      flight_.publish_control(rec);
-      maybe_dump_flight("degradation ladder: queue-full deferral");
-    }
-    std::lock_guard<std::mutex> lock(deferred_mu_);
-    deferred_.push_back(d);
-  }
-}
-
-void RestorationService::drain_deferred(bool force) {
-  std::unique_lock<std::mutex> lock(deferred_mu_);
-  if (deferred_.empty()) return;
-  // Under sustained overload a failed push re-fails on every worker idle
-  // pass; the decorrelated-jitter window (backoff.hpp) spaces the retries.
-  // quiesce() force-drains so convergence never waits on the timer.
-  if (!force && backoff_until_ns_ != 0 && obs::now_ns() < backoff_until_ns_) {
-    return;
-  }
-  static obs::Gauge backoff_g = registry().gauge("svc.defer.backoff_us");
-  const std::size_t before = deferred_.size();
-  while (!deferred_.empty()) {
-    if (!queue_.push(deferred_.back())) {
-      backoff_us_ =
-          next_backoff_us(backoff_us_, options_.defer_backoff, backoff_rng_);
-      backoff_until_ns_ = obs::now_ns() + backoff_us_ * 1000;
-      backoff_waits_.inc();
-      static obs::Histogram backoff_h =
-          registry().histogram("svc.defer.backoff");
-      backoff_h.record(backoff_us_);
-      backoff_g.set(static_cast<std::int64_t>(backoff_us_));
-      break;
-    }
-    deferred_.pop_back();
-  }
-  if (deferred_.empty()) {
-    backoff_us_ = 0;
-    backoff_until_ns_ = 0;
-    backoff_g.set(0);
-  }
-  const bool moved = deferred_.size() != before;
-  lock.unlock();
-  if (moved) wake_workers();
+  // The ring holds each queued demand at most once (this CAS is the only
+  // way in, and only compute_reroute, after the pop, clears the flag), and
+  // it has a slot per demand, so the push cannot find it full.
+  const bool pushed = queue_.push(d);
+  RBPC_ASSERT(pushed);
 }
 
 void RestorationService::worker_loop(std::size_t worker) {
@@ -700,7 +652,6 @@ void RestorationService::worker_loop(std::size_t worker) {
         continue;
       }
       if (stopping_.load(std::memory_order_seq_cst)) return;
-      drain_deferred(quiescers_.load(std::memory_order_seq_cst) != 0);
       if (!std::exchange(idle, true) && poll_for_work()) continue;
       wait_for_work();
     }
@@ -729,23 +680,9 @@ void RestorationService::wait_for_work() {
   sleepers_.fetch_add(1, std::memory_order_seq_cst);
   std::atomic_thread_fence(std::memory_order_seq_cst);
   const std::uint64_t seen = wake_seq_.load(std::memory_order_acquire);
-  auto deadline = std::chrono::steady_clock::now() + kIdleWait;
-  {
-    std::lock_guard<std::mutex> lock(deferred_mu_);
-    if (!deferred_.empty()) {
-      // A deferred demand is due at the end of its backoff window, or at
-      // once while a quiescer waits (or before any drain attempt failed).
-      const std::chrono::steady_clock::time_point due{
-          std::chrono::nanoseconds(
-              quiescers_.load(std::memory_order_seq_cst) != 0
-                  ? 0
-                  : backoff_until_ns_)};
-      deadline = std::min(deadline, due);
-    }
-  }
   if (queue_.approx_size() == 0) {
     std::unique_lock<std::mutex> lock(wake_mu_);
-    work_cv_.wait_until(lock, deadline, [this, seen] {
+    work_cv_.wait_for(lock, kIdleWait, [this, seen] {
       return wake_seq_.load(std::memory_order_relaxed) != seen ||
              stopping_.load(std::memory_order_seq_cst);
     });
@@ -783,9 +720,6 @@ void RestorationService::compute_reroute(std::size_t d, std::size_t worker,
   if constexpr (obs::kObsEnabled) {
     rec.request_id = st.request_id.load(std::memory_order_relaxed);
     rec.enqueue_ns = st.enqueue_ns.load(std::memory_order_relaxed);
-    if (st.was_deferred.load(std::memory_order_relaxed)) {
-      rec.flags |= obs::kFlagDeferred;
-    }
     rec.flags |= st.enqueue_flags.load(std::memory_order_relaxed);
     rec.demand = static_cast<std::uint32_t>(d);
     rec.src = st.src;
@@ -972,14 +906,11 @@ void RestorationService::set_dirty_locked(std::size_t d, bool dirty) {
 }
 
 void RestorationService::quiesce() {
-  // Registered before the force-drain, so workers that go idle from here on
-  // drain the deferred set without backoff as well.
   quiescers_.fetch_add(1, std::memory_order_seq_cst);
   struct Unregister {
     std::atomic<std::size_t>& n;
     ~Unregister() { n.fetch_sub(1, std::memory_order_seq_cst); }
   } unregister{quiescers_};
-  drain_deferred(/*force=*/true);
   std::unique_lock<std::mutex> lock(wake_mu_);
   idle_cv_.wait(lock, [this] {
     return failure_ != nullptr ||
@@ -1020,9 +951,7 @@ ServiceStats RestorationService::stats() const {
   s.reroutes = reroutes_.value();
   s.installs = installs_.value();
   s.revalidations = revalidations_.value();
-  s.deferred = deferred_count_.value();
   s.snapshots = snapshots_.value();
-  s.backoff_waits = backoff_waits_.value();
   s.cut_routes = cut_routes_.value();
   s.cut_fallbacks = cut_fallbacks_.value();
   {

@@ -9,14 +9,11 @@
 //  * a sharded, generation-numbered LSDB with epoch-pinned snapshot reads
 //    (sharded_lsdb.hpp): ingest never blocks reroutes, reroutes never block
 //    ingest;
-//  * a bounded lock-free MPMC queue (mpmc_queue.hpp) of demand ids feeding
-//    long-running consumers on the existing ThreadPool; when the queue is
-//    full the demand falls to a deferred set instead of being dropped —
-//    the PR-4 degradation ladder's "retain stale FEC, catch up later" rung
-//    (the earlier rungs are structural here: the single-failure cut scan
-//    over two unfailed trees, incremental tree repair via
-//    SnapshotTreePool, scratch SPF when the pool evicted the view, and an
-//    explicit empty route when the destination is unreachable);
+//  * a lock-free MPMC ring (mpmc_queue.hpp) of demand ids feeding
+//    long-running consumers on the existing ThreadPool. The ring has a
+//    slot per demand and the dedup flag keeps each demand in it at most
+//    once, so a push never finds it full: overload has bounded memory and
+//    FIFO draining by construction;
 //  * a revalidation loop closing the ingest/reroute race: a worker that
 //    installed a route computed against snapshot version v re-enqueues its
 //    demand when the LSDB moved past v meanwhile. Together with
@@ -73,7 +70,6 @@
 #include "obs/request_trace.hpp"
 #include "persist/io.hpp"
 #include "persist/store.hpp"
-#include "service/backoff.hpp"
 #include "service/mpmc_queue.hpp"
 #include "service/sharded_lsdb.hpp"
 #include "spf/metric.hpp"
@@ -117,23 +113,26 @@ struct PersistOptions {
 struct ServiceOptions {
   std::size_t shards = 4;          ///< LSDB shards (clamped to edge count)
   std::size_t workers = 0;         ///< reroute workers; 0 = hardware default
-  std::size_t queue_capacity = 256;///< MPMC ring size (rounded up to 2^k)
+  /// Compatibility stub: a floor on the MPMC ring size, which is
+  /// max(queue_capacity, number of demands) rounded up to 2^k. The ring
+  /// always has a slot per demand, so this only matters to callers that
+  /// still set it (perfbench/ does); it goes with the next benchmark
+  /// change.
+  std::size_t queue_capacity = 0;
   spf::Metric metric = spf::Metric::Hops;
 
   /// Durable snapshot + WAL state plane; recovery happens in the
   /// constructor (see recovered() / ServiceStats recovery fields).
   PersistOptions persist;
-  /// Deferred-set retry pacing (service/backoff.hpp).
-  BackoffPolicy defer_backoff;
 
   // --- Introspection plane (obs/) ---
   /// Per-worker flight-recorder ring size (RerouteRecords kept per worker;
   /// rounded up to a power of two).
   std::size_t flight_ring = 64;
   /// When nonempty, the service writes one flight-recorder JSON dump here
-  /// the first time the degradation ladder escalates past scratch SPF
-  /// (queue-full deferral or an explicit no-route install) — red runs ship
-  /// their own evidence without anyone asking.
+  /// the first time something goes wrong: a no-route install (the ladder
+  /// escalated past scratch SPF) or a WAL replay anomaly at startup — red
+  /// runs ship their own evidence without anyone asking.
   std::string flight_dump_path;
   /// Opt-in scrape endpoint: serve /metrics (Prometheus), /metrics.json,
   /// /flight and /slo on 127.0.0.1:metrics_port (0 = ephemeral; read the
@@ -151,10 +150,12 @@ struct ServiceStats {
   std::uint64_t reroutes = 0;          ///< reroute tasks run
   std::uint64_t installs = 0;          ///< installs that changed the route
   std::uint64_t revalidations = 0;     ///< re-enqueues after a version race
-  std::uint64_t deferred = 0;          ///< queue-full degradations
+  /// Compatibility stub, always 0: the ring never fills, so no demand is
+  /// deferred. Kept only because perfbench/ reads it; it goes with the
+  /// next benchmark change.
+  std::uint64_t deferred = 0;
   std::uint64_t no_route = 0;          ///< demands currently unrestorable
   std::uint64_t snapshots = 0;         ///< LSDB snapshots taken by workers
-  std::uint64_t backoff_waits = 0;     ///< deferred drains delayed by backoff
   /// Reroutes with one failed link that the cut scan answered (no view,
   /// no SPF beyond filling the base store).
   std::uint64_t cut_routes = 0;
@@ -200,16 +201,14 @@ class RestorationService {
   bool ingest(const lsdb::LinkEvent& ev);
 
   /// Blocks until every pending and in-flight reroute (including
-  /// revalidation re-runs and deferred demands) completed. After quiesce()
-  /// with no concurrent ingest, routes() is the serial restoration of the
-  /// final mask. Callable repeatedly; not an end-of-life operation.
+  /// revalidation re-runs) completed. After quiesce() with no concurrent
+  /// ingest, routes() is the serial restoration of the final mask.
+  /// Callable repeatedly; not an end-of-life operation.
   ///
   /// The wait blocks on a completion signal rather than polling: the task
-  /// that takes the pending count to zero wakes it. While a quiescer waits,
-  /// idle workers drain the deferred set without backoff, so convergence
-  /// never waits on a retry timer. If a reroute task threw (a WAL write
-  /// failed, say), its worker has exited: quiesce() wakes and rethrows the
-  /// first such exception, and so does every later call.
+  /// that takes the pending count to zero wakes it. If a reroute task threw
+  /// (a WAL write failed, say), its worker has exited: quiesce() wakes and
+  /// rethrows the first such exception, and so does every later call.
   void quiesce();
 
   /// Stops the workers (drains nothing — call quiesce() first when the
@@ -273,7 +272,6 @@ class RestorationService {
     std::uint64_t stamp = 0;     ///< snapshot version of the last install
     std::atomic<std::uint64_t> request_id{0};   ///< causal id of this pass
     std::atomic<std::uint64_t> enqueue_ns{0};   ///< when the pass was queued
-    std::atomic<bool> was_deferred{false};      ///< pass hit the queue-full rung
     std::atomic<std::uint8_t> enqueue_flags{0}; ///< kFlag* set by the enqueuer
   };
 
@@ -301,9 +299,8 @@ class RestorationService {
   /// Polls the queue for a short window (no lock, no syscall); true when
   /// work arrived or stop() was called within it.
   bool poll_for_work() const;
-  /// Parks an idle worker until a wake-up, stop(), or its deadline: the
-  /// deferred set's next drain time when it holds demands, else the idle
-  /// bound that keeps heartbeats fresh.
+  /// Parks an idle worker until a wake-up, stop(), or the idle bound that
+  /// keeps heartbeats fresh.
   void wait_for_work();
   /// Wakes parked workers after new work was queued; no lock and no
   /// syscall when none is parked. Called once per batch, not per demand.
@@ -314,14 +311,9 @@ class RestorationService {
   /// Records a worker's exception (the first one sticks) and wakes every
   /// quiesce() caller so it can rethrow it.
   void record_failure(std::exception_ptr error);
-  /// Marks the demand pending and queues it (deferred set on overflow).
+  /// Marks the demand pending and queues it, unless it is queued already.
   /// `flags` tags the pass's flight record (obs::kFlagRecovery at startup).
   void enqueue_demand(std::size_t d, std::uint8_t flags = 0);
-  /// Moves deferred demands into the queue while there is room, then wakes
-  /// parked workers if any moved. Worker calls respect the backoff window
-  /// after a failed attempt unless a quiesce() caller waits; quiesce()
-  /// forces the attempt (convergence never waits on a retry timer).
-  void drain_deferred(bool force = false);
   /// First half of a reroute: clear the dedup flag, snapshot, climb the
   /// ladder, decompose, into `out`.
   void compute_reroute(std::size_t d, std::size_t worker, Pending& out);
@@ -387,14 +379,9 @@ class RestorationService {
   std::vector<std::uint32_t> dirty_;
   std::size_t no_route_count_ = 0;
 
+  /// Pending demand ids; a slot per demand, so it never fills.
   MpmcQueue<std::size_t> queue_;
-  std::mutex deferred_mu_;
-  std::vector<std::size_t> deferred_;
-  // Backoff state for the deferred set, guarded by deferred_mu_.
-  std::uint64_t backoff_us_ = 0;        ///< current delay (0 = none pending)
-  std::uint64_t backoff_until_ns_ = 0;  ///< next allowed drain attempt
-  std::uint64_t backoff_rng_ = 0;       ///< decorrelated-jitter PRNG state
-  /// Demands pending (queued or deferred) plus reroutes mid-flight.
+  /// Demands pending in the queue plus reroutes mid-flight.
   std::atomic<std::size_t> inflight_{0};
   /// Set under wake_mu_ by stop(); workers and the maintenance thread exit.
   std::atomic<bool> stopping_{false};
@@ -437,9 +424,7 @@ class RestorationService {
   obs::InstanceCounter reroutes_;
   obs::InstanceCounter installs_;
   obs::InstanceCounter revalidations_;
-  obs::InstanceCounter deferred_count_;
   obs::InstanceCounter snapshots_;
-  obs::InstanceCounter backoff_waits_;
   obs::InstanceCounter cut_routes_;     ///< svc.rung.cut
   obs::InstanceCounter cut_fallbacks_;  ///< svc.rung.cut_fallback
   obs::Gauge no_route_g_;  ///< mirrors no_route_count_ (set under routes_mu_)
