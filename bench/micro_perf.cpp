@@ -145,13 +145,15 @@ void BM_SpfRepairSingleFailureIsp(benchmark::State& state) {
 }
 BENCHMARK(BM_SpfRepairSingleFailureIsp);
 
-// --- The single-failure rung vs repair on the AS graph ---------------------
+// --- The single-failure rung vs repair -------------------------------------
 //
 // The service's k = 1 reroute: one (s, t) demand, one failed link on its
 // canonical path. Repair rebuilds s's tree under the mask and extracts the
 // path to t; the cut scan reads the route off s's and t's unfailed trees.
 // Both cycle through the same fixed (s, t, e) set, with the service's flavor
 // (padded hops, arbitrary tiebreak), and both end with the route as a Path.
+// The cut scan runs on the AS graph and on the ISP graph (the isp_flap
+// workload's topology), each over 32 queries built the same way.
 
 struct CutScenario {
   spf::ShortestPathTree from_s;
@@ -162,25 +164,35 @@ struct CutScenario {
 constexpr spf::SpfOptions kServiceFlavor{.metric = spf::Metric::Hops,
                                          .padded = true};
 
+/// 32 fixed (s, t, e) queries on `g`: random distinct s and t, and a random
+/// link of their canonical path.
+std::vector<CutScenario> make_cut_scenarios(const Graph& g) {
+  Rng rng(13);
+  std::vector<CutScenario> out;
+  while (out.size() < 32) {
+    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
+    if (s == t) continue;
+    spf::ShortestPathTree from_s =
+        spf::shortest_tree(g, s, FailureMask::none(), kServiceFlavor);
+    const graph::Path path = from_s.path_to(g, t);
+    const graph::EdgeId e = path.edge(rng.below(path.hops()));
+    out.push_back(CutScenario{
+        std::move(from_s),
+        spf::shortest_tree(g, t, FailureMask::none(), kServiceFlavor), e});
+  }
+  return out;
+}
+
 const std::vector<CutScenario>& as_cut_scenarios() {
-  static const std::vector<CutScenario> scenarios = [] {
-    const Graph& g = as_graph();
-    Rng rng(13);
-    std::vector<CutScenario> out;
-    while (out.size() < 32) {
-      const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-      const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-      if (s == t) continue;
-      spf::ShortestPathTree from_s =
-          spf::shortest_tree(g, s, FailureMask::none(), kServiceFlavor);
-      const graph::Path path = from_s.path_to(g, t);
-      const graph::EdgeId e = path.edge(rng.below(path.hops()));
-      out.push_back(CutScenario{
-          std::move(from_s),
-          spf::shortest_tree(g, t, FailureMask::none(), kServiceFlavor), e});
-    }
-    return out;
-  }();
+  static const std::vector<CutScenario> scenarios =
+      make_cut_scenarios(as_graph());
+  return scenarios;
+}
+
+const std::vector<CutScenario>& isp_cut_scenarios() {
+  static const std::vector<CutScenario> scenarios =
+      make_cut_scenarios(isp_graph());
   return scenarios;
 }
 
@@ -199,9 +211,8 @@ void BM_SpfRepairSingleFailureAs(benchmark::State& state) {
 }
 BENCHMARK(BM_SpfRepairSingleFailureAs);
 
-void BM_CutRouteAs(benchmark::State& state) {
-  const Graph& g = as_graph();
-  const auto& scenarios = as_cut_scenarios();
+void run_cut_routes(benchmark::State& state, const Graph& g,
+                    const std::vector<CutScenario>& scenarios) {
   spf::SpfWorkspace ws;
   graph::Path route;
   std::size_t i = 0;
@@ -215,7 +226,16 @@ void BM_CutRouteAs(benchmark::State& state) {
   }
   state.counters["unproven"] = static_cast<double>(unproven);
 }
+
+void BM_CutRouteAs(benchmark::State& state) {
+  run_cut_routes(state, as_graph(), as_cut_scenarios());
+}
 BENCHMARK(BM_CutRouteAs);
+
+void BM_CutRouteIsp(benchmark::State& state) {
+  run_cut_routes(state, isp_graph(), isp_cut_scenarios());
+}
+BENCHMARK(BM_CutRouteIsp);
 
 void BM_SourceRbpcRestore(benchmark::State& state) {
   const Graph& g = isp_graph();

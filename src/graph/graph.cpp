@@ -9,16 +9,6 @@
 
 namespace rbpc::graph {
 
-std::span<const Arc> Graph::arcs(NodeId v) const {
-  require(v < num_nodes_, "Graph::arcs: node out of range");
-  return {arcs_.data() + offsets_[v], arcs_.data() + offsets_[v + 1]};
-}
-
-const Edge& Graph::edge(EdgeId e) const {
-  require(e < edges_.size(), "Graph::edge: edge out of range");
-  return edges_[e];
-}
-
 NodeId Graph::other_end(EdgeId e, NodeId v) const {
   const Edge& ed = edge(e);
   require(ed.u == v || ed.v == v, "Graph::other_end: node is not an endpoint");

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "graph/types.hpp"
+#include "util/error.hpp"
 
 namespace rbpc::graph {
 
@@ -50,12 +51,18 @@ class Graph {
   bool directed() const { return directed_; }
 
   /// All arcs leaving `v` (for undirected graphs, every incident link).
-  std::span<const Arc> arcs(NodeId v) const;
+  std::span<const Arc> arcs(NodeId v) const {
+    require(v < num_nodes_, "Graph::arcs: node out of range");
+    return {arcs_.data() + offsets_[v], arcs_.data() + offsets_[v + 1]};
+  }
 
   /// Out-degree of `v` (== degree for undirected graphs).
   std::size_t degree(NodeId v) const { return arcs(v).size(); }
 
-  const Edge& edge(EdgeId e) const;
+  const Edge& edge(EdgeId e) const {
+    require(e < edges_.size(), "Graph::edge: edge out of range");
+    return edges_[e];
+  }
   Weight weight(EdgeId e) const { return edge(e).weight; }
 
   /// The endpoint of `e` other than `v`. Precondition: v is an endpoint.

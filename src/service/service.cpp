@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -56,14 +57,15 @@
 // and each demand is compared against its own snapshot version. Delaying
 // an install until the group commits only widens the window in which an
 // event can race it, and the race is closed the same way. The baseline
-// copy a pass makes when its snapshot has no failed link is the route the
+// a pass reuses when its snapshot has no failed link is the route the
 // ladder's cached rung would compute (same unfailed tree, same
 // decomposition), so it changes no bit either.
 //
 // The SPF ladder a reroute climbs down (compute_reroute, compute_backup):
 //
-//  * no failed link: a copy of the demand's provisioned baseline, which
-//    was read off the source's unfailed tree (rung "cached");
+//  * no failed link: the demand's provisioned baseline, which was read off
+//    the source's unfailed tree (rung "cached"). Routes are immutable and
+//    shared, so this is a pointer copy;
 //  * exactly one failed link: spf::replacement_route reads the route off
 //    the source's and the destination's unfailed trees, both from the same
 //    base store (rung "cut"). It builds no view, runs no SPF once both
@@ -179,6 +181,13 @@ constexpr std::uint64_t kGroupWindowNs = 50'000;
 /// recent masks (a flapping link alternates two), so a small LRU wins.
 constexpr std::size_t kMaxViews = 8;
 
+/// Whether two routes are the same path; a shared route is equal to itself
+/// without comparing hops.
+bool same_path(const std::shared_ptr<const core::Restoration>& a,
+               const std::shared_ptr<const core::Restoration>& b) {
+  return a == b || a->backup == b->backup;
+}
+
 }  // namespace
 
 RestorationService::RestorationService(const graph::Graph& g,
@@ -220,14 +229,14 @@ RestorationService::RestorationService(const graph::Graph& g,
   // the serial one at any thread count.
   pool_threads_.parallel_for(demands_.size(), [this](std::size_t i) {
     DemandState& st = demands_[i];
-    core::Restoration r;
+    auto r = std::make_shared<core::Restoration>();
     auto tree = pool_.base().tree(st.src);
     if (tree->reachable(st.dst)) {
-      r.backup = tree->path_to(g_, st.dst);
-      r.decomposition = core::greedy_decompose(base_, r.backup);
+      r->backup = tree->path_to(g_, st.dst);
+      r->decomposition = core::greedy_decompose(base_, r->backup);
     }
-    st.baseline = r;
-    st.route = std::move(r);
+    st.baseline = std::move(r);
+    st.route = st.baseline;
   });
 
   // Warm restart: load the persisted state plane (snapshot + WAL replay)
@@ -362,12 +371,13 @@ void RestorationService::apply_recovered(const persist::RecoverResult& rec) {
   graph::PathArena arena;
   arena.adopt(s.arena_nodes, s.arena_edges);
   std::vector<char> replayed(demands_.size(), 0);
+  std::vector<graph::Path> backups(demands_.size());  // valid where replayed
   for (std::size_t i = 0; i < demands_.size(); ++i) {
     const persist::DemandRecord& dr = s.demands[i];
     DemandState& st = demands_[i];
     st.stamp = dr.stamp;
     try {
-      st.route.backup =
+      backups[i] =
           dr.route.empty() ? graph::Path{} : arena.to_path(g_, dr.route);
       replayed[i] = 1;
     } catch (const Error&) {
@@ -391,7 +401,7 @@ void RestorationService::apply_recovered(const persist::RecoverResult& rec) {
         DemandState& st = demands_[w.fec.demand];
         if (w.fec.stamp < st.stamp) break;  // superseded within the old life
         try {
-          st.route.backup =
+          backups[w.fec.demand] =
               w.fec.nodes.empty()
                   ? graph::Path{}
                   : graph::Path::from_parts(g_, w.fec.nodes, w.fec.edges);
@@ -416,18 +426,21 @@ void RestorationService::apply_recovered(const persist::RecoverResult& rec) {
   for (std::size_t i = 0; i < demands_.size(); ++i) {
     DemandState& st = demands_[i];
     if (replayed[i] != 0) {
-      if (st.route.backup == st.baseline.backup) {
+      if (backups[i] == st.baseline->backup) {
         st.route = st.baseline;  // reuse the baseline's decomposition
-      } else if (st.route.restored()) {
-        st.route.decomposition = core::greedy_decompose(base_, st.route.backup);
       } else {
-        st.route.decomposition = {};
+        auto r = std::make_shared<core::Restoration>();
+        r->backup = std::move(backups[i]);
+        if (r->restored()) {
+          r->decomposition = core::greedy_decompose(base_, r->backup);
+        }
+        st.route = std::move(r);
       }
     }
     st.stamp = 0;
-    const bool dirty = !(st.route.backup == st.baseline.backup);
+    const bool dirty = !same_path(st.route, st.baseline);
     bool rides_down_edge = false;
-    for (const EdgeId e : st.route.backup.edges()) {
+    for (const EdgeId e : st.route->backup.edges()) {
       if (snap.edge_failed(e)) {
         rides_down_edge = true;
         break;
@@ -454,8 +467,10 @@ persist::SnapshotState RestorationService::capture_state() {
     if (down || gen != 0) s.links.push_back({e, down, gen});
   }
 
-  // FEC table under the install lock; paths go into the snapshot's arena
-  // section in the PathArena pad-slot layout (nodes/edges index-aligned).
+  // The FEC table: each demand's (stamp, route) is read under the install
+  // lock, and since routes are immutable the paths are encoded after it is
+  // released, into the snapshot's arena section in the PathArena pad-slot
+  // layout (nodes/edges index-aligned).
   const auto store_path = [&s](const graph::Path& p) {
     graph::PathRef r;
     if (p.empty()) return r;
@@ -468,16 +483,23 @@ persist::SnapshotState RestorationService::capture_state() {
     s.arena_edges.push_back(graph::kInvalidEdge);  // pad slot
     return r;
   };
-  std::lock_guard<std::mutex> lock(routes_mu_);
+  std::vector<RouteRef> routes;
+  routes.reserve(demands_.size());
   s.demands.reserve(demands_.size());
-  for (const DemandState& st : demands_) {
-    persist::DemandRecord dr;
-    dr.src = st.src;
-    dr.dst = st.dst;
-    dr.stamp = st.stamp;
-    dr.route = store_path(st.route.backup);
-    dr.baseline = store_path(st.baseline.backup);
-    s.demands.push_back(dr);
+  {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    for (const DemandState& st : demands_) {
+      persist::DemandRecord dr;
+      dr.src = st.src;
+      dr.dst = st.dst;
+      dr.stamp = st.stamp;
+      s.demands.push_back(dr);
+      routes.push_back(st.route);
+    }
+  }
+  for (std::size_t i = 0; i < demands_.size(); ++i) {
+    s.demands[i].route = store_path(routes[i]->backup);
+    s.demands[i].baseline = store_path(demands_[i].baseline->backup);
   }
   return s;
 }
@@ -489,11 +511,9 @@ void RestorationService::rebuild_route_index() {
   for (std::size_t i = 0; i < demands_.size(); ++i) {
     DemandState& st = demands_[i];
     st.dirty_at = kClean;
-    set_dirty_locked(i, !(st.route.backup == st.baseline.backup));
-    if (!st.route.restored()) ++no_route_count_;
-    for (const EdgeId e : st.route.backup.edges()) {
-      edge_demands_[e].push_back(static_cast<std::uint32_t>(i));
-    }
+    set_dirty_locked(i, !same_path(st.route, st.baseline));
+    if (!st.route->restored()) ++no_route_count_;
+    index_route_locked(i);
   }
 }
 
@@ -572,8 +592,8 @@ bool RestorationService::ingest(const lsdb::LinkEvent& ev) {
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
     if (!ev.up) {
-      for (const std::uint32_t d : edge_demands_[ev.edge]) {
-        affected.push_back(d);
+      for (const EdgeSlot& slot : edge_demands_[ev.edge]) {
+        affected.push_back(slot.demand);
       }
     } else {
       affected.assign(dirty_.begin(), dirty_.end());
@@ -740,22 +760,26 @@ void RestorationService::compute_reroute(std::size_t d, std::size_t worker,
     rec.snapshot_version = out.version;
   }
 
-  core::Restoration& r = out.route;
   obs::Rung rung = obs::Rung::kCached;
   // No link down: the route is the provisioned baseline (same unfailed
-  // tree, same decomposition), which is immutable — copy it.
-  const bool baseline = snap.failed_edge_count() == 0;
-  if (baseline) {
-    r = st.baseline;
+  // tree, same decomposition), which is immutable — share it.
+  std::shared_ptr<core::Restoration> fresh;
+  if (snap.failed_edge_count() == 0) {
+    out.route = st.baseline;
   } else {
-    rung = compute_backup(st, snap, r.backup);
+    fresh = std::make_shared<core::Restoration>();
+    rung = compute_backup(st, snap, fresh->backup);
   }
   if constexpr (obs::kObsEnabled) rec.spf_ns = obs::now_ns();
-  const bool reachable = !r.backup.empty();
-  if (reachable && !baseline) {
-    RBPC_TRACE_SPAN("svc.decompose");
-    r.decomposition = core::greedy_decompose(base_, r.backup);
+  if (fresh != nullptr) {
+    if (fresh->restored()) {
+      RBPC_TRACE_SPAN("svc.decompose");
+      fresh->decomposition = core::greedy_decompose(base_, fresh->backup);
+    }
+    out.route = std::move(fresh);
   }
+  const core::Restoration& r = *out.route;
+  const bool reachable = r.restored();
   if constexpr (obs::kObsEnabled) {
     rec.decompose_ns = obs::now_ns();
     rec.rung = static_cast<std::uint8_t>(reachable ? rung
@@ -875,19 +899,41 @@ bool RestorationService::install_locked(Pending& p) {
   DemandState& st = demands_[p.demand];
   if (p.version < st.stamp) return false;  // a newer concurrent install won
   st.stamp = p.version;
-  if (p.route.backup == st.route.backup) return false;
-  const auto d = static_cast<std::uint32_t>(p.demand);
-  for (const EdgeId e : st.route.backup.edges()) {
-    std::erase(edge_demands_[e], d);
-  }
-  for (const EdgeId e : p.route.backup.edges()) {
-    edge_demands_[e].push_back(d);
-  }
-  if (st.route.restored() && !p.route.restored()) ++no_route_count_;
-  if (!st.route.restored() && p.route.restored()) --no_route_count_;
+  if (same_path(p.route, st.route)) return false;
+  unindex_route_locked(p.demand);
+  if (st.route->restored() && !p.route->restored()) ++no_route_count_;
+  if (!st.route->restored() && p.route->restored()) --no_route_count_;
   std::swap(st.route, p.route);
-  set_dirty_locked(p.demand, !(st.route.backup == st.baseline.backup));
+  index_route_locked(p.demand);
+  set_dirty_locked(p.demand, !same_path(st.route, st.baseline));
   return true;
+}
+
+void RestorationService::index_route_locked(std::size_t d) {
+  DemandState& st = demands_[d];
+  const std::span<const EdgeId> edges = st.route->backup.edges();
+  st.slots.resize(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    std::vector<EdgeSlot>& list = edge_demands_[edges[i]];
+    st.slots[i] = static_cast<std::uint32_t>(list.size());
+    list.push_back(
+        {static_cast<std::uint32_t>(d), static_cast<std::uint32_t>(i)});
+  }
+}
+
+void RestorationService::unindex_route_locked(std::size_t d) {
+  const DemandState& st = demands_[d];
+  const std::span<const EdgeId> edges = st.route->backup.edges();
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    // Swap-and-pop: the list's last slot takes this hop's place, and its
+    // owner's back-pointer follows it.
+    std::vector<EdgeSlot>& list = edge_demands_[edges[i]];
+    const std::uint32_t at = st.slots[i];
+    const EdgeSlot last = list.back();
+    list[at] = last;
+    demands_[last.demand].slots[last.hop] = at;
+    list.pop_back();
+  }
 }
 
 void RestorationService::set_dirty_locked(std::size_t d, bool dirty) {
@@ -922,15 +968,24 @@ void RestorationService::quiesce() {
 
 core::Restoration RestorationService::route(std::size_t demand) const {
   require(demand < demands_.size(), "RestorationService::route: bad demand");
-  std::lock_guard<std::mutex> lock(routes_mu_);
-  return demands_[demand].route;
+  RouteRef r;
+  {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    r = demands_[demand].route;
+  }
+  return *r;  // deep copy outside the install lock; the route is immutable
 }
 
 std::vector<core::Restoration> RestorationService::routes() const {
-  std::lock_guard<std::mutex> lock(routes_mu_);
+  std::vector<RouteRef> refs;
+  refs.reserve(demands_.size());
+  {
+    std::lock_guard<std::mutex> lock(routes_mu_);
+    for (const DemandState& st : demands_) refs.push_back(st.route);
+  }
   std::vector<core::Restoration> out;
-  out.reserve(demands_.size());
-  for (const DemandState& st : demands_) out.push_back(st.route);
+  out.reserve(refs.size());
+  for (const RouteRef& r : refs) out.push_back(*r);
   return out;
 }
 

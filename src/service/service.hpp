@@ -29,9 +29,14 @@
 // tree pool's base cache serves both SPF repair and canonical membership
 // (core::SharedCanonicalBaseSet), and it is thread-safe, so workers
 // decompose without a lock. Provisioning the baseline routes runs on the
-// worker threads before their loops start (DESIGN.md §10). A reroute whose
-// snapshot has no failed link copies the provisioned baseline instead of
-// recomputing it.
+// worker threads before their loops start (DESIGN.md §10). Routes are
+// immutable shared objects: a reroute whose snapshot has no failed link
+// takes a reference to the provisioned baseline instead of recomputing or
+// copying it, an install swaps pointers, and readers copy a pointer under
+// the install lock and deep-copy after releasing it. The reverse index
+// (link -> demands whose route uses it) keeps a slot per (demand, hop), and
+// each demand remembers where its hops sit, so an install moves a route in
+// and out of the index in O(hops).
 //
 // Workers commit in groups: each computes up to kGroupMax demands, then
 // installs them all under one hold of the install lock and appends their
@@ -217,9 +222,11 @@ class RestorationService {
   /// LSDB but reroutes stay queued forever.
   void stop();
 
-  /// The demand's current route (copy, taken under the install lock).
+  /// The demand's current route (a copy, made after the install lock is
+  /// released).
   core::Restoration route(std::size_t demand) const;
-  /// All current routes, index-aligned with the demand vector.
+  /// All current routes, index-aligned with the demand vector (copies, as
+  /// route()).
   std::vector<core::Restoration> routes() const;
   /// True when the demand's current route differs from its unfailed
   /// baseline (including "no route").
@@ -255,8 +262,12 @@ class RestorationService {
   std::uint16_t metrics_port() const;
 
  private:
-  /// Per-demand state. Routes / dirty_at / stamp / reverse index are guarded
-  /// by routes_mu_; `queued` is the lock-free enqueue dedup flag. The
+  /// An installed route: immutable once built, shared by the demand state,
+  /// in-flight reroutes and readers, and freed by whichever drops it last.
+  using RouteRef = std::shared_ptr<const core::Restoration>;
+
+  /// Per-demand state. route / slots / dirty_at / stamp are guarded by
+  /// routes_mu_; `queued` is the lock-free enqueue dedup flag. The
   /// request-trace fields ride the same dedup protocol: the enqueuer that
   /// wins the CAS stamps request_id/enqueue_ns, and the worker that later
   /// clears `queued` is the only reader — so plain release/acquire pairs
@@ -265,8 +276,12 @@ class RestorationService {
     graph::NodeId src = 0;
     graph::NodeId dst = 0;
     std::atomic<bool> queued{false};
-    core::Restoration baseline;  ///< unfailed-network route (immutable)
-    core::Restoration route;     ///< current route
+    /// Unfailed-network route. Set once before any worker starts and never
+    /// reassigned, so workers read the pointer without a lock.
+    RouteRef baseline;
+    RouteRef route;  ///< current route (== baseline until a reroute moves it)
+    /// slots[i]: where hop i of route sits in edge_demands_[its edge].
+    std::vector<std::uint32_t> slots;
     /// Position in dirty_ while route != baseline, else kClean.
     std::uint32_t dirty_at = kClean;
     std::uint64_t stamp = 0;     ///< snapshot version of the last install
@@ -281,9 +296,9 @@ class RestorationService {
   struct Pending {
     std::size_t demand = 0;
     std::uint64_t version = 0;  ///< snapshot version, the install stamp
-    /// The computed route; after an install, the route it replaced (freed
+    /// The computed route; after an install, the route it replaced (dropped
     /// with the group, outside the install lock).
-    core::Restoration route;
+    RouteRef route;
     persist::WalRecord wal;  ///< the install's WAL image (persistence on)
     bool installed = false;
     obs::RerouteRecord rec;
@@ -335,6 +350,10 @@ class RestorationService {
   /// replaced route into p.route; returns whether the route changed.
   /// Caller holds routes_mu_.
   bool install_locked(Pending& p);
+  /// Moves demand d's current route into / out of the reverse index, one
+  /// slot per hop (swap-and-pop on removal). Caller holds routes_mu_.
+  void index_route_locked(std::size_t d);
+  void unindex_route_locked(std::size_t d);
   /// Adds d to or removes it from the dirty index. Caller holds routes_mu_.
   void set_dirty_locked(std::size_t d, bool dirty);
 
@@ -349,7 +368,8 @@ class RestorationService {
   /// a known-down edge) — the superset of the work that was in flight.
   void apply_recovered(const persist::RecoverResult& rec);
   /// Consistent capture of (LSDB records, FEC table) for a snapshot.
-  /// Caller holds persist_mu_; takes routes_mu_ internally.
+  /// Caller holds persist_mu_; takes routes_mu_ internally, only to copy
+  /// each demand's (stamp, route pointer).
   persist::SnapshotState capture_state();
   /// Rebuilds edge_demands_, dirty_ and no_route_count_ from the current
   /// routes (constructor-only, after recovery may have replaced them).
@@ -372,8 +392,14 @@ class RestorationService {
   std::deque<DemandState> demands_;  ///< deque: stable, atomics never move
 
   mutable std::mutex routes_mu_;
-  /// Reverse index: demands whose *current* route uses each edge.
-  std::vector<std::vector<std::uint32_t>> edge_demands_;
+  /// One reverse-index entry: hop `hop` of demand `demand`'s current route.
+  struct EdgeSlot {
+    std::uint32_t demand = 0;
+    std::uint32_t hop = 0;
+  };
+  /// Reverse index: per edge, a slot for each (demand, hop) of a *current*
+  /// route on it, in no particular order (DemandState::slots points back).
+  std::vector<std::vector<EdgeSlot>> edge_demands_;
   /// Dirty index: the demands whose route differs from their baseline, in
   /// no particular order (DemandState::dirty_at points back into it).
   std::vector<std::uint32_t> dirty_;

@@ -34,34 +34,6 @@ void ShortestPathTree::reset(graph::NodeId source, std::size_t num_nodes,
   parent_edge_.assign(num_nodes, graph::kInvalidEdge);
 }
 
-bool ShortestPathTree::reachable(graph::NodeId v) const {
-  require(v < key_.size(), "ShortestPathTree::reachable: node out of range");
-  return key_[v] != graph::kUnreachable;
-}
-
-graph::Weight ShortestPathTree::dist(graph::NodeId v) const {
-  require(v < key_.size(), "ShortestPathTree::dist: node out of range");
-  const graph::Weight k = key_[v];
-  if (!padded_ || k == graph::kUnreachable) return k;
-  return k / kPadScale;
-}
-
-std::uint32_t ShortestPathTree::hops(graph::NodeId v) const {
-  require(reachable(v), "ShortestPathTree::hops: node not reachable");
-  return hops_[v];
-}
-
-graph::NodeId ShortestPathTree::parent(graph::NodeId v) const {
-  require(v < parent_.size(), "ShortestPathTree::parent: node out of range");
-  return parent_[v];
-}
-
-graph::EdgeId ShortestPathTree::parent_edge(graph::NodeId v) const {
-  require(v < parent_edge_.size(),
-          "ShortestPathTree::parent_edge: node out of range");
-  return parent_edge_[v];
-}
-
 graph::Path ShortestPathTree::path_to(const graph::Graph& g,
                                       graph::NodeId v) const {
   require(reachable(v), "ShortestPathTree::path_to: node not reachable");
@@ -113,11 +85,6 @@ std::size_t ShortestPathTree::memory_bytes() const {
          hops_.capacity() * sizeof(std::uint32_t) +
          parent_.capacity() * sizeof(graph::NodeId) +
          parent_edge_.capacity() * sizeof(graph::EdgeId);
-}
-
-graph::Weight ShortestPathTree::key(graph::NodeId v) const {
-  require(v < key_.size(), "ShortestPathTree::key: node out of range");
-  return key_[v];
 }
 
 void ShortestPathTree::settle(graph::NodeId v, graph::Weight key,

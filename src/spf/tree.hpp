@@ -17,6 +17,7 @@
 #include "graph/path_arena.hpp"
 #include "graph/types.hpp"
 #include "spf/metric.hpp"
+#include "util/error.hpp"
 
 namespace rbpc::spf {
 
@@ -45,16 +46,37 @@ class ShortestPathTree {
   /// The tiebreak policy the run padded with (Arbitrary for unpadded runs).
   TiebreakPolicy tiebreak() const { return tiebreak_; }
 
-  bool reachable(graph::NodeId v) const;
+  // The per-node accessors are inline (the cut scan and repair call them
+  // per node visited); each keeps its range check.
+
+  bool reachable(graph::NodeId v) const {
+    require(v < key_.size(), "ShortestPathTree::reachable: node out of range");
+    return key_[v] != graph::kUnreachable;
+  }
   /// True cost (hops or weight per `metric`) of the tree path to v;
   /// kUnreachable when v is not reachable. Derived from key(v) (see the
   /// file comment), not stored.
-  graph::Weight dist(graph::NodeId v) const;
+  graph::Weight dist(graph::NodeId v) const {
+    require(v < key_.size(), "ShortestPathTree::dist: node out of range");
+    const graph::Weight k = key_[v];
+    if (!padded_ || k == graph::kUnreachable) return k;
+    return k / kPadScale;
+  }
   /// Number of hops along the tree path. Precondition: reachable(v).
-  std::uint32_t hops(graph::NodeId v) const;
+  std::uint32_t hops(graph::NodeId v) const {
+    require(reachable(v), "ShortestPathTree::hops: node not reachable");
+    return hops_[v];
+  }
   /// Tree parent of v; kInvalidNode at the source and unreachable nodes.
-  graph::NodeId parent(graph::NodeId v) const;
-  graph::EdgeId parent_edge(graph::NodeId v) const;
+  graph::NodeId parent(graph::NodeId v) const {
+    require(v < parent_.size(), "ShortestPathTree::parent: node out of range");
+    return parent_[v];
+  }
+  graph::EdgeId parent_edge(graph::NodeId v) const {
+    require(v < parent_edge_.size(),
+            "ShortestPathTree::parent_edge: node out of range");
+    return parent_edge_[v];
+  }
 
   /// The heap key under which v settled: the padded cost for padded runs,
   /// the true cost otherwise; kUnreachable when v is not reachable. Stored
@@ -62,7 +84,10 @@ class ShortestPathTree {
   /// exact settle order and tie-breaking of a from-scratch run at the
   /// boundary of the repaired region, and so that the single-failure cut
   /// scan (spf/replacement.hpp) can price crossing links.
-  graph::Weight key(graph::NodeId v) const;
+  graph::Weight key(graph::NodeId v) const {
+    require(v < key_.size(), "ShortestPathTree::key: node out of range");
+    return key_[v];
+  }
 
   /// Reconstructs the tree path source -> v. Precondition: reachable(v).
   graph::Path path_to(const graph::Graph& g, graph::NodeId v) const;

@@ -16,16 +16,8 @@ std::string locate(const std::source_location& loc) {
 
 }  // namespace
 
-void require(bool cond, const std::string& what, std::source_location loc) {
-  if (!cond) {
-    throw PreconditionError(what + " [at " + locate(loc) + "]");
-  }
-}
-
-void require(bool cond, const char* what, std::source_location loc) {
-  if (!cond) {
-    throw PreconditionError(what + (" [at " + locate(loc) + "]"));
-  }
+void fail_precondition(std::string_view what, std::source_location loc) {
+  throw PreconditionError(std::string(what) + " [at " + locate(loc) + "]");
 }
 
 void fail_internal(const char* expr, std::source_location loc) {

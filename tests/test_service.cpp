@@ -1432,5 +1432,64 @@ TEST(ServiceGroupCommit, RecoveryToEmptyMaskReusesTheBaseline) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The reverse index: a slot per (demand, hop), moved by swap-and-pop on every
+// install. A link-down event must reroute exactly the demands on the link.
+// ---------------------------------------------------------------------------
+
+TEST(ServiceEquivalence, DownEventReroutesExactlyTheDemandsOnTheLink) {
+  // A storm first moves many routes in and out of the index. Then every
+  // link some current route uses is failed alone (over the storm's final
+  // mask) and recovered. A stale slot reroutes a demand that is not on the
+  // link (the reroute delta grows); a lost slot misses one (the table
+  // differs from the serial replay).
+  const TopoCase tc = largest_cases(1).front();
+  const Graph& g = tc.g;
+  Rng rng(6400 + g.num_nodes());
+  const std::vector<Demand> demands = random_demands(g, 60, rng);
+  chaos::StormConfig config = storm_config();
+  config.events = 24;
+  const chaos::Storm storm = chaos::plan_storm(g, config, rng);
+  const FailureMask storm_mask = storm.final_mask();
+  const std::vector<core::Restoration> settled =
+      serial_replay(g, ServiceOptions{}.metric, demands, storm_mask);
+
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    ServiceOptions options;
+    options.workers = workers;
+    RestorationService svc(g, demands, options);
+    ingest_all(svc, storm.deliveries);
+    const std::string base_ctx =
+        tc.name + " workers=" + std::to_string(workers);
+    expect_identical_tables(settled, svc.routes(), base_ctx + " storm");
+    EXPECT_GT(svc.stats().installs, 0u) << base_ctx;
+
+    std::vector<std::uint64_t> gens = storm.final_generations(g.num_edges());
+    std::size_t links_failed = 0;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      std::size_t on_link = 0;
+      for (const core::Restoration& r : svc.routes()) {
+        const auto edges = r.backup.edges();
+        on_link += std::find(edges.begin(), edges.end(), e) != edges.end();
+      }
+      if (on_link == 0) continue;
+      ++links_failed;
+      const std::string ctx = base_ctx + " fail " + std::to_string(e);
+      const std::uint64_t before = svc.stats().reroutes;
+      flip(svc, gens, e, /*up=*/false);
+      EXPECT_EQ(svc.stats().reroutes - before, on_link) << ctx;
+      FailureMask mask = storm_mask;
+      mask.fail_edge(e);
+      expect_identical_tables(
+          serial_replay(g, options.metric, demands, mask), svc.routes(), ctx);
+      flip(svc, gens, e, /*up=*/true);
+      expect_identical_tables(settled, svc.routes(), ctx + " recovered");
+    }
+    EXPECT_GT(links_failed, 0u) << base_ctx;
+    svc.stop();
+  }
+}
+
 }  // namespace
 }  // namespace rbpc::service

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <source_location>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -15,6 +17,42 @@
 
 namespace rbpc {
 namespace {
+
+// --- require ------------------------------------------------------------------
+
+// require() is an inline compare with an out-of-line thrower; its default
+// std::source_location argument must still resolve at the caller, so the
+// message names this file and the line of the call.
+
+TEST(Require, LiteralFailureNamesTheCallSite) {
+  const std::source_location here = std::source_location::current();
+  try {
+    require(false, "literal check");  // here.line() + 2
+    FAIL() << "require(false, ...) returned";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("literal check [at "), std::string::npos) << what;
+    const std::string site =
+        std::string(here.file_name()) + ':' + std::to_string(here.line() + 2);
+    EXPECT_NE(what.find(site), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW(require(true, "literal check"));
+}
+
+TEST(Require, StringFailureNamesTheCallSite) {
+  const std::source_location here = std::source_location::current();
+  try {
+    require(false, std::string("built ") + "message");  // here.line() + 2
+    FAIL() << "require(false, ...) returned";
+  } catch (const PreconditionError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("built message [at "), std::string::npos) << what;
+    const std::string site =
+        std::string(here.file_name()) + ':' + std::to_string(here.line() + 2);
+    EXPECT_NE(what.find(site), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW(require(true, std::string("built message")));
+}
 
 // --- Rng ---------------------------------------------------------------------
 
