@@ -153,7 +153,10 @@ BENCHMARK(BM_SpfRepairSingleFailureIsp);
 // Both cycle through the same fixed (s, t, e) set, with the service's flavor
 // (padded hops, arbitrary tiebreak), and both end with the route as a Path.
 // The cut scan runs on the AS graph and on the ISP graph (the isp_flap
-// workload's topology), each over 32 queries built the same way.
+// workload's topology), each over 32 queries built the same way. A third
+// AS set fails the first link of each canonical path instead, the tail
+// case where the link cuts almost all of s's tree off and only t's side
+// of the cut is small.
 
 struct CutScenario {
   spf::ShortestPathTree from_s;
@@ -164,9 +167,12 @@ struct CutScenario {
 constexpr spf::SpfOptions kServiceFlavor{.metric = spf::Metric::Hops,
                                          .padded = true};
 
-/// 32 fixed (s, t, e) queries on `g`: random distinct s and t, and a random
-/// link of their canonical path.
-std::vector<CutScenario> make_cut_scenarios(const Graph& g) {
+/// Which link of canonical(s, t) a cut scenario fails.
+enum class CutLink { kRandom, kFirst };
+
+/// 32 fixed (s, t, e) queries on `g`: random distinct s and t, and a link
+/// of their canonical path, random or the first one.
+std::vector<CutScenario> make_cut_scenarios(const Graph& g, CutLink link) {
   Rng rng(13);
   std::vector<CutScenario> out;
   while (out.size() < 32) {
@@ -176,7 +182,9 @@ std::vector<CutScenario> make_cut_scenarios(const Graph& g) {
     spf::ShortestPathTree from_s =
         spf::shortest_tree(g, s, FailureMask::none(), kServiceFlavor);
     const graph::Path path = from_s.path_to(g, t);
-    const graph::EdgeId e = path.edge(rng.below(path.hops()));
+    // Drawn either way, so both link choices see the same (s, t) pairs.
+    const std::size_t hop = rng.below(path.hops());
+    const graph::EdgeId e = path.edge(link == CutLink::kFirst ? 0 : hop);
     out.push_back(CutScenario{
         std::move(from_s),
         spf::shortest_tree(g, t, FailureMask::none(), kServiceFlavor), e});
@@ -186,13 +194,19 @@ std::vector<CutScenario> make_cut_scenarios(const Graph& g) {
 
 const std::vector<CutScenario>& as_cut_scenarios() {
   static const std::vector<CutScenario> scenarios =
-      make_cut_scenarios(as_graph());
+      make_cut_scenarios(as_graph(), CutLink::kRandom);
+  return scenarios;
+}
+
+const std::vector<CutScenario>& as_near_source_cut_scenarios() {
+  static const std::vector<CutScenario> scenarios =
+      make_cut_scenarios(as_graph(), CutLink::kFirst);
   return scenarios;
 }
 
 const std::vector<CutScenario>& isp_cut_scenarios() {
   static const std::vector<CutScenario> scenarios =
-      make_cut_scenarios(isp_graph());
+      make_cut_scenarios(isp_graph(), CutLink::kRandom);
   return scenarios;
 }
 
@@ -231,6 +245,11 @@ void BM_CutRouteAs(benchmark::State& state) {
   run_cut_routes(state, as_graph(), as_cut_scenarios());
 }
 BENCHMARK(BM_CutRouteAs);
+
+void BM_CutRouteAsNearSource(benchmark::State& state) {
+  run_cut_routes(state, as_graph(), as_near_source_cut_scenarios());
+}
+BENCHMARK(BM_CutRouteAsNearSource);
 
 void BM_CutRouteIsp(benchmark::State& state) {
   run_cut_routes(state, isp_graph(), isp_cut_scenarios());

@@ -68,12 +68,15 @@
 //    shared, so this is a pointer copy;
 //  * exactly one failed link: spf::replacement_route reads the route off
 //    the source's and the destination's unfailed trees, both from the same
-//    base store (rung "cut"). It builds no view, runs no SPF once both
+//    base store (rung "cut"). It scans whichever of the two subtrees the
+//    link cuts off those trees is smaller, and the other one if the first
+//    cannot prove the route. It builds no view, runs no SPF once both
 //    trees are stored, and needs no FailureMask — the snapshot's
 //    failed-link lists name the link. Its answers are bit-identical to the
 //    repaired tree's path (spf/replacement.hpp), so the argument above is
-//    untouched. When it cannot prove the route unique it says so, and the
-//    pass falls through to the next rung (counted as svc.rung.cut_fallback);
+//    untouched. When neither side proves the route unique it says so, and
+//    the pass falls through to the next rung (counted as
+//    svc.rung.cut_fallback);
 //  * otherwise (k >= 2, or a cut fallback): the pooled view for the mask,
 //    repairing the source's tree from the base store (rung "repaired") or
 //    running SPF from scratch (rung "scratch").

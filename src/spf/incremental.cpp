@@ -85,8 +85,8 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
   std::vector<NodeId>& region = ws.scratch_nodes();
   const auto mark = [&](NodeId x) {
     SpfWorkspace::Node& nx = ws.node(x);
-    if (!nx.in_region) {
-      nx.in_region = true;
+    if (!nx.in_region[0]) {
+      nx.in_region[0] = true;
       region.push_back(x);
     }
   };
@@ -185,7 +185,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     for (const graph::Arc& a : g.arcs(v)) {
       if (!mask.edge_alive(g, a.edge)) continue;
       const NodeId u = a.to;
-      if (ws.node(u).in_region || !base.reachable(u)) continue;
+      if (ws.node(u).in_region[0] || !base.reachable(u)) continue;
       relax(v, a.edge, u, base.key(u), base.hops(u));
     }
   }
@@ -201,7 +201,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     out.settle(v, nv.key, nv.hops, nv.parent, nv.parent_edge);
     for (const graph::Arc& a : g.arcs(v)) {
       if (!mask.edge_alive(g, a.edge)) continue;
-      if (!ws.node(a.to).in_region) continue;  // intact labels are final
+      if (!ws.node(a.to).in_region[0]) continue;  // intact labels are final
       relax(a.to, a.edge, v, nv.key, nv.hops);
     }
   }

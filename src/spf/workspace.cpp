@@ -29,7 +29,7 @@ void SpfWorkspace::begin(std::size_t n) {
     epoch_ = 1;
   }
   heap_.clear();
-  scratch_nodes_.clear();
+  for (std::vector<graph::NodeId>& list : scratch_nodes_) list.clear();
 }
 
 SpfWorkspace& thread_workspace() {

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -97,7 +98,10 @@ class SpfWorkspace {
   /// it); `hops` counts the path's links.
   /// `parent_key` is the key of the current parent candidate, kept so that
   /// equal-key relaxations can be tie-broken exactly like a from-scratch
-  /// run (see incremental.hpp).
+  /// run (see incremental.hpp). `in_region` holds two independent region
+  /// flags: incremental repair marks its orphan region with flag 0; the cut
+  /// scan (replacement.hpp) marks the subtree the failed link cuts off s's
+  /// tree with flag 0 and the one it cuts off t's tree with flag 1.
   struct Node {
     graph::Weight key;
     graph::Weight parent_key;
@@ -105,8 +109,9 @@ class SpfWorkspace {
     graph::EdgeId parent_edge;
     std::uint32_t hops;
     bool settled;
-    bool in_region;
+    std::array<bool, 2> in_region;
   };
+  static_assert(sizeof(Node) == 32, "one record per half cache line");
 
   /// Starts a new run over `n` nodes: grows storage if needed and
   /// invalidates all records from previous runs in O(1).
@@ -125,7 +130,7 @@ class SpfWorkspace {
       nd.parent_edge = graph::kInvalidEdge;
       nd.hops = 0;
       nd.settled = false;
-      nd.in_region = false;
+      nd.in_region = {false, false};
     }
     return nd;
   }
@@ -135,15 +140,18 @@ class SpfWorkspace {
 
   FourAryHeap& heap() { return heap_; }
 
-  /// Reusable node stack/queue for traversals (BFS, orphan collection).
-  std::vector<graph::NodeId>& scratch_nodes() { return scratch_nodes_; }
+  /// Reusable node stacks/queues for traversals (BFS, orphan collection,
+  /// the cut scan's two subtrees); `list` is 0 or 1. begin() empties both.
+  std::vector<graph::NodeId>& scratch_nodes(std::size_t list = 0) {
+    return scratch_nodes_[list];
+  }
 
  private:
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> stamp_;
   std::vector<Node> nodes_;
   FourAryHeap heap_;
-  std::vector<graph::NodeId> scratch_nodes_;
+  std::array<std::vector<graph::NodeId>, 2> scratch_nodes_;
 };
 
 /// The calling thread's lazily constructed workspace. Each thread gets its

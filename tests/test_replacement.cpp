@@ -8,9 +8,12 @@
 // both metrics and all three tiebreak policies. Guard fallbacks
 // (kUnproven) are allowed and reported per policy; under Restorable on
 // ISP hops, where padding leaves many ties, they must actually occur, so
-// the guard is exercised and not merely present. One test runs the rung
-// from several threads over a shared TreeCache, as the service does; the
-// sanitizer CI jobs run this binary on its own for it.
+// the guard is exercised and not merely present. The sweeps also count,
+// independently of the kernel, the queries whose smaller cut is t's side
+// and those where only s's side applies (canonical(t, s) is not the
+// reverse of canonical(s, t)), and require both kinds to occur. One test
+// runs the rung from several threads over a shared TreeCache, as the
+// service does; the sanitizer CI jobs run this binary on its own for it.
 #include <gtest/gtest.h>
 
 #include "corpus.hpp"
@@ -66,6 +69,8 @@ struct Tally {
   std::size_t cut = 0;
   std::size_t no_route = 0;
   std::size_t unproven = 0;
+  std::size_t t_smaller = 0;   ///< |D_t| < |D_s|: the t-side walk ends first
+  std::size_t asymmetric = 0;  ///< e on canonical(s,t), not on canonical(t,s)
 
   void add(const Tally& o) {
     queries += o.queries;
@@ -73,8 +78,52 @@ struct Tally {
     cut += o.cut;
     no_route += o.no_route;
     unproven += o.unproven;
+    t_smaller += o.t_smaller;
+    asymmetric += o.asymmetric;
   }
 };
+
+/// The node on `tree`'s path to `to` whose parent link is `e`, if any.
+NodeId cut_below(const ShortestPathTree& tree, NodeId to, EdgeId e) {
+  for (NodeId v = to; v != tree.source(); v = tree.parent(v)) {
+    if (tree.parent_edge(v) == e) return v;
+  }
+  return graph::kInvalidNode;
+}
+
+/// The size of `root`'s subtree in `tree`, counted by parent chains so it
+/// shares no code with the kernel's walk.
+std::size_t subtree_size(const Graph& g, const ShortestPathTree& tree,
+                         NodeId root) {
+  std::size_t size = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!tree.reachable(v)) continue;
+    NodeId u = v;
+    while (u != root && u != tree.source()) u = tree.parent(u);
+    size += u == root;
+  }
+  return size;
+}
+
+/// Tallies which cut the kernel is expected to scan for the query (s, t,
+/// e): D_t when it is smaller than D_s, D_s alone when e lies on
+/// canonical(s, t) but not on canonical(t, s).
+void tally_sides(const Graph& g, const ShortestPathTree& from_s,
+                 const ShortestPathTree& from_t, EdgeId e, Tally& tally) {
+  const NodeId s = from_s.source();
+  const NodeId t = from_t.source();
+  if (s == t || !from_s.reachable(t)) return;
+  const NodeId c_s = cut_below(from_s, t, e);
+  if (c_s == graph::kInvalidNode) return;
+  const NodeId c_t = cut_below(from_t, s, e);
+  if (c_t == graph::kInvalidNode) {
+    ++tally.asymmetric;
+    return;
+  }
+  if (subtree_size(g, from_t, c_t) < subtree_size(g, from_s, c_s)) {
+    ++tally.t_smaller;
+  }
+}
 
 /// Runs one (s, t, e) query and checks any answer against `repaired`, the
 /// repair_tree result for s under the mask {e}.
@@ -119,9 +168,9 @@ void report(const std::string& what, const std::string& flavor_name,
             const Tally& t) {
   std::printf(
       "[ replacement ] %-14s %-24s queries %6zu  intact %6zu  cut %6zu  "
-      "no-route %4zu  fallback %4zu\n",
+      "no-route %4zu  fallback %4zu  t-smaller %5zu  asymmetric %4zu\n",
       what.c_str(), flavor_name.c_str(), t.queries, t.intact, t.cut,
-      t.no_route, t.unproven);
+      t.no_route, t.unproven, t.t_smaller, t.asymmetric);
 }
 
 /// Unfailed trees by source, computed on first use.
@@ -163,6 +212,7 @@ Tally sweep_sampled_paths(const Graph& g, SpfOptions options,
     for (const EdgeId e : links) {
       const ShortestPathTree repaired = repair_tree(
           g, from_s, FailureMask::of_edges({e}), options, ws);
+      tally_sides(g, from_s, trees.at(t), e, tally);
       check_query(g, from_s, trees.at(t), e, repaired, tally,
                   ctx + " s=" + std::to_string(s) + " t=" +
                       std::to_string(t) + " e=" + std::to_string(e));
@@ -200,6 +250,7 @@ TEST(ReplacementRoute, MatchesRepairAcrossCorpus) {
                 g, trees[s], FailureMask::of_edges({e}), options, ws);
             for (NodeId t = 0; t < g.num_nodes(); ++t) {
               if (t == s) continue;
+              tally_sides(g, trees[s], trees[t], e, total);
               check_query(g, trees[s], trees[t], e, repaired, total,
                           c.name + " " + flavor(metric, policy) +
                               " s=" + std::to_string(s) +
@@ -212,6 +263,7 @@ TEST(ReplacementRoute, MatchesRepairAcrossCorpus) {
       report("corpus", flavor(metric, policy), total);
       EXPECT_GT(total.cut, 0u) << flavor(metric, policy);
       EXPECT_GT(total.intact, 0u) << flavor(metric, policy);
+      EXPECT_GT(total.t_smaller, 0u) << flavor(metric, policy);
     }
   }
 }
@@ -231,12 +283,16 @@ TEST(ReplacementRoute, MatchesRepairOnIspAndExercisesTheGuard) {
         restorable_hops = t;
       }
       EXPECT_GT(t.cut, 0u) << flavor(metric, policy);
+      EXPECT_GT(t.t_smaller, 0u) << flavor(metric, policy);
     }
   }
   for (const auto& [policy, t] : by_policy) report("isp (all)", policy, t);
   // Restorable spends most of the salt range on its hop bias, so padded
-  // ties are common on ISP hops: the guard must have refused some routes.
+  // ties are common on ISP hops: the guard must have refused some routes,
+  // and some canonical paths are not the reverse of their twins, which
+  // leaves only D_s to scan.
   EXPECT_GT(restorable_hops.unproven, 0u);
+  EXPECT_GT(by_policy[to_string(TiebreakPolicy::Restorable)].asymmetric, 0u);
 }
 
 TEST(ReplacementRoute, MatchesRepairOnAs) {
@@ -248,6 +304,7 @@ TEST(ReplacementRoute, MatchesRepairOnAs) {
                                           "as " + flavor(metric, policy));
       report("as", flavor(metric, policy), t);
       EXPECT_GT(t.cut, 0u) << flavor(metric, policy);
+      EXPECT_GT(t.t_smaller, 0u) << flavor(metric, policy);
     }
   }
 }
@@ -389,6 +446,93 @@ TEST(ReplacementRoute, RingFailureRoutesTheOtherWayRound) {
   EXPECT_FALSE(got.uses_edge(direct));
   EXPECT_EQ(got.source(), 0u);
   EXPECT_EQ(got.target(), 1u);
+}
+
+TEST(ReplacementRoute, LinkNextToTheSourceMatchesRepair) {
+  // s = 0 hangs off the corner of a 4 x 4 grid (nodes 1..16) by one link,
+  // with an 8-hop detour (nodes 17..23) to the far corner. Every grid node's
+  // canonical path from s starts with the corner link, so failing it cuts
+  // the whole grid off s's tree (D_s), while t's tree loses only the nodes
+  // it reached through s (D_t): the t-side scan must carry the answer.
+  constexpr NodeId kSide = 4;
+  graph::GraphBuilder b(24);
+  const auto grid = [](NodeId r, NodeId c) { return 1 + r * kSide + c; };
+  for (NodeId r = 0; r < kSide; ++r) {
+    for (NodeId c = 0; c < kSide; ++c) {
+      if (c + 1 < kSide) b.add_edge(grid(r, c), grid(r, c + 1));
+      if (r + 1 < kSide) b.add_edge(grid(r, c), grid(r + 1, c));
+    }
+  }
+  const EdgeId first_hop = b.add_edge(0, grid(0, 0));
+  NodeId prev = 0;
+  for (NodeId v = 17; v <= 23; ++v) {
+    b.add_edge(prev, v);
+    prev = v;
+  }
+  b.add_edge(prev, grid(kSide - 1, kSide - 1));
+  const Graph g = b.build();
+
+  for (const Metric metric : kMetrics) {
+    for (const TiebreakPolicy policy : kPolicies) {
+      const SpfOptions options = padded(metric, policy);
+      const ShortestPathTree from_s = shortest_tree(g, 0, {}, options);
+      ASSERT_EQ(subtree_size(g, from_s, grid(0, 0)), kSide * kSide);
+      SpfWorkspace ws;
+      const ShortestPathTree repaired = repair_tree(
+          g, from_s, FailureMask::of_edges({first_hop}), options, ws);
+      Tally tally;
+      std::size_t short_walks = 0;
+      for (NodeId t = grid(0, 0); t <= grid(kSide - 1, kSide - 1); ++t) {
+        const ShortestPathTree from_t = shortest_tree(g, t, {}, options);
+        tally_sides(g, from_s, from_t, first_hop, tally);
+        check_query(g, from_s, from_t, first_hop, repaired, tally,
+                    flavor(metric, policy) + " t=" + std::to_string(t));
+        // The workspace's list 0 holds the D_s nodes the walk reached: a
+        // query D_t answered stops that walk after a few steps.
+        short_walks += thread_workspace().scratch_nodes(0).size() <
+                       kSide * kSide;
+      }
+      EXPECT_EQ(tally.t_smaller, kSide * kSide) << flavor(metric, policy);
+      EXPECT_GT(tally.cut, 0u) << flavor(metric, policy);
+      EXPECT_GT(short_walks, 0u) << flavor(metric, policy);
+    }
+  }
+}
+
+TEST(ReplacementRoute, EveryRingFailureIsProved) {
+  // A ring with one link down has exactly one s -> t route, yet one side's
+  // guard can refuse it: the guard reads unfailed trees, where the node
+  // opposite s on an even ring has two shortest paths, one through the
+  // failed link. On these rings the other side always proves the route, so
+  // no query may fall back.
+  for (std::size_t n = 3; n <= 10; ++n) {
+    const Graph g = topo::make_ring(n);
+    for (const Metric metric : kMetrics) {
+      for (const TiebreakPolicy policy : kPolicies) {
+        const SpfOptions options = padded(metric, policy);
+        Trees trees(g, options);
+        SpfWorkspace ws;
+        Tally tally;
+        for (NodeId s = 0; s < n; ++s) {
+          for (NodeId t = 0; t < n; ++t) {
+            if (t == s) continue;
+            const Path path = trees.at(s).path_to(g, t);
+            for (const EdgeId e : path.edges()) {
+              const ShortestPathTree repaired = repair_tree(
+                  g, trees.at(s), FailureMask::of_edges({e}), options, ws);
+              check_query(g, trees.at(s), trees.at(t), e, repaired, tally,
+                          "ring" + std::to_string(n) + " " +
+                              flavor(metric, policy));
+            }
+          }
+        }
+        EXPECT_EQ(tally.unproven, 0u)
+            << "ring" << n << " " << flavor(metric, policy);
+        EXPECT_EQ(tally.cut, tally.queries)
+            << "ring" << n << " " << flavor(metric, policy);
+      }
+    }
+  }
 }
 
 TEST(ReplacementRoute, DirectedAndUnpaddedTreesAreNotAnswered) {
