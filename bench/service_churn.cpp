@@ -35,7 +35,6 @@
 //        --demands N         demands per service (default 32)
 //        --ingest-threads N  concurrent ingest threads (default 2)
 //        --workers N         reroute workers (default 0 = hardware)
-//        --shards N          LSDB shards (default 4)
 //        --loss P            LSA loss probability (default 0.1)
 //        --metrics-json PATH, --trace-out PATH, --obs-check LIST
 //
@@ -164,14 +163,14 @@ std::size_t check_invariants(const RestorationService& svc,
   const FailureMask truth = storm.final_mask();
   const std::vector<std::uint64_t> gens =
       storm.final_generations(g.num_edges());
-  const service::ShardedLsdb::Snapshot view = svc.lsdb().snapshot();
+  std::vector<lsdb::LinkStateRecord> want_links;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (view.edge_failed(e) != truth.edge_failed(e)) {
-      fail("view != truth for edge " + std::to_string(e));
+    if (truth.edge_failed(e) || gens[e] != 0) {
+      want_links.push_back({e, truth.edge_failed(e), gens[e]});
     }
-    if (view.generation(e) != gens[e]) {
-      fail("generation mismatch for edge " + std::to_string(e));
-    }
+  }
+  if (svc.lsdb().export_records() != want_links) {
+    fail("LSDB link records (down flags, generations) != truth");
   }
 
   const std::vector<core::Restoration> want =
@@ -209,7 +208,6 @@ int main(int argc, char** argv) {
   const std::size_t ingest_threads =
       std::max<std::size_t>(1, args.get_uint("ingest-threads", 2));
   const std::size_t workers = args.get_uint("workers", 0);
-  const std::size_t shards = args.get_uint("shards", 4);
   const double loss = args.get_double("loss", 0.1);
   const std::uint64_t slo_p99_us = args.get_uint("slo-p99-us", 200'000);
   const std::uint64_t slo_no_route_pm = args.get_uint("slo-no-route-pm", 1000);
@@ -296,7 +294,6 @@ int main(int argc, char** argv) {
       deliveries += storm.deliveries.size();
 
       ServiceOptions options;
-      options.shards = shards;
       options.workers = workers;
       if (!persist_dir.empty()) {
         // One journal directory per storm: demands differ per storm, so a

@@ -32,7 +32,6 @@
 //        --events N      transitions per storm (default 16)
 //        --demands N     demands per service (default 24)
 //        --workers N     reroute workers (default 0 = hardware)
-//        --shards N      LSDB shards (default 4)
 //        --dir PATH      journal root (default bench_restart_journal;
 //                        wiped per topology before the seed life)
 //        --json PATH     artifact path (default BENCH_restart.json)
@@ -123,7 +122,6 @@ int main(int argc, char** argv) {
   const std::size_t events = args.get_uint("events", 16);
   const std::size_t num_demands = args.get_uint("demands", 24);
   const std::size_t workers = args.get_uint("workers", 0);
-  const std::size_t shards = args.get_uint("shards", 4);
   const std::string root = args.get_string("dir", "bench_restart_journal");
   const std::string json_path = args.get_string("json", "BENCH_restart.json");
   const bench::ObsCli obs_cli = bench::ObsCli::from_args(args);
@@ -165,7 +163,6 @@ int main(int argc, char** argv) {
 
     ServiceOptions options;
     options.workers = workers;
-    options.shards = shards;
     options.persist.dir = root + "/" + cases[ci].name;
     // Keep the whole storm in the WAL: the snapshot threshold is far above
     // anything the seed life appends, so every restart replays the full

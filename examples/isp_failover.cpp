@@ -69,8 +69,12 @@ int main(int argc, char** argv) {
       if (cost == want) ++optimal;
     }
     const auto& ed = g.edge(e);
-    table.add_row({"(" + std::to_string(ed.u) + "," + std::to_string(ed.v) +
-                       ") w=" + std::to_string(ed.weight),
+    // Appended, not "(" + std::string: GCC 12 at -O3 misreports that form
+    // as an overlapping memcpy (-Wrestrict).
+    std::string link = "(";
+    link += std::to_string(ed.u) + "," + std::to_string(ed.v) +
+            ") w=" + std::to_string(ed.weight);
+    table.add_row({link,
                    std::to_string(rbpc.pairs_under_restoration()),
                    std::to_string(delivered),
                    std::to_string(optimal) + "/" + std::to_string(delivered),

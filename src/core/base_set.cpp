@@ -140,11 +140,8 @@ bool ExpandedBaseSet::connected(graph::NodeId u, graph::NodeId v) {
 
 // --- FaultTolerantBaseSet ----------------------------------------------------
 
-FaultTolerantBaseSet::FaultTolerantBaseSet(spf::DistanceOracle& oracle,
-                                           std::size_t max_failure_oracles)
-    : BasePathSet(oracle.graph(), oracle.metric()),
-      oracle_(oracle),
-      max_failure_oracles_(max_failure_oracles) {
+FaultTolerantBaseSet::FaultTolerantBaseSet(spf::DistanceOracle& oracle)
+    : BasePathSet(oracle.graph(), oracle.metric()), oracle_(oracle) {
   require(oracle.mask().empty(),
           "FaultTolerantBaseSet: base sets are defined on the unfailed "
           "network; the oracle must carry no failures");
@@ -157,19 +154,20 @@ spf::DistanceOracle& FaultTolerantBaseSet::failure_oracle(graph::EdgeId e) {
     auto oracle = std::make_unique<spf::DistanceOracle>(
         oracle_.graph(), graph::FailureMask::of_edges({e}), oracle_.metric(),
         /*max_cached_trees=*/4, /*max_cached_bytes=*/0, oracle_.tiebreak());
+    // Stamped before the eviction scan, so the new entry is the most
+    // recently used and never the victim.
     it = failure_oracles_
-             .emplace(e, Slot{std::move(oracle), 0})
+             .emplace(e, Slot{std::move(oracle), ++use_clock_})
              .first;
-    while (max_failure_oracles_ != 0 &&
-           failure_oracles_.size() > max_failure_oracles_) {
+    while (failure_oracles_.size() > kMaxFailureOracles) {
       auto victim = failure_oracles_.begin();
       for (auto cur = failure_oracles_.begin(); cur != failure_oracles_.end();
            ++cur) {
         if (cur->second.last_used < victim->second.last_used) victim = cur;
       }
-      if (victim == it) break;  // never evict the entry we just made
       failure_oracles_.erase(victim);
     }
+    return *it->second.oracle;
   }
   it->second.last_used = ++use_clock_;
   return *it->second.oracle;

@@ -189,11 +189,12 @@ class ExpandedBaseSet final : public BasePathSet {
 /// shortest one — so the restriction loses nothing.
 class FaultTolerantBaseSet final : public BasePathSet {
  public:
-  /// `max_failure_oracles` bounds the punctured-oracle pool (LRU, 0 =
-  /// unbounded); each pooled oracle itself caches at most a handful of
-  /// trees so the worst case stays proportional to graph size.
-  explicit FaultTolerantBaseSet(spf::DistanceOracle& oracle,
-                                std::size_t max_failure_oracles = 64);
+  /// Bound on the punctured-oracle pool (LRU); each pooled oracle itself
+  /// caches at most a handful of trees so the worst case stays
+  /// proportional to graph size.
+  static constexpr std::size_t kMaxFailureOracles = 64;
+
+  explicit FaultTolerantBaseSet(spf::DistanceOracle& oracle);
 
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
@@ -215,7 +216,6 @@ class FaultTolerantBaseSet final : public BasePathSet {
   };
 
   spf::DistanceOracle& oracle_;
-  std::size_t max_failure_oracles_;
   std::uint64_t use_clock_ = 0;
   std::map<graph::EdgeId, Slot> failure_oracles_;
 };

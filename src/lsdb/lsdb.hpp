@@ -58,6 +58,9 @@ struct LinkStateRecord {
   graph::EdgeId edge = graph::kInvalidEdge;
   bool down = false;
   std::uint64_t generation = 0;  ///< highest applied LSA generation (0 = none)
+
+  friend bool operator==(const LinkStateRecord&,
+                         const LinkStateRecord&) = default;
 };
 
 /// One router's view of which links are currently down. Each router applies

@@ -20,14 +20,16 @@ namespace rbpc::obs {
 
 std::string prometheus_name(std::string_view name) {
   std::string out;
-  out.reserve(name.size());
+  out.reserve(name.size() + 1);
+  // A metric name may not be empty or start with a digit: lead with '_'.
+  if (name.empty() || (name.front() >= '0' && name.front() <= '9')) {
+    out.push_back('_');
+  }
   for (const char c : name) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     out.push_back(ok ? c : '_');
   }
-  if (out.empty()) out = "_";
-  if (out.front() >= '0' && out.front() <= '9') out.insert(out.begin(), '_');
   return out;
 }
 

@@ -119,7 +119,6 @@ void check_ref(const graph::PathRef& r, std::size_t arena_len,
 std::vector<std::uint8_t> encode_snapshot(const SnapshotState& s) {
   BufWriter payload;
   payload.u64(s.seq);
-  payload.u64(s.lsdb_version);
   payload.u32(s.num_edges);
   payload.u32(static_cast<std::uint32_t>(s.links.size()));
   for (const lsdb::LinkStateRecord& l : s.links) {
@@ -134,8 +133,6 @@ std::vector<std::uint8_t> encode_snapshot(const SnapshotState& s) {
     payload.u64(d.stamp);
     payload.u32(d.route.offset);
     payload.u32(d.route.len);
-    payload.u32(d.baseline.offset);
-    payload.u32(d.baseline.len);
   }
   payload.u64(s.arena_nodes.size());
   payload.u32_span(s.arena_nodes);
@@ -173,7 +170,6 @@ SnapshotState decode_snapshot(std::span<const std::uint8_t> bytes) {
   BufReader r(std::span<const std::uint8_t>(payload, payload_len));
   SnapshotState s;
   s.seq = r.u64();
-  s.lsdb_version = r.u64();
   s.num_edges = r.u32();
   const std::uint32_t num_links = r.u32();
   if (num_links > r.remaining() / 13) corrupt("link count exceeds payload");
@@ -189,7 +185,7 @@ SnapshotState decode_snapshot(std::span<const std::uint8_t> bytes) {
     s.links.push_back(l);
   }
   const std::uint32_t num_demands = r.u32();
-  if (num_demands > r.remaining() / 32) corrupt("demand count exceeds payload");
+  if (num_demands > r.remaining() / 24) corrupt("demand count exceeds payload");
   s.demands.reserve(num_demands);
   for (std::uint32_t i = 0; i < num_demands; ++i) {
     DemandRecord d;
@@ -197,7 +193,6 @@ SnapshotState decode_snapshot(std::span<const std::uint8_t> bytes) {
     d.dst = r.u32();
     d.stamp = r.u64();
     d.route = graph::PathRef{r.u32(), r.u32()};
-    d.baseline = graph::PathRef{r.u32(), r.u32()};
     s.demands.push_back(d);
   }
   r.u32_into(s.arena_nodes, r.u64());
@@ -209,7 +204,6 @@ SnapshotState decode_snapshot(std::span<const std::uint8_t> bytes) {
   }
   for (const DemandRecord& d : s.demands) {
     check_ref(d.route, s.arena_nodes.size(), "route ref out of arena");
-    check_ref(d.baseline, s.arena_nodes.size(), "baseline ref out of arena");
   }
   return s;
 }

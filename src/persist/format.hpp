@@ -4,9 +4,9 @@
 //
 //  * Snapshot: one self-contained image of the control-plane state — the
 //    LSDB link records with their LSA generations, the installed FEC table
-//    (every demand's current route and unfailed baseline) stored in the
-//    arena pad-slot layout of graph::PathArena, and the snapshot sequence
-//    number. Framed as magic (which carries the format version) + u64
+//    (every demand's current route) stored in the arena pad-slot layout of
+//    graph::PathArena, and the snapshot sequence number. Baselines are not
+//    stored: recovery re-provisions them. Framed as magic (which carries the format version) + u64
 //    payload length + payload + CRC32 over the payload. A snapshot is only ever published whole
 //    (temp file + atomic rename, see store.hpp), so any framing or CRC
 //    mismatch means corruption and decode_snapshot throws RecoveryError.
@@ -115,7 +115,6 @@ struct DemandRecord {
   std::uint32_t dst = 0;
   std::uint64_t stamp = 0;  ///< snapshot version of the last install
   graph::PathRef route;
-  graph::PathRef baseline;
 };
 
 /// The full control-plane image a snapshot file carries. `links` holds only
@@ -124,9 +123,8 @@ struct DemandRecord {
 /// mask) exactly. `arena_nodes`/`arena_edges` are the PathArena pad-slot
 /// arrays the DemandRecord refs index into.
 struct SnapshotState {
-  std::uint64_t seq = 0;           ///< rotation sequence number
-  std::uint64_t lsdb_version = 0;  ///< informational (version floor at capture)
-  std::uint32_t num_edges = 0;     ///< edge-id universe (compatibility check)
+  std::uint64_t seq = 0;        ///< rotation sequence number
+  std::uint32_t num_edges = 0;  ///< edge-id universe (compatibility check)
   std::vector<lsdb::LinkStateRecord> links;
   std::vector<DemandRecord> demands;
   std::vector<std::uint32_t> arena_nodes;
@@ -183,9 +181,10 @@ struct WalScan {
 /// reported, not thrown.
 WalScan scan_wal(std::span<const std::uint8_t> bytes);
 
-/// On-disk identification.
+/// On-disk identification. Snapshot format 2 dropped v1's per-demand
+/// baseline refs and LSDB version; a v1 image fails the magic check.
 inline constexpr char kSnapshotMagic[8] = {'R', 'B', 'P', 'C',
-                                           'S', 'N', 'P', '1'};
+                                           'S', 'N', 'P', '2'};
 inline constexpr char kWalMagic[8] = {'R', 'B', 'P', 'C', 'W', 'A', 'L', '1'};
 inline constexpr std::uint64_t kWalHeaderBytes = 16;  ///< magic + u64 seq
 /// Upper bound on one WAL record's payload — rejects absurd lengths before

@@ -1,8 +1,8 @@
 // Epoch-based reclamation for the always-on restoration service.
 //
-// The service's sharded LSDB publishes immutable snapshots: a writer swaps
-// in a new snapshot pointer and must eventually free the old one, but only
-// once no reader can still be dereferencing it. Reference counting on the
+// The service's LSDB publishes its down-link list as an immutable object: a
+// writer swaps in a new list pointer and must eventually free the old one,
+// but only once no reader can still be dereferencing it. Reference counting on the
 // read path would put an atomic RMW on every snapshot access; epochs move
 // that cost to the writer instead. A reader *pins* the current epoch for
 // the duration of its read (two relaxed-cost stores, no RMW on shared

@@ -198,7 +198,7 @@ RestorationService::RestorationService(const graph::Graph& g,
                                        ServiceOptions options)
     : g_(g),
       options_(options),
-      lsdb_(g.num_edges(), options.shards),
+      lsdb_(g.num_edges()),
       pool_(g, spf::SpfOptions{.metric = options.metric, .padded = true},
             spf::TreePoolOptions{.max_views = kMaxViews}),
       base_(pool_.base()),
@@ -363,9 +363,7 @@ void RestorationService::apply_recovered(const persist::RecoverResult& rec) {
 
   // 1. LSDB: snapshot records then WAL link events, both through the
   // generation-gated apply — replay is order-independent and idempotent.
-  for (const lsdb::LinkStateRecord& l : s.links) {
-    lsdb_.apply({l.edge, !l.down, l.generation});
-  }
+  lsdb_.import_records(s.links);
 
   // 2. FEC table: snapshot routes (arena section), then WAL installs
   // stamp-gated newest-wins. Decompositions are recomputed afterwards —
@@ -462,13 +460,7 @@ void RestorationService::apply_recovered(const persist::RecoverResult& rec) {
 persist::SnapshotState RestorationService::capture_state() {
   persist::SnapshotState s;
   s.num_edges = static_cast<std::uint32_t>(g_.num_edges());
-  const ShardedLsdb::Snapshot snap = lsdb_.snapshot();
-  s.lsdb_version = snap.version();
-  for (EdgeId e = 0; e < g_.num_edges(); ++e) {
-    const bool down = snap.edge_failed(e);
-    const std::uint64_t gen = snap.generation(e);
-    if (down || gen != 0) s.links.push_back({e, down, gen});
-  }
+  s.links = lsdb_.export_records();
 
   // The FEC table: each demand's (stamp, route) is read under the install
   // lock, and since routes are immutable the paths are encoded after it is
@@ -502,7 +494,6 @@ persist::SnapshotState RestorationService::capture_state() {
   }
   for (std::size_t i = 0; i < demands_.size(); ++i) {
     s.demands[i].route = store_path(routes[i]->backup);
-    s.demands[i].baseline = store_path(demands_[i].baseline->backup);
   }
   return s;
 }

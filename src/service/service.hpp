@@ -6,9 +6,9 @@
 // thread), reroutes run concurrently on a worker pool, and readers observe
 // the current FEC table at any time. Three pieces make that safe:
 //
-//  * a sharded, generation-numbered LSDB with epoch-pinned snapshot reads
-//    (sharded_lsdb.hpp): ingest never blocks reroutes, reroutes never block
-//    ingest;
+//  * one generation-numbered LSDB whose down-link list is published for
+//    epoch-pinned snapshot reads (sharded_lsdb.hpp): ingest serializes on
+//    one writer lock, but reroutes never block ingest and never lock;
 //  * a lock-free MPMC ring (mpmc_queue.hpp) of demand ids feeding
 //    long-running consumers on the existing ThreadPool. The ring has a
 //    slot per demand and the dedup flag keeps each demand in it at most
@@ -116,8 +116,7 @@ struct PersistOptions {
 };
 
 struct ServiceOptions {
-  std::size_t shards = 4;          ///< LSDB shards (clamped to edge count)
-  std::size_t workers = 0;         ///< reroute workers; 0 = hardware default
+  std::size_t workers = 0;  ///< reroute workers; 0 = hardware default
   /// Compatibility stub: a floor on the MPMC ring size, which is
   /// max(queue_capacity, number of demands) rounded up to 2^k. The ring
   /// always has a slot per demand, so this only matters to callers that

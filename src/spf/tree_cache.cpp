@@ -14,13 +14,11 @@ obs::MetricsRegistry& registry() { return obs::MetricsRegistry::global(); }
 }  // namespace
 
 TreeCache::TreeCache(const graph::Graph& g, graph::FailureMask mask,
-                     SpfOptions options, TreeCache* base,
-                     IncrementalOptions incremental)
+                     SpfOptions options, TreeCache* base)
     : g_(g),
       mask_(std::move(mask)),
       options_(options),
       base_(base),
-      incremental_(incremental),
       settled_(std::make_unique<std::atomic<const Entry*>[]>(g.num_nodes())),
       hits_(registry().counter("cache.hit")),
       scratch_(registry().counter("cache.scratch")),
@@ -53,7 +51,7 @@ std::shared_ptr<const ShortestPathTree> TreeCache::compute(
       RBPC_TRACE_SPAN("spf.repair");
       tree = std::make_shared<ShortestPathTree>(
           repair_tree(g_, *base_tree, mask_, options_, thread_workspace(),
-                      incremental_, &report));
+                      IncrementalOptions{}, &report));
     }
     if (report.kind == RepairKind::kScratch) {
       repair_fallbacks_.inc();

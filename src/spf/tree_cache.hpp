@@ -69,8 +69,7 @@ class TreeCache {
   /// subset of this cache's) by incremental SPT repair. `base` must outlive
   /// this cache; it is shared, so its own thread-safety guarantees apply.
   TreeCache(const graph::Graph& g, graph::FailureMask mask,
-            SpfOptions options = {}, TreeCache* base = nullptr,
-            IncrementalOptions incremental = {});
+            SpfOptions options = {}, TreeCache* base = nullptr);
 
   const graph::Graph& graph() const { return g_; }
   const graph::FailureMask& mask() const { return mask_; }
@@ -121,7 +120,6 @@ class TreeCache {
   graph::FailureMask mask_;
   SpfOptions options_;
   TreeCache* base_ = nullptr;  // not owned; nullptr = from-scratch mode
-  IncrementalOptions incremental_;
 
   mutable std::mutex mu_;  // guards entries_ (map structure only)
   /// Node-based map: an Entry never moves and is never erased, so the

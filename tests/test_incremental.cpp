@@ -328,12 +328,21 @@ TEST(TreeCacheRepairMode, RepairsFromBaseAndMatchesScratch) {
   EXPECT_GT(repaired.repairs(), 0u);
   EXPECT_EQ(unfailed.misses(), g.num_nodes());
 
-  // fraction = 0.0: every miss with orphans must be a counted fallback,
-  // results still identical.
-  TreeCache fallback(g, mask, options, &unfailed,
-                     IncrementalOptions{.max_affected_fraction = 0.0});
-  for (NodeId s = 0; s < g.num_nodes(); ++s) {
-    expect_identical_trees(*scratch.tree(s), *fallback.tree(s),
+  // A failure that orphans more than a quarter of the nodes makes repair
+  // fall back to scratch: on a 16-node ring, link 0 - 1 cuts about half of
+  // node 0's tree off. Fallbacks are counted and the trees stay identical.
+  const Graph ring = topo::make_ring(16);
+  const FailureMask cut = FailureMask::of_edges({0});
+  TreeCache ring_unfailed(ring, FailureMask{}, options);
+  TreeCache fallback(ring, cut, options, &ring_unfailed);
+  TreeCache ring_scratch(ring, cut, options);
+  for (NodeId s = 0; s < ring.num_nodes(); ++s) {
+    TreeOutcome outcome = TreeOutcome::kHit;
+    const auto tree = fallback.tree(s, &outcome);
+    if (s == 0) {
+      EXPECT_EQ(outcome, TreeOutcome::kFallback);
+    }
+    expect_identical_trees(*ring_scratch.tree(s), *tree,
                            "fallback s=" + std::to_string(s));
   }
   EXPECT_EQ(fallback.repairs() + fallback.repair_fallbacks(),

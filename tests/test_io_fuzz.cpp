@@ -91,7 +91,6 @@ TEST(IoFuzzSpecial, EmptyAndEdgelessGraphs) {
 std::vector<std::uint8_t> valid_snapshot_bytes() {
   persist::SnapshotState s;
   s.seq = 3;
-  s.lsdb_version = 17;
   s.num_edges = 6;
   s.links.push_back({1, true, 4});
   s.links.push_back({5, false, 9});
@@ -102,7 +101,11 @@ std::vector<std::uint8_t> valid_snapshot_bytes() {
   d.dst = 3;
   d.stamp = 8;
   d.route = PathRef{0, 3};
-  d.baseline = PathRef{3, 2};
+  s.demands.push_back(d);
+  d.src = 1;
+  d.dst = 4;
+  d.stamp = 0;
+  d.route = PathRef{3, 2};
   s.demands.push_back(d);
   return persist::encode_snapshot(s);
 }

@@ -41,6 +41,7 @@
 #include "spf/tree_cache.hpp"
 #include "spf/tree_pool.hpp"
 #include "theorem_props.hpp"
+#include "topo/generators.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -162,6 +163,36 @@ TEST(MultiFailure, CorpusSweepWeighted) {
   }
 }
 
+// The punctured-oracle pool is LRU-bounded: membership tests that puncture
+// more than kMaxFailureOracles distinct links keep at most that many.
+TEST(MultiFailure, FaultTolerantOraclePoolStaysBounded) {
+  // On a 12 x 12 unit grid, the straight run along row r is the only
+  // shortest path between its ends. A detour two rows down costs 15; with
+  // any one row link removed the distance is 13, so no link is a witness
+  // and every one of the row's 11 links gets a punctured oracle.
+  constexpr std::size_t kSide = 12;
+  const graph::Graph g = topo::make_grid(kSide, kSide);
+  const auto id = [](std::size_t r, std::size_t c) {
+    return static_cast<NodeId>(r * kSide + c);
+  };
+  spf::DistanceOracle oracle(g, FailureMask::none(), Metric::Weighted);
+  FaultTolerantBaseSet ft(oracle);
+  std::set<EdgeId> punctured;
+  for (std::size_t r = 0; r + 2 < kSide; ++r) {
+    std::vector<NodeId> detour = {id(r, 0), id(r + 1, 0)};
+    for (std::size_t c = 0; c < kSide; ++c) detour.push_back(id(r + 2, c));
+    detour.push_back(id(r + 1, kSide - 1));
+    detour.push_back(id(r, kSide - 1));
+    EXPECT_FALSE(ft.contains(graph::Path::from_nodes(g, detour))) << "row " << r;
+    const graph::Path row = oracle.canonical_path(id(r, 0), id(r, kSide - 1));
+    punctured.insert(row.edges().begin(), row.edges().end());
+    EXPECT_LE(ft.pooled_oracles(), FaultTolerantBaseSet::kMaxFailureOracles)
+        << "row " << r;
+  }
+  EXPECT_GT(punctured.size(), FaultTolerantBaseSet::kMaxFailureOracles);
+  EXPECT_EQ(ft.pooled_oracles(), FaultTolerantBaseSet::kMaxFailureOracles);
+}
+
 // The Bodwin–Wang 1-fault-tolerant set contains the all-pairs-shortest set,
 // so its overlay restorations can never need more pieces — and its members
 // must still verify as lemma-clean against its own membership test.
@@ -171,7 +202,7 @@ TEST(MultiFailure, FaultTolerantSetNeverDeeperThanAllPairs) {
     const TopoCase& tc = cases[i];
     spf::DistanceOracle oracle(tc.g, FailureMask::none(), Metric::Weighted);
     AllPairsShortestBaseSet ap(oracle);
-    FaultTolerantBaseSet ft(oracle, /*max_failure_oracles=*/8);
+    FaultTolerantBaseSet ft(oracle);
     Rng rng(0xFACE ^ std::hash<std::string>{}(tc.name));
     for (const std::size_t k : {2u, 4u}) {
       for (std::size_t trial = 0; trial < 2; ++trial) {

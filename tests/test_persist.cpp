@@ -18,9 +18,11 @@
 
 #include "corpus.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -123,12 +125,11 @@ chaos::StormConfig sweep_storm_config() {
   return config;
 }
 
-/// Deterministic-op-order service configuration: one worker, one shard, no
+/// Deterministic-op-order service configuration: one worker, no
 /// maintenance thread (rotation only through explicit checkpoint()).
 ServiceOptions sweep_options(const std::string& dir, persist::PersistIo* io) {
   ServiceOptions o;
   o.workers = 1;
-  o.shards = 1;
   o.queue_capacity = 64;
   o.persist.dir = dir;
   o.persist.maintenance_interval_us = 0;
@@ -610,7 +611,6 @@ TEST(PersistFormat, Crc32MatchesKnownVector) {
 TEST(PersistFormat, SnapshotRoundTripsExactly) {
   persist::SnapshotState s;
   s.seq = 7;
-  s.lsdb_version = 42;
   s.num_edges = 9;
   s.links.push_back({3, true, 5});
   s.links.push_back({8, false, 2});
@@ -621,24 +621,71 @@ TEST(PersistFormat, SnapshotRoundTripsExactly) {
   d.dst = 2;
   d.stamp = 13;
   d.route = graph::PathRef{0, 3};
-  d.baseline = graph::PathRef{3, 2};
+  s.demands.push_back(d);
+  d.src = 4;
+  d.dst = 5;
+  d.stamp = 0;
+  d.route = graph::PathRef{3, 2};
   s.demands.push_back(d);
 
   const persist::SnapshotState out =
       persist::decode_snapshot(persist::encode_snapshot(s));
   EXPECT_EQ(out.seq, s.seq);
-  EXPECT_EQ(out.lsdb_version, s.lsdb_version);
   EXPECT_EQ(out.num_edges, s.num_edges);
   ASSERT_EQ(out.links.size(), 2u);
   EXPECT_EQ(out.links[0].edge, 3u);
   EXPECT_TRUE(out.links[0].down);
   EXPECT_EQ(out.links[0].generation, 5u);
-  ASSERT_EQ(out.demands.size(), 1u);
+  ASSERT_EQ(out.demands.size(), 2u);
   EXPECT_EQ(out.demands[0].stamp, 13u);
   EXPECT_EQ(out.demands[0].route.offset, 0u);
   EXPECT_EQ(out.demands[0].route.len, 3u);
+  EXPECT_EQ(out.demands[1].src, 4u);
+  EXPECT_EQ(out.demands[1].route.offset, 3u);
+  EXPECT_EQ(out.demands[1].route.len, 2u);
   EXPECT_EQ(out.arena_nodes, s.arena_nodes);
   EXPECT_EQ(out.arena_edges, s.arena_edges);
+}
+
+TEST(PersistFormat, V1SnapshotIsRefused) {
+  // Format 1 carried a version floor and a baseline ref per demand, which
+  // recovery never read. A well-formed v1 image (its own magic, layout and
+  // CRC) must be refused with a RecoveryError, not misread as format 2.
+  persist::BufWriter payload;
+  payload.u64(7);   // seq
+  payload.u64(42);  // lsdb_version (v1 only)
+  payload.u32(9);   // num_edges
+  payload.u32(1);   // one link record
+  payload.u32(3);
+  payload.u8(1);
+  payload.u64(5);
+  payload.u32(1);  // one demand
+  payload.u32(0);
+  payload.u32(2);
+  payload.u64(13);
+  payload.u32(0);  // route ref
+  payload.u32(3);
+  payload.u32(0);  // baseline ref (v1 only)
+  payload.u32(3);
+  const std::vector<std::uint32_t> nodes = {0, 1, 2};
+  const std::vector<std::uint32_t> edges = {0, 1, graph::kInvalidEdge};
+  payload.u64(nodes.size());
+  payload.u32_span(nodes);
+  payload.u64(edges.size());
+  payload.u32_span(edges);
+  const char v1_magic[8] = {'R', 'B', 'P', 'C', 'S', 'N', 'P', '1'};
+  persist::BufWriter image;
+  image.raw(v1_magic, sizeof(v1_magic));
+  image.u64(payload.bytes().size());
+  image.raw(payload.bytes().data(), payload.bytes().size());
+  image.u32(persist::crc32(payload.bytes().data(), payload.bytes().size()));
+  EXPECT_THROW(persist::decode_snapshot(image.bytes()), persist::RecoveryError);
+  // The same payload under the current magic is a different format: it
+  // must not decode either (its demand records are 8 bytes longer).
+  std::vector<std::uint8_t> relabelled = image.take();
+  std::copy(std::begin(persist::kSnapshotMagic),
+            std::end(persist::kSnapshotMagic), relabelled.begin());
+  EXPECT_THROW(persist::decode_snapshot(relabelled), persist::RecoveryError);
 }
 
 TEST(PersistFormat, WalRoundTripsExactly) {

@@ -1,5 +1,5 @@
 // Concurrency test harness for the always-on restoration service
-// (src/service): epoch reclamation, the bounded MPMC queue, the sharded
+// (src/service): epoch reclamation, the bounded MPMC queue, the service's
 // LSDB, the thread-safe EventQueue cancel path, and the service itself.
 //
 // Two regimes, per the harness design:
@@ -10,13 +10,13 @@
 //    must be *bit-identical* (backup path, decomposition pieces, piece
 //    kinds) to a serial source_rbpc_restore replay of the final mask. The
 //    interleaving-independence matrix re-runs fixed-seed storms across
-//    {1,2,8} workers x {1,4} shards and requires identical quiescent
-//    tables from every configuration.
+//    {1,2,8} workers and requires identical quiescent tables from every
+//    configuration.
 //
 //  * free-running stress — concurrent ingest threads, reroute workers and
 //    a scraping thread race without any schedule; chaos invariants are
 //    asserted during churn (snapshot versions monotone, readers never
-//    crash or see torn shard state) and after quiescence (view == truth,
+//    crash or see a torn down list) and after quiescence (view == truth,
 //    FEC table == serial replay).
 //
 // This file is built standalone (rbpc_add_test) so CI runs it under
@@ -322,129 +322,134 @@ TEST(MpmcQueue, ShutdownWithInflightProducers) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded LSDB.
+// Service LSDB (ShardedLsdb: one lsdb::Lsdb plus a published down list).
 // ---------------------------------------------------------------------------
+
+/// Fresh, duplicate, stale and ungated (generation 0) LSAs on `edges` links,
+/// including downs of links already down.
+std::vector<lsdb::LinkEvent> perturbed_events(std::size_t edges, int count,
+                                              std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<lsdb::LinkEvent> events;
+  std::vector<std::uint64_t> gen(edges, 0);
+  for (int i = 0; i < count; ++i) {
+    const EdgeId e = static_cast<EdgeId>(rng.below(edges));
+    lsdb::LinkEvent ev{e, rng.chance(0.4), 0};
+    const double kind = rng.uniform();
+    if (kind < 0.5) {
+      ev.generation = ++gen[e];
+    } else if (kind < 0.7) {
+      ev.generation = gen[e];  // duplicate (or ungated while gen is 0)
+    } else if (kind < 0.85 && gen[e] > 1) {
+      ev.generation = 1 + rng.below(gen[e] - 1);  // stale
+    }  // else: generation 0, applied without gating
+    events.push_back(ev);
+  }
+  return events;
+}
 
 TEST(ShardedLsdb, GenerationGatingMirrorsLsdb) {
   // A perturbed event sequence (dups, stale reordering) must leave the
-  // sharded view, the classic Lsdb, and their discard counters identical —
-  // for any shard count.
+  // service's view, the classic Lsdb, and their discard counters identical.
   constexpr std::size_t kEdges = 10;
-  Rng rng(77);
-  std::vector<lsdb::LinkEvent> events;
-  std::vector<std::uint64_t> gen(kEdges, 0);
-  for (int i = 0; i < 300; ++i) {
-    const EdgeId e = static_cast<EdgeId>(rng.below(kEdges));
-    lsdb::LinkEvent ev{e, rng.chance(0.5), 0};
-    const double kind = rng.uniform();
-    if (kind < 0.6) {
-      ev.generation = ++gen[e];           // fresh
-    } else if (kind < 0.8 && gen[e] > 0) {
-      ev.generation = gen[e];             // duplicate
-    } else if (gen[e] > 1) {
-      ev.generation = 1 + rng.below(gen[e] - 1);  // stale
-    } else {
-      ev.generation = ++gen[e];
-    }
-    events.push_back(ev);
+  lsdb::Lsdb reference;
+  ShardedLsdb db(kEdges);
+  for (const lsdb::LinkEvent& ev : perturbed_events(kEdges, 300, 77)) {
+    EXPECT_EQ(reference.apply(ev), db.apply(ev))
+        << "edge=" << ev.edge << " gen=" << ev.generation;
   }
-
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{16}}) {
-    lsdb::Lsdb reference;
-    ShardedLsdb sharded(kEdges, shards);
-    for (const lsdb::LinkEvent& ev : events) {
-      EXPECT_EQ(reference.apply(ev), sharded.apply(ev))
-          << "shards=" << shards << " edge=" << ev.edge
-          << " gen=" << ev.generation;
-    }
-    EXPECT_EQ(sharded.duplicates_discarded(), reference.duplicates_discarded());
-    EXPECT_EQ(sharded.stale_discarded(), reference.stale_discarded());
-    const ShardedLsdb::Snapshot snap = sharded.snapshot();
-    for (EdgeId e = 0; e < kEdges; ++e) {
-      EXPECT_EQ(snap.edge_failed(e), reference.knows_down(e))
-          << "shards=" << shards << " edge=" << e;
-      EXPECT_EQ(snap.generation(e), reference.applied_generation(e));
-    }
+  EXPECT_EQ(db.duplicates_discarded(), reference.duplicates_discarded());
+  EXPECT_EQ(db.stale_discarded(), reference.stale_discarded());
+  EXPECT_EQ(db.export_records(), reference.export_records());
+  const ShardedLsdb::Snapshot snap = db.snapshot();
+  for (EdgeId e = 0; e < kEdges; ++e) {
+    EXPECT_EQ(snap.edge_failed(e), reference.knows_down(e)) << "edge=" << e;
   }
 }
 
 TEST(ShardedLsdb, GenerationsSuppressDuplicatesAndStaleLsas) {
   // Lsdb.GenerationsSuppressDuplicatesAndStaleLsas's sequence, replayed on
-  // the sharded view: both apply lsdb::gate_generation, so the verdicts,
+  // the service's view: both apply lsdb::gate_generation, so the verdicts,
   // the discard counts and the resulting view must be the same.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-    ShardedLsdb db(8, shards);
-    EXPECT_TRUE(db.apply(lsdb::LinkEvent{3, /*up=*/false, /*generation=*/2}));
-    EXPECT_TRUE(db.snapshot().edge_failed(3));
-    EXPECT_EQ(db.snapshot().generation(3), 2u);
+  using Records = std::vector<lsdb::LinkStateRecord>;
+  ShardedLsdb db(8);
+  EXPECT_TRUE(db.apply(lsdb::LinkEvent{3, /*up=*/false, /*generation=*/2}));
+  EXPECT_TRUE(db.snapshot().edge_failed(3));
+  EXPECT_EQ(db.export_records(), (Records{{3, true, 2}}));
 
-    // A re-flooded copy of the same generation is discarded.
-    EXPECT_FALSE(db.apply(lsdb::LinkEvent{3, /*up=*/false, /*generation=*/2}));
-    EXPECT_EQ(db.duplicates_discarded(), 1u);
+  // A re-flooded copy of the same generation is discarded.
+  EXPECT_FALSE(db.apply(lsdb::LinkEvent{3, /*up=*/false, /*generation=*/2}));
+  EXPECT_EQ(db.duplicates_discarded(), 1u);
 
-    // A reordered older LSA must not roll the view back.
-    EXPECT_FALSE(db.apply(lsdb::LinkEvent{3, /*up=*/true, /*generation=*/1}));
-    EXPECT_TRUE(db.snapshot().edge_failed(3));
-    EXPECT_EQ(db.stale_discarded(), 1u);
+  // A reordered older LSA must not roll the view back.
+  EXPECT_FALSE(db.apply(lsdb::LinkEvent{3, /*up=*/true, /*generation=*/1}));
+  EXPECT_TRUE(db.snapshot().edge_failed(3));
+  EXPECT_EQ(db.stale_discarded(), 1u);
 
-    // Newer generations win.
-    EXPECT_TRUE(db.apply(lsdb::LinkEvent{3, /*up=*/true, /*generation=*/5}));
-    EXPECT_FALSE(db.snapshot().edge_failed(3));
-    EXPECT_EQ(db.snapshot().generation(3), 5u);
-    EXPECT_EQ(db.version(), 2u);
-  }
+  // Newer generations win.
+  EXPECT_TRUE(db.apply(lsdb::LinkEvent{3, /*up=*/true, /*generation=*/5}));
+  EXPECT_FALSE(db.snapshot().edge_failed(3));
+  EXPECT_EQ(db.export_records(), (Records{{3, false, 5}}));
+  EXPECT_EQ(db.version(), 2u);
 }
 
 TEST(ShardedLsdb, FailedLinkListsMatchFullScan) {
-  // Snapshots enumerate the failure set from per-shard lists kept at apply
+  // Snapshots enumerate the failure set from the down list kept at apply
   // time. After random sequences of fresh, duplicate, stale and ungated
-  // (generation 0) LSAs — including downs of links already down — the lists
-  // must agree with a scan of every link, for any shard count.
+  // LSAs the list must agree with a scan of every link.
   constexpr std::size_t kEdges = 37;
-  for (const std::size_t shards :
-       {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{64}}) {
-    Rng rng(900 + shards);
-    ShardedLsdb db(kEdges, shards);
-    std::vector<std::uint64_t> gen(kEdges, 0);
-    for (int i = 0; i < 400; ++i) {
-      const EdgeId e = static_cast<EdgeId>(rng.below(kEdges));
-      lsdb::LinkEvent ev{e, rng.chance(0.4), 0};
-      const double kind = rng.uniform();
-      if (kind < 0.5) {
-        ev.generation = ++gen[e];
-      } else if (kind < 0.7) {
-        ev.generation = gen[e];  // duplicate (or ungated while gen is 0)
-      } else if (kind < 0.85 && gen[e] > 1) {
-        ev.generation = 1 + rng.below(gen[e] - 1);  // stale
-      }  // else: generation 0, applied without gating
-      db.apply(ev);
-
-      const ShardedLsdb::Snapshot snap = db.snapshot();
-      FailureMask scan;
-      for (EdgeId x = 0; x < kEdges; ++x) {
-        if (snap.edge_failed(x)) scan.fail_edge(x);
-      }
-      const std::string ctx =
-          "shards=" + std::to_string(shards) + " step=" + std::to_string(i);
-      ASSERT_EQ(snap.to_mask().failed_edges(), scan.failed_edges()) << ctx;
-      ASSERT_EQ(snap.failed_edge_count(), scan.failed_edge_count()) << ctx;
-      std::vector<EdgeId> listed;
-      for (std::size_t k = 0; k < snap.failed_edge_count(); ++k) {
-        listed.push_back(snap.failed_edge(k));
-      }
-      std::sort(listed.begin(), listed.end());
-      ASSERT_EQ(listed, scan.failed_edges()) << ctx;
+  ShardedLsdb db(kEdges);
+  int step = 0;
+  for (const lsdb::LinkEvent& ev : perturbed_events(kEdges, 400, 900)) {
+    db.apply(ev);
+    const ShardedLsdb::Snapshot snap = db.snapshot();
+    FailureMask scan;
+    for (EdgeId x = 0; x < kEdges; ++x) {
+      if (snap.edge_failed(x)) scan.fail_edge(x);
     }
+    const std::string ctx = "step=" + std::to_string(step++);
+    ASSERT_EQ(snap.to_mask().failed_edges(), scan.failed_edges()) << ctx;
+    ASSERT_EQ(snap.failed_edge_count(), scan.failed_edge_count()) << ctx;
+    std::vector<EdgeId> listed;
+    for (std::size_t k = 0; k < snap.failed_edge_count(); ++k) {
+      listed.push_back(snap.failed_edge(k));
+    }
+    ASSERT_EQ(listed, scan.failed_edges()) << ctx << ": list not ascending";
   }
 }
 
+TEST(ShardedLsdb, ImportRecordsRoundTripsExport) {
+  // Recovery imports the records a snapshot exported: the imported view has
+  // the same records, the same down list, and a version that counts them.
+  constexpr std::size_t kEdges = 23;
+  ShardedLsdb db(kEdges);
+  for (const lsdb::LinkEvent& ev : perturbed_events(kEdges, 200, 31)) {
+    db.apply(ev);
+  }
+  const std::vector<lsdb::LinkStateRecord> records = db.export_records();
+  ASSERT_FALSE(records.empty());
+  ShardedLsdb restored(kEdges);
+  EXPECT_EQ(restored.import_records(records), records.size());
+  EXPECT_EQ(restored.export_records(), records);
+  EXPECT_EQ(restored.version(), records.size());
+  EXPECT_EQ(restored.snapshot().to_mask().failed_edges(),
+            db.snapshot().to_mask().failed_edges());
+  // Importing again changes nothing: sequenced records are now duplicates
+  // and unsequenced ones (generation 0) re-apply the same state.
+  const auto unsequenced = static_cast<std::size_t>(std::count_if(
+      records.begin(), records.end(),
+      [](const lsdb::LinkStateRecord& r) { return r.generation == 0; }));
+  EXPECT_EQ(restored.import_records(records), unsequenced);
+  EXPECT_EQ(restored.export_records(), records);
+  EXPECT_THROW(restored.import_records({{kEdges, true, 1}}), PreconditionError);
+}
+
 TEST(ShardedLsdb, SnapshotPinsBlockReclamationUntilDropped) {
-  ShardedLsdb db(4, 2);
+  ShardedLsdb db(4);
   ASSERT_TRUE(db.apply({0, false, 1}));
   auto held = std::make_unique<ShardedLsdb::Snapshot>(db.snapshot());
   EXPECT_FALSE(held->edge_failed(1));
-  // Writes behind the pinned snapshot park the old shard states in limbo.
+  // Writes behind the pinned snapshot park the old down lists in limbo.
   ASSERT_TRUE(db.apply({1, false, 1}));
   ASSERT_TRUE(db.apply({1, true, 2}));
   EXPECT_GT(db.epochs().limbo_size(), 0u);
@@ -460,9 +465,80 @@ TEST(ShardedLsdb, SnapshotPinsBlockReclamationUntilDropped) {
   EXPECT_EQ(fresh.version(), 3u);
 }
 
+TEST(ShardedLsdb, SnapshotIsAPrefixOfAppliedEvents) {
+  // One writer applies a scripted sequence; readers check that every
+  // snapshot's down set is the state after some event index j >= its
+  // version(), i.e. a snapshot is atomic across all links. The list a
+  // snapshot loads was published by event j before j's version bump, so j
+  // is also at most one past the version read right after the snapshot:
+  // the check accepts only that window. The script is a random walk over
+  // 2^24 down sets, so a torn view is unlikely to equal a prefix in it.
+  constexpr std::size_t kEdges = 24;
+  Rng rng(4242);
+  std::vector<lsdb::LinkEvent> script;
+  std::vector<std::uint64_t> gen(kEdges, 0);
+  for (int i = 0; i < 5000; ++i) {
+    const EdgeId e = static_cast<EdgeId>(rng.below(kEdges));
+    script.push_back({e, rng.chance(0.5), ++gen[e]});
+  }
+  // prefix[i] is the sorted down set after the first i events.
+  std::vector<std::vector<EdgeId>> prefix{{}};
+  {
+    lsdb::Lsdb reference;
+    for (const lsdb::LinkEvent& ev : script) {
+      reference.apply(ev);
+      prefix.push_back(reference.view().failed_edges());
+    }
+  }
+
+  constexpr int kReaders = 3;
+  ShardedLsdb db(kEdges);
+  std::atomic<bool> done{false};
+  std::atomic<int> started{0};
+  std::atomic<std::uint64_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      started.fetch_add(1, std::memory_order_release);
+      std::uint64_t last_version = 0;
+      bool last_round = false;
+      while (!last_round) {
+        last_round = done.load(std::memory_order_acquire);
+        const ShardedLsdb::Snapshot snap = db.snapshot();
+        const std::size_t hi =
+            std::min<std::size_t>(db.version() + 1, script.size());
+        const std::uint64_t v = snap.version();
+        ASSERT_GE(v, last_version) << "snapshot versions must be monotone";
+        last_version = v;
+        std::vector<EdgeId> down;
+        for (std::size_t i = 0; i < snap.failed_edge_count(); ++i) {
+          down.push_back(snap.failed_edge(i));
+        }
+        std::size_t j = v;
+        while (j <= hi && prefix[j] != down) ++j;
+        ASSERT_LE(j, hi) << "snapshot at version " << v
+                         << " is not the down set after any of events "
+                         << v << ".." << hi;
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (started.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
+  std::size_t discarded = 0;
+  for (const lsdb::LinkEvent& ev : script) discarded += db.apply(ev) ? 0 : 1;
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(discarded, 0u);
+  EXPECT_GE(checked.load(), static_cast<std::uint64_t>(kReaders));
+  EXPECT_EQ(db.version(), script.size());
+  EXPECT_EQ(db.snapshot().to_mask().failed_edges(), prefix.back());
+}
+
 TEST(ShardedLsdb, ConcurrentApplySnapshotStress) {
   constexpr std::size_t kEdges = 32;
-  ShardedLsdb db(kEdges, 4);
+  ShardedLsdb db(kEdges);
   std::atomic<bool> stop{false};
 
   // Writers: disjoint edge ranges so per-edge generations stay monotone.
@@ -477,8 +553,9 @@ TEST(ShardedLsdb, ConcurrentApplySnapshotStress) {
       }
     });
   }
-  // Readers: versions must be monotone, generations never regress within
-  // one snapshot relative to an earlier snapshot of the same thread.
+  // Readers: versions are monotone, every exported record set is coherent
+  // (ascending, one per touched edge) and no edge's generation regresses
+  // relative to an earlier export by the same thread.
   for (int r = 0; r < 3; ++r) {
     threads.emplace_back([&] {
       std::uint64_t last_version = 0;
@@ -488,10 +565,19 @@ TEST(ShardedLsdb, ConcurrentApplySnapshotStress) {
         const std::uint64_t v = snap.version();
         ASSERT_GE(v, last_version) << "snapshot versions must be monotone";
         last_version = v;
-        for (EdgeId e = 0; e < kEdges; ++e) {
-          const std::uint64_t g = snap.generation(e);
-          ASSERT_GE(g, last_gen[e]) << "edge generation went backwards";
-          last_gen[e] = g;
+        ASSERT_LE(snap.failed_edge_count(), kEdges);
+        EdgeId prev = 0;
+        bool first = true;
+        for (const lsdb::LinkStateRecord& rec : db.export_records()) {
+          ASSERT_LT(rec.edge, kEdges);
+          ASSERT_TRUE(first || rec.edge > prev) << "records not ascending";
+          first = false;
+          prev = rec.edge;
+          ASSERT_GE(rec.generation, last_gen[rec.edge])
+              << "edge generation went backwards";
+          // Generation g is a failure exactly when g is odd.
+          ASSERT_EQ(rec.down, rec.generation % 2 == 1);
+          last_gen[rec.edge] = rec.generation;
         }
       }
     });
@@ -503,9 +589,11 @@ TEST(ShardedLsdb, ConcurrentApplySnapshotStress) {
 
   const ShardedLsdb::Snapshot final_snap = db.snapshot();
   EXPECT_EQ(final_snap.version(), static_cast<std::uint64_t>(400 * kEdges));
+  EXPECT_EQ(final_snap.failed_edge_count(), 0u);  // generation 400 is an up
+  const std::vector<lsdb::LinkStateRecord> records = db.export_records();
+  ASSERT_EQ(records.size(), kEdges);
   for (EdgeId e = 0; e < kEdges; ++e) {
-    EXPECT_EQ(final_snap.generation(e), 400u);
-    EXPECT_FALSE(final_snap.edge_failed(e));  // generation 400 is an up
+    EXPECT_EQ(records[e], (lsdb::LinkStateRecord{e, false, 400}));
   }
 }
 
@@ -650,13 +738,17 @@ void expect_view_matches_truth(const RestorationService& svc,
   const FailureMask truth = storm.final_mask();
   const std::vector<std::uint64_t> gens =
       storm.final_generations(svc.graph().num_edges());
-  const ShardedLsdb::Snapshot view = svc.lsdb().snapshot();
+  std::vector<lsdb::LinkStateRecord> want;
   for (EdgeId e = 0; e < svc.graph().num_edges(); ++e) {
-    EXPECT_EQ(view.edge_failed(e), truth.edge_failed(e))
-        << context << ": view != truth for edge " << e;
-    EXPECT_EQ(view.generation(e), gens[e])
-        << context << ": generation mismatch for edge " << e;
+    if (truth.edge_failed(e) || gens[e] != 0) {
+      want.push_back({e, truth.edge_failed(e), gens[e]});
+    }
   }
+  EXPECT_EQ(svc.lsdb().export_records(), want)
+      << context << ": LSDB records (down flags, generations) != truth";
+  EXPECT_EQ(svc.lsdb().snapshot().to_mask().failed_edges(),
+            truth.failed_edges())
+      << context << ": view != truth";
 }
 
 TEST(ServiceEquivalence, QuiescentTablesMatchSerialReplayAcrossCorpus) {
@@ -669,7 +761,6 @@ TEST(ServiceEquivalence, QuiescentTablesMatchSerialReplayAcrossCorpus) {
     const chaos::Storm storm = chaos::plan_storm(g, storm_config(), rng);
 
     ServiceOptions options;
-    options.shards = 4;
     options.workers = 4;
     RestorationService svc(g, demands, options);
     ingest_all(svc, storm.deliveries);
@@ -873,8 +964,8 @@ TEST(ServiceRung, BridgeFailureNoRouteMatchesSerialReplay) {
 }
 
 // ---------------------------------------------------------------------------
-// Interleaving independence: fixed seed, any worker/shard count -> same
-// quiescent FEC tables. 20 seeds x {1,2,8} workers x {1,4} shards.
+// Interleaving independence: fixed seed, any worker count -> same
+// quiescent FEC tables. 20 seeds x {1,2,8} workers.
 // ---------------------------------------------------------------------------
 
 TEST(ServiceProperty, InterleavingIndependenceMatrix) {
@@ -889,18 +980,15 @@ TEST(ServiceProperty, InterleavingIndependenceMatrix) {
 
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-        ServiceOptions options;
-        options.workers = workers;
-        options.shards = shards;
-        RestorationService svc(g, demands, options);
-        ingest_all(svc, storm.deliveries);
-        expect_identical_tables(
-            want, svc.routes(),
-            "seed " + std::to_string(seed) + " workers " +
-                std::to_string(workers) + " shards " + std::to_string(shards));
-        svc.stop();
-      }
+      ServiceOptions options;
+      options.workers = workers;
+      RestorationService svc(g, demands, options);
+      ingest_all(svc, storm.deliveries);
+      expect_identical_tables(
+          want, svc.routes(),
+          "seed " + std::to_string(seed) + " workers " +
+              std::to_string(workers));
+      svc.stop();
     }
   }
 }
@@ -980,7 +1068,6 @@ TEST(ServiceStress, FreeRunningChurnWithConcurrentScraper) {
 
   ServiceOptions options;
   options.workers = 4;
-  options.shards = 4;
   options.serve_metrics = true;  // scrape through the live endpoint too
   RestorationService svc(g, demands, options);
   ASSERT_NE(svc.metrics_port(), 0);
@@ -1380,9 +1467,8 @@ TEST(ServiceGroupCommit, DirtyIndexMatchesDirtyFlagsAfterStorms) {
     }
 
     // Bring every link back: the index must drain to empty.
-    const ShardedLsdb::Snapshot view = svc.lsdb().snapshot();
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      if (view.edge_failed(e)) svc.ingest({e, true, view.generation(e) + 1});
+    for (const lsdb::LinkStateRecord& rec : svc.lsdb().export_records()) {
+      if (rec.down) svc.ingest({rec.edge, true, rec.generation + 1});
     }
     svc.quiesce();
     EXPECT_EQ(count_dirty(svc), 0u) << tc.name;
