@@ -42,9 +42,11 @@ std::vector<Restoration> BatchRestorer::restore_all(
     require(mask.node_alive(job.src),
             "BatchRestorer: job source router is failed");
   }
-  // Same failure state as the last batch: the view and its trees are
-  // reused. A new one replaces it (the pool keeps one view).
-  const std::shared_ptr<spf::TreeCache> view = trees_.cache_for(mask);
+  // The ladder reads the failure set as sorted lists, built once per batch.
+  // Under an unchanged failure state the pool's one view and its trees
+  // are reused across batches.
+  const std::vector<graph::EdgeId> failed_edges = mask.failed_edges();
+  const std::vector<graph::NodeId> failed_nodes = mask.failed_nodes();
 
   // Time from dispatch to a worker picking the job up — pool backlog, the
   // phase the paper's recovery-effort accounting calls queueing delay.
@@ -58,24 +60,14 @@ std::vector<Restoration> BatchRestorer::restore_all(
     }
     RBPC_TRACE_SPAN("batch.job");
     const RestoreJob& job = jobs[i];
-    std::shared_ptr<const spf::ShortestPathTree> tree;
-    spf::TreeOutcome outcome = spf::TreeOutcome::kHit;
-    {
-      // Shared-tree lookup; a miss runs (or repairs) SPF under the mask,
-      // so spf.full / spf.repair spans nest inside this one.
-      RBPC_TRACE_SPAN("batch.spf");
-      tree = view->tree(job.src, &outcome);
-    }
-    tree_outcomes_[static_cast<std::size_t>(outcome)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (!tree->reachable(job.dst)) return;  // results[i] stays !restored()
     Restoration r;
     {
-      // Materializing the backup route — the label stack the source will
-      // push, in MPLS terms.
-      RBPC_TRACE_SPAN("batch.stack_build");
-      r.backup = tree->path_to(g, job.dst);
+      // The ladder: a cut answer, or a shared tree under the mask (a miss
+      // runs or repairs SPF, so spf.full / spf.repair spans nest here).
+      RBPC_TRACE_SPAN("batch.spf");
+      trees_.route(job.src, job.dst, failed_edges, failed_nodes, r.backup);
     }
+    if (!r.restored()) return;  // results[i] stays !restored()
     {
       // Membership oracles cache trees of the *unfailed* network and are
       // not thread-safe; decomposition serializes here. The span covers
@@ -113,15 +105,12 @@ BatchStats BatchRestorer::stats() const {
   s.max_pc_length = max_pc_length_.load(std::memory_order_relaxed);
   const std::size_t views = trees_.views_created();
   s.mask_changes = views == 0 ? 0 : views - 1;
-  const auto count = [this](spf::TreeOutcome outcome) {
-    return tree_outcomes_[static_cast<std::size_t>(outcome)].load(
-        std::memory_order_relaxed);
-  };
-  s.spf_cache_hits = count(spf::TreeOutcome::kHit);
-  s.spf_repairs = count(spf::TreeOutcome::kRepaired);
-  s.spf_repair_fallbacks = count(spf::TreeOutcome::kFallback);
-  s.spf_cache_misses = count(spf::TreeOutcome::kScratch) + s.spf_repairs +
-                       s.spf_repair_fallbacks;
+  s.spf_cache_hits = trees_.answers(obs::Rung::kCached);
+  s.spf_repairs = trees_.answers(obs::Rung::kRepaired);
+  s.spf_repair_fallbacks = trees_.answers(obs::Rung::kScratch);
+  s.spf_cache_misses = s.spf_repairs + s.spf_repair_fallbacks;
+  s.cut_routes = trees_.answers(obs::Rung::kCut);
+  s.cut_fallbacks = trees_.cut_fallbacks();
   return s;
 }
 

@@ -3,27 +3,31 @@
 // After a failure event, source RBPC restores *every* affected LSP — an
 // embarrassingly parallel job the serial loop over source_rbpc_restore
 // leaves on the table. BatchRestorer runs the restorations concurrently on
-// a fixed-size thread pool with two structural optimizations:
+// a fixed-size thread pool. Each job's route comes from
+// spf::SnapshotTreePool::route, the restoration ladder the always-on
+// service and the controller climb too:
 //
-//  * per-source SPF sharing — all LSPs rooted at the same source share one
-//    spf::shortest_tree under the failure mask instead of re-running SPF
-//    per pair. Trees come from a spf::SnapshotTreePool that keeps one view
-//    (the current mask); it persists across restore_all calls as long as
-//    the mask is unchanged (repeated queries under one failure);
+//  * the cut rung — with exactly one failed link (and no failed router),
+//    the route is read off the source's and the destination's *unfailed*
+//    trees by spf::replacement_route: no tree under the mask at all. The
+//    unfailed trees live in the pool's base store and survive every mask
+//    change, so a failure storm pays one full SPF per endpoint total;
 //
-//  * incremental SPT repair — the pool's base cache holds each source's
-//    *unfailed* tree; per-mask trees are derived from it by
-//    spf::repair_tree, which re-relaxes only the region orphaned by the
-//    failures instead of re-running Dijkstra over the whole graph. The
-//    unfailed trees survive mask changes, so a failure storm pays one full
-//    SPF per source total, plus damage-proportional repairs per event;
+//  * per-source SPF sharing with incremental repair — otherwise (k >= 2,
+//    a failed router, or a cut the guard cannot prove), all LSPs rooted at
+//    the same source share one tree under the mask, derived from the
+//    source's unfailed tree by spf::repair_tree, which re-relaxes only the
+//    region the failures orphan. The pool keeps one such view (the current
+//    mask); it persists across restore_all calls as long as the mask is
+//    unchanged (repeated queries under one failure);
 //
 //  * deterministic reduction — result i is written to slot i regardless of
 //    which worker computed it, so the output is byte-identical to the
 //    serial loop for every thread count (including 1). Determinism rests on
 //    the SPF layer's canonical tie-breaking (see DESIGN.md, "Determinism
 //    under parallelism"): each Restoration is a pure function of
-//    (graph, mask, base set, pair), never of scheduling order.
+//    (graph, mask, base set, pair), never of scheduling order or of the
+//    rung that answered.
 //
 // The decomposition stage still funnels through the caller's BasePathSet
 // (whose membership oracles cache trees and are not thread-safe) under a
@@ -33,7 +37,6 @@
 // and Expanded sets, whose decompositions differ from one another.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <mutex>
@@ -65,9 +68,11 @@ struct BatchOptions {
 
 /// Point-in-time snapshot of a BatchRestorer's lifetime counters.
 /// Assembled by BatchRestorer::stats() from counters that are mirrored
-/// into the process-wide obs::MetricsRegistry (batch.* metrics), the
-/// TreeOutcome each job's tree lookup reported, and the tree pool's view
-/// count, so the struct is a thin view, not independent bookkeeping.
+/// into the process-wide obs::MetricsRegistry (batch.* and ladder.*
+/// metrics) and the tree pool's view count, so the struct is a thin view,
+/// not independent bookkeeping. The SPF fields count jobs answered by a
+/// tree under the mask; cut answers and all-up batches (which read the
+/// unfailed trees) count in none of them.
 struct BatchStats {
   std::size_t batches = 0;        ///< restore_all calls
   std::size_t jobs = 0;           ///< restorations attempted
@@ -79,6 +84,9 @@ struct BatchStats {
   std::size_t mask_changes = 0;   ///< tree views created after the first
   std::size_t spf_repairs = 0;    ///< misses served by incremental repair
   std::size_t spf_repair_fallbacks = 0;  ///< misses that fell back to scratch
+  std::size_t cut_routes = 0;     ///< single-failure jobs the cut answered
+  /// Single-failure jobs the cut could not prove unique (a view answered).
+  std::size_t cut_fallbacks = 0;
 
   /// Fraction of per-source tree lookups served without running SPF.
   double spf_hit_rate() const {
@@ -98,6 +106,7 @@ class BatchRestorer {
 
   std::size_t threads() const { return pool_.size(); }
   BasePathSet& base() { return base_; }
+  const spf::SnapshotTreePool& tree_pool() const { return trees_; }
 
   /// Restores every job under `mask`; result i corresponds to jobs[i] and
   /// is byte-identical to source_rbpc_restore(base, jobs[i].src,
@@ -118,12 +127,11 @@ class BatchRestorer {
   ThreadPool pool_;
   std::mutex base_mu_;  // guards base_ during decomposition
   // Unfailed base plus one view for the current mask; the base survives
-  // mask changes so each source pays for one full SPF total.
+  // mask changes so each endpoint pays for one full SPF total. It also
+  // counts the ladder's answers.
   spf::SnapshotTreePool trees_;
-  // Tree lookups per TreeOutcome, summed over every job.
-  std::array<std::atomic<std::size_t>, 4> tree_outcomes_{};
   // Lifetime counters, mirrored into the registry; stats() assembles the
-  // BatchStats view from these plus the tree counts above.
+  // BatchStats view from these plus the pool's counts.
   obs::InstanceCounter batches_;
   obs::InstanceCounter jobs_;
   obs::InstanceCounter restored_;

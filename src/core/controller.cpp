@@ -31,13 +31,6 @@ RbpcController::RbpcController(const graph::Graph& g, spf::Metric metric,
   require(!g.directed(), "RbpcController: undirected networks only");
 }
 
-Decomposition RbpcController::restore_via_ladder(NodeId u, NodeId v) {
-  const std::shared_ptr<const spf::ShortestPathTree> tree =
-      trees_.cache_for(mask_)->tree(u);
-  if (!tree->reachable(v)) return {};
-  return greedy_decompose(base_, tree->path_to(g_, v));
-}
-
 DegradeStats RbpcController::degrade_stats() const {
   DegradeStats s;
   s.stale_fec = degrade_stale_.value();
@@ -177,7 +170,9 @@ void RbpcController::reroute_pair(NodeId u, NodeId v,
   }
   Decomposition online;
   if (planned == nullptr) {
-    online = restore_via_ladder(u, v);
+    Path backup;
+    trees_.route(u, v, mask_.failed_edges(), mask_.failed_nodes(), backup);
+    if (!backup.empty()) online = greedy_decompose(base_, backup);
     planned = &online;
   }
   if (planned->empty()) {

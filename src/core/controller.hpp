@@ -34,6 +34,9 @@
 // trees answers canonical membership (SharedCanonicalBaseSet), the default
 // routes, the affected-pair rule and merged provisioning, and is what SPF
 // repair starts from; its one view holds the trees under the current mask.
+// An online reroute takes its route from the pool's ladder
+// (SnapshotTreePool::route, shared with the batch engine and the service):
+// the cut rung for a single failed link, else the view.
 //
 // The point of this class — and of the integration tests driving it — is
 // that restoration correctness is verified by *forwarding actual packets*
@@ -157,14 +160,18 @@ class RbpcController {
   /// under PerPair.
   std::size_t num_base_lsps() const { return net_.num_lsps(); }
 
+  /// The tree store and its ladder counters (ladder rungs 1-2).
+  const spf::SnapshotTreePool& tree_pool() const { return trees_; }
+
  private:
   const graph::Graph& g_;
   spf::Metric metric_;
   LabelPlan plan_;
   /// Padded trees: the unfailed base, built once per source and shared by
-  /// the base set, provisioning, the affected-pair rule and SPF repair,
-  /// plus one view for the current mask (ladder rungs 1-2: repaired from
-  /// the base, or scratch SPF inside the view).
+  /// the base set, provisioning, the affected-pair rule, the cut rung and
+  /// SPF repair, plus one view for the current mask (ladder rungs 1-2: a
+  /// cut answer, a tree repaired from the base, or scratch SPF inside the
+  /// view).
   spf::SnapshotTreePool trees_;
   SharedCanonicalBaseSet base_;
   mpls::Network net_;
@@ -202,14 +209,6 @@ class RbpcController {
 
   /// Bottom-first label stack encoding a decomposition.
   std::vector<mpls::Label> push_stack(const Decomposition& d) const;
-
-  /// Source-RBPC restoration through the degradation ladder's SPF rungs
-  /// (empty when unreachable): bit-identical to
-  /// source_rbpc_restore(base_, u, v, mask_).decomposition — the batch
-  /// engine's differential tests pin tree-derived paths to the serial
-  /// restoration — but served by incremental repair of the unfailed trees
-  /// where possible.
-  Decomposition restore_via_ladder(graph::NodeId u, graph::NodeId v);
 
   /// Installs `push` as the pair's FEC entry (or clears it when empty) and
   /// updates the dirty/broken bookkeeping.

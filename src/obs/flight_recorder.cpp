@@ -1,6 +1,7 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <fstream>
 #include <iostream>
@@ -12,6 +13,9 @@
 namespace rbpc::obs {
 
 namespace {
+
+/// A record's slot image: std::bit_cast copies it exactly both ways.
+using Words = std::array<std::uint64_t, RerouteRecord::kWords>;
 
 std::size_t round_up_pow2(std::size_t n) {
   if (n < 2) return 2;
@@ -38,8 +42,7 @@ void FlightRecorder::publish(std::size_t worker, const RerouteRecord& rec) {
   // Seqlock publish: odd marks the write in progress; the final even value
   // encodes the generation, so a reader that raced us sees the change.
   slot.seq.store(2 * h + 1, std::memory_order_release);
-  std::uint64_t words[RerouteRecord::kWords];
-  rec.pack(words);
+  const Words words = std::bit_cast<Words>(rec);
   for (std::size_t w = 0; w < RerouteRecord::kWords; ++w) {
     slot.words[w].store(words[w], std::memory_order_relaxed);
   }
@@ -60,7 +63,7 @@ void FlightRecorder::collect_ring(const Ring& ring,
         break;
       }
       if (seq1 & 1) continue;  // mid-write; retry
-      std::uint64_t words[RerouteRecord::kWords];
+      Words words;
       for (std::size_t w = 0; w < RerouteRecord::kWords; ++w) {
         words[w] = slot.words[w].load(std::memory_order_relaxed);
       }
@@ -68,7 +71,7 @@ void FlightRecorder::collect_ring(const Ring& ring,
       // sequence means no writer touched the slot while we copied.
       const std::uint64_t seq2 = slot.seq.load(std::memory_order_acquire);
       if (seq1 == seq2) {
-        out.push_back(RerouteRecord::unpack(words));
+        out.push_back(std::bit_cast<RerouteRecord>(words));
         settled = true;
       }
     }

@@ -25,7 +25,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace rbpc::obs {
 
@@ -76,19 +78,18 @@ struct RerouteRecord {
   std::uint8_t rung = 0;         ///< Rung, worst reached
   std::uint8_t flags = 0;        ///< kFlag* bits
   std::uint8_t group = 0;        ///< size of the commit group (0 = none)
-  std::uint8_t pad_[5] = {};     ///< keep the packed word count stable
+  std::uint8_t pad_[5] = {};     ///< explicit tail: no implicit padding
 
-  /// 64-bit words a record packs into (flight-recorder slot width).
+  /// 64-bit words a record occupies (flight-recorder slot width). The
+  /// flight recorder copies a record to and from its words with
+  /// std::bit_cast, so the round trip is exact.
   static constexpr std::size_t kWords = 12;
-
-  /// Packs the record into `words` / unpacks it back. The layout is
-  /// internal to the flight recorder; the round-trip is exact.
-  void pack(std::uint64_t words[kWords]) const;
-  static RerouteRecord unpack(const std::uint64_t words[kWords]);
 };
 
 static_assert(sizeof(RerouteRecord) == RerouteRecord::kWords * 8,
               "RerouteRecord packs into kWords 64-bit words");
+static_assert(std::has_unique_object_representations_v<RerouteRecord>,
+              "RerouteRecord has no implicit padding for bit_cast to copy");
 
 /// Process-wide request-id source: returns 1, 2, 3, ... Ids are never
 /// reused; 0 is reserved as "no request".

@@ -11,7 +11,6 @@
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "spf/replacement.hpp"
 #include "util/error.hpp"
 
 // Why the quiescent state is a pure function of the final failure mask
@@ -61,25 +60,22 @@
 // ladder's cached rung would compute (same unfailed tree, same
 // decomposition), so it changes no bit either.
 //
-// The SPF ladder a reroute climbs down (compute_reroute, compute_backup):
+// The SPF ladder a reroute climbs down (compute_reroute):
 //
 //  * no failed link: the demand's provisioned baseline, which was read off
 //    the source's unfailed tree (rung "cached"). Routes are immutable and
 //    shared, so this is a pointer copy;
-//  * exactly one failed link: spf::replacement_route reads the route off
-//    the source's and the destination's unfailed trees, both from the same
-//    base store (rung "cut"). It scans whichever of the two subtrees the
-//    link cuts off those trees is smaller, and the other one if the first
-//    cannot prove the route. It builds no view, runs no SPF once both
-//    trees are stored, and needs no FailureMask — the snapshot's
-//    failed-link lists name the link. Its answers are bit-identical to the
-//    repaired tree's path (spf/replacement.hpp), so the argument above is
-//    untouched. When neither side proves the route unique it says so, and
-//    the pass falls through to the next rung (counted as
-//    svc.rung.cut_fallback);
-//  * otherwise (k >= 2, or a cut fallback): the pooled view for the mask,
-//    repairing the source's tree from the base store (rung "repaired") or
-//    running SPF from scratch (rung "scratch").
+//  * otherwise: SnapshotTreePool::route (spf/tree_pool.hpp), the one
+//    ladder the batch engine and the controller climb too. With exactly
+//    one failed link it reads the route off the source's and the
+//    destination's unfailed trees (rung "cut"): two lock-free base-store
+//    loads, no view and no FailureMask — the snapshot's down list names
+//    the link. Otherwise, or when the cut cannot prove the route unique
+//    (counted as ladder.cut_fallback), it takes the pooled view for the
+//    down list, repairing the source's tree from the base store (rung
+//    "repaired") or running SPF from scratch (rung "scratch"). Every rung
+//    yields the repaired tree's path bit for bit (spf/replacement.hpp), so
+//    the argument above is untouched.
 //
 // No lost wake-ups (the event -> restored path has no sleep poll; DESIGN.md
 // §10). Two kinds of thread block on wake_mu_'s condition variables, and
@@ -208,8 +204,6 @@ RestorationService::RestorationService(const graph::Graph& g,
       installs_(registry().counter("svc.installs")),
       revalidations_(registry().counter("svc.revalidations")),
       snapshots_(registry().counter("svc.snapshots")),
-      cut_routes_(registry().counter("svc.rung.cut")),
-      cut_fallbacks_(registry().counter("svc.rung.cut_fallback")),
       no_route_g_(registry().gauge("svc.no_route")),
       dirty_g_(registry().gauge("svc.dirty")),
       flight_(options.workers == 0 ? ThreadPool::default_threads()
@@ -761,8 +755,9 @@ void RestorationService::compute_reroute(std::size_t d, std::size_t worker,
   if (snap.failed_edge_count() == 0) {
     out.route = st.baseline;
   } else {
+    RBPC_TRACE_SPAN("svc.spf");
     fresh = std::make_shared<core::Restoration>();
-    rung = compute_backup(st, snap, fresh->backup);
+    rung = pool_.route(st.src, st.dst, snap.failed_edges(), {}, fresh->backup);
   }
   if constexpr (obs::kObsEnabled) rec.spf_ns = obs::now_ns();
   if (fresh != nullptr) {
@@ -850,43 +845,6 @@ void RestorationService::commit_group(CommitGroup& group) {
     }
   }
   group.items.clear();  // frees the replaced routes, outside every lock
-}
-
-obs::Rung RestorationService::compute_backup(const DemandState& st,
-                                             const ShardedLsdb::Snapshot& snap,
-                                             graph::Path& out) {
-  RBPC_TRACE_SPAN("svc.spf");
-  const std::size_t failed = snap.failed_edge_count();
-  if (failed == 1) {
-    const auto from_s = pool_.base().tree(st.src);
-    const auto from_t = pool_.base().tree(st.dst);
-    if (spf::replacement_route(g_, *from_s, *from_t, snap.failed_edge(0),
-                               spf::thread_workspace(), out) !=
-        spf::ReplacementKind::kUnproven) {
-      cut_routes_.inc();
-      return obs::Rung::kCut;
-    }
-    cut_fallbacks_.inc();
-  }
-  // Keeps the view alive even if the pool evicts it meanwhile.
-  const std::shared_ptr<spf::TreeCache> view = pool_.cache_for(snap.to_mask());
-  spf::TreeOutcome outcome = spf::TreeOutcome::kHit;
-  const std::shared_ptr<const spf::ShortestPathTree> tree =
-      view->tree(st.src, &outcome);
-  if (tree->reachable(st.dst)) out = tree->path_to(g_, st.dst);
-  // TreeOutcome is the rung this pass ran at: a settled tree is the cached
-  // rung, a repaired tree the incremental rung, scratch SPF (direct or
-  // repair bail-out) the scratch rung.
-  switch (outcome) {
-    case spf::TreeOutcome::kHit:
-      return obs::Rung::kCached;
-    case spf::TreeOutcome::kRepaired:
-      return obs::Rung::kRepaired;
-    case spf::TreeOutcome::kScratch:
-    case spf::TreeOutcome::kFallback:
-      break;
-  }
-  return obs::Rung::kScratch;
 }
 
 bool RestorationService::install_locked(Pending& p) {
@@ -1001,8 +959,8 @@ ServiceStats RestorationService::stats() const {
   s.installs = installs_.value();
   s.revalidations = revalidations_.value();
   s.snapshots = snapshots_.value();
-  s.cut_routes = cut_routes_.value();
-  s.cut_fallbacks = cut_fallbacks_.value();
+  s.cut_routes = pool_.answers(obs::Rung::kCut);
+  s.cut_fallbacks = pool_.cut_fallbacks();
   {
     std::lock_guard<std::mutex> lock(routes_mu_);
     s.no_route = no_route_count_;

@@ -336,13 +336,6 @@ class RestorationService {
   /// item against its own snapshot, publish the flight records. Leaves the
   /// group empty; the caller retires its demands.
   void commit_group(CommitGroup& group);
-  /// The demand's canonical route under `snap`, which has at least one
-  /// failed link, into `out` (left empty when the destination is
-  /// unreachable); returns the SPF-ladder rung that produced it (see the
-  /// ladder notes in service.cpp).
-  obs::Rung compute_backup(const DemandState& st,
-                           const ShardedLsdb::Snapshot& snap,
-                           graph::Path& out);
   /// One-shot flight dump when the ladder escalates past scratch SPF.
   void maybe_dump_flight(const char* reason);
   /// Installs p.route for p.demand (stamp = p.version), swapping the
@@ -450,8 +443,6 @@ class RestorationService {
   obs::InstanceCounter installs_;
   obs::InstanceCounter revalidations_;
   obs::InstanceCounter snapshots_;
-  obs::InstanceCounter cut_routes_;     ///< svc.rung.cut
-  obs::InstanceCounter cut_fallbacks_;  ///< svc.rung.cut_fallback
   obs::Gauge no_route_g_;  ///< mirrors no_route_count_ (set under routes_mu_)
   obs::Gauge dirty_g_;     ///< svc.dirty, mirrors dirty_.size() (ditto)
 

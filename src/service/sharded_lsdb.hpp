@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/failure.hpp"
@@ -75,8 +76,8 @@ class ShardedLsdb {
     std::uint64_t version() const { return version_; }
 
     std::size_t failed_edge_count() const { return down_->size(); }
-    /// The i-th down link, ascending. Precondition: i < failed_edge_count().
-    graph::EdgeId failed_edge(std::size_t i) const { return (*down_)[i]; }
+    /// The down links, ascending.
+    std::span<const graph::EdgeId> failed_edges() const { return *down_; }
 
     /// Materializes the view as a FailureMask (link failures only — the
     /// service's ingest stream is the LSA flood, which carries no router

@@ -54,9 +54,8 @@ void DistanceOracle::evict_over_bounds(Cache& cache) {
     account(-static_cast<std::int64_t>(victim->second.tree->memory_bytes()));
     cache.slots.erase(victim);
   }
-  // Byte bound spans every flavor (plain + each policy's padded cache);
-  // evict the globally least recently used tree, always keeping at least
-  // the newest one.
+  // Byte bound spans both flavors; evict the globally least recently used
+  // tree, always keeping at least the newest one.
   while (max_cached_bytes_ != 0 && cached_bytes_ > max_cached_bytes_ &&
          cached_trees() > 1) {
     Cache* from = nullptr;
@@ -70,7 +69,7 @@ void DistanceOracle::evict_over_bounds(Cache& cache) {
       }
     };
     consider(plain_);
-    for (Cache& c : padded_) consider(c);
+    consider(padded_);
     RBPC_ASSERT(from != nullptr);
     account(-static_cast<std::int64_t>(victim->second.tree->memory_bytes()));
     from->slots.erase(victim);
@@ -78,9 +77,7 @@ void DistanceOracle::evict_over_bounds(Cache& cache) {
 }
 
 std::size_t DistanceOracle::cached_trees() const {
-  std::size_t total = plain_.slots.size();
-  for (const Cache& c : padded_) total += c.slots.size();
-  return total;
+  return plain_.slots.size() + padded_.slots.size();
 }
 
 const ShortestPathTree& DistanceOracle::insert(
@@ -94,13 +91,14 @@ const ShortestPathTree& DistanceOracle::insert(
 }
 
 const ShortestPathTree& DistanceOracle::get(Cache& cache, graph::NodeId u,
-                                            bool padded,
-                                            TiebreakPolicy policy) {
+                                            bool padded) {
   auto it = cache.slots.find(u);
   if (it == cache.slots.end()) {
-    auto tree = std::make_unique<ShortestPathTree>(shortest_tree(
-        g_, u, mask_,
-        SpfOptions{.metric = metric_, .padded = padded, .tiebreak = policy}));
+    auto tree = std::make_unique<ShortestPathTree>(
+        shortest_tree(g_, u, mask_,
+                      SpfOptions{.metric = metric_,
+                                 .padded = padded,
+                                 .tiebreak = tiebreak_}));
     ++spf_runs_;
     return insert(cache, u, std::move(tree));
   }
@@ -109,26 +107,18 @@ const ShortestPathTree& DistanceOracle::get(Cache& cache, graph::NodeId u,
 }
 
 const ShortestPathTree& DistanceOracle::tree(graph::NodeId u) {
-  return get(plain_, u, /*padded=*/false, tiebreak_);
+  return get(plain_, u, /*padded=*/false);
 }
 
 const ShortestPathTree& DistanceOracle::padded_tree(graph::NodeId u) {
-  return padded_tree(u, tiebreak_);
-}
-
-const ShortestPathTree& DistanceOracle::padded_tree(graph::NodeId u,
-                                                    TiebreakPolicy policy) {
-  return get(padded_cache(policy), u, /*padded=*/true, policy);
+  return get(padded_, u, /*padded=*/true);
 }
 
 const ShortestPathTree* DistanceOracle::peek(graph::NodeId u) const {
   // Any flavor answers a true-cost query: trees record true dist regardless
   // of padding, and padding never changes which costs are optimal.
-  if (auto it = plain_.slots.find(u); it != plain_.slots.end()) {
-    return it->second.tree.get();
-  }
-  for (const Cache& c : padded_) {
-    if (auto it = c.slots.find(u); it != c.slots.end()) {
+  for (const Cache* c : {&plain_, &padded_}) {
+    if (auto it = c->slots.find(u); it != c->slots.end()) {
       return it->second.tree.get();
     }
   }
@@ -188,12 +178,7 @@ graph::Path DistanceOracle::some_shortest_path(graph::NodeId u,
 }
 
 graph::Path DistanceOracle::canonical_path(graph::NodeId u, graph::NodeId v) {
-  return canonical_path(u, v, tiebreak_);
-}
-
-graph::Path DistanceOracle::canonical_path(graph::NodeId u, graph::NodeId v,
-                                           TiebreakPolicy policy) {
-  const ShortestPathTree& t = padded_tree(u, policy);
+  const ShortestPathTree& t = padded_tree(u);
   if (!t.reachable(v)) return graph::Path{};
   return t.path_to(g_, v);
 }
@@ -224,18 +209,13 @@ bool DistanceOracle::is_shortest(graph::PathView segment) {
 }
 
 bool DistanceOracle::is_canonical(graph::PathView segment) {
-  return is_canonical(segment, tiebreak_);
-}
-
-bool DistanceOracle::is_canonical(graph::PathView segment,
-                                  TiebreakPolicy policy) {
   if (segment.empty() || segment.hops() == 0) return true;
-  return padded_tree(segment.source(), policy).is_tree_path(segment);
+  return padded_tree(segment.source()).is_tree_path(segment);
 }
 
 void DistanceOracle::prefetch(std::span<const graph::NodeId> sources,
                               bool padded, ThreadPool& pool) {
-  Cache& cache = padded ? padded_cache(tiebreak_) : plain_;
+  Cache& cache = padded ? padded_ : plain_;
   std::vector<graph::NodeId> missing;
   std::unordered_set<graph::NodeId> seen;
   for (const graph::NodeId u : sources) {

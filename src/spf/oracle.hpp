@@ -8,7 +8,7 @@
 // makes the 40k-node Internet topology tractable (DESIGN.md §5.1).
 //
 // At million-node scale two extra knobs matter (DESIGN.md §11): the cache
-// bound becomes byte-based (a tree costs ~28 bytes/node, so "128 trees" is
+// bound becomes byte-based (a tree costs ~20 bytes/node, so "128 trees" is
 // meaningless across graph sizes — max_cached_bytes caps the real
 // footprint, reported via the rbpc.mem.oracle_trees gauge), and point
 // queries at uncached sources can switch to bidirectional search
@@ -16,7 +16,6 @@
 // one distance.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -53,18 +52,14 @@ class DistanceOracle {
   const graph::Graph& graph() const { return g_; }
   const graph::FailureMask& mask() const { return mask_; }
   Metric metric() const { return metric_; }
-  /// The oracle's default tiebreak policy for canonical (padded) queries.
+  /// The tiebreak policy of every canonical (padded) query.
   TiebreakPolicy tiebreak() const { return tiebreak_; }
 
   /// Shortest-path tree rooted at u (plain metric). Cached.
   const ShortestPathTree& tree(graph::NodeId u);
   /// Shortest-path tree rooted at u with canonical padding under the
-  /// oracle's default tiebreak policy. Cached.
+  /// oracle's tiebreak policy. Cached.
   const ShortestPathTree& padded_tree(graph::NodeId u);
-  /// Padded tree under an explicit tiebreak policy. Each policy has its own
-  /// cache (the policy is part of the slot identity), so querying several
-  /// policies through one oracle never aliases their canonical trees.
-  const ShortestPathTree& padded_tree(graph::NodeId u, TiebreakPolicy policy);
 
   /// True cost of the shortest u->v route; kUnreachable if disconnected.
   graph::Weight dist(graph::NodeId u, graph::NodeId v);
@@ -79,12 +74,9 @@ class DistanceOracle {
   /// Some shortest u->v path (the plain tree's path); empty if unreachable.
   graph::Path some_shortest_path(graph::NodeId u, graph::NodeId v);
 
-  /// The canonical (padded / Theorem-3) shortest u->v path; empty if
-  /// unreachable. Uses the oracle's default tiebreak policy; the explicit
-  /// overload selects which tied shortest path is canonical.
+  /// The canonical (padded / Theorem-3) shortest u->v path under the
+  /// oracle's tiebreak policy; empty if unreachable.
   graph::Path canonical_path(graph::NodeId u, graph::NodeId v);
-  graph::Path canonical_path(graph::NodeId u, graph::NodeId v,
-                             TiebreakPolicy policy);
 
   /// Arena counterparts: extract the path straight into `arena` (no owning
   /// Path is built); the empty PathRef when unreachable.
@@ -105,10 +97,8 @@ class DistanceOracle {
   /// True when `segment` equals the canonical base path between its
   /// endpoints (membership in the Theorem-3 single-path-per-pair set).
   /// The view overload compares against the padded tree's parent chain in
-  /// place — no path is materialized. Default-policy and explicit-policy
-  /// forms, as with canonical_path.
+  /// place — no path is materialized.
   bool is_canonical(graph::PathView segment);
-  bool is_canonical(graph::PathView segment, TiebreakPolicy policy);
   bool is_canonical(const graph::Path& segment) {
     return is_canonical(segment.view());
   }
@@ -161,9 +151,7 @@ class DistanceOracle {
   TiebreakPolicy tiebreak_;
   std::uint64_t use_clock_ = 0;
   Cache plain_;
-  /// One padded cache per tiebreak policy: the policy is baked into which
-  /// cache a slot lives in, so mixed-policy lookups cannot alias.
-  std::array<Cache, kNumTiebreakPolicies> padded_;
+  Cache padded_;  ///< padded trees under tiebreak_
   std::size_t spf_runs_ = 0;
   std::size_t cached_bytes_ = 0;
   bool bounded_point_ = false;
@@ -171,11 +159,7 @@ class DistanceOracle {
   std::unique_ptr<SpfWorkspace> point_fwd_;
   std::unique_ptr<SpfWorkspace> point_bwd_;
 
-  const ShortestPathTree& get(Cache& cache, graph::NodeId u, bool padded,
-                              TiebreakPolicy policy);
-  Cache& padded_cache(TiebreakPolicy policy) {
-    return padded_[static_cast<std::size_t>(policy)];
-  }
+  const ShortestPathTree& get(Cache& cache, graph::NodeId u, bool padded);
   const ShortestPathTree* peek(graph::NodeId u) const;
   /// Takes ownership of a freshly built tree for `u`, updating byte
   /// accounting and evicting LRU slots while over either bound.

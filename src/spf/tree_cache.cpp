@@ -39,7 +39,7 @@ TreeCache::TreeCache(const graph::Graph& g, graph::FailureMask mask,
 }
 
 std::shared_ptr<const ShortestPathTree> TreeCache::compute(
-    graph::NodeId source, TreeOutcome* outcome) {
+    graph::NodeId source, obs::Rung* rung) {
   // The repair path pays off only when there is a delta to repair; an
   // identical mask (base == this configuration) would just memcpy trees.
   if (base_ != nullptr && !mask_.empty()) {
@@ -55,10 +55,10 @@ std::shared_ptr<const ShortestPathTree> TreeCache::compute(
     }
     if (report.kind == RepairKind::kScratch) {
       repair_fallbacks_.inc();
-      if (outcome != nullptr) *outcome = TreeOutcome::kFallback;
+      if (rung != nullptr) *rung = obs::Rung::kScratch;
     } else {
       repairs_.inc();
-      if (outcome != nullptr) *outcome = TreeOutcome::kRepaired;
+      if (rung != nullptr) *rung = obs::Rung::kRepaired;
     }
     return tree;
   }
@@ -66,13 +66,13 @@ std::shared_ptr<const ShortestPathTree> TreeCache::compute(
   auto tree = std::make_shared<ShortestPathTree>(
       shortest_tree(g_, source, mask_, options_));
   scratch_.inc();
-  if (outcome != nullptr) *outcome = TreeOutcome::kScratch;
+  if (rung != nullptr) *rung = obs::Rung::kScratch;
   return tree;
 }
 
 std::shared_ptr<const ShortestPathTree> TreeCache::tree(
-    graph::NodeId source, TreeOutcome* outcome) {
-  if (outcome != nullptr) *outcome = TreeOutcome::kHit;
+    graph::NodeId source, obs::Rung* rung) {
+  if (rung != nullptr) *rung = obs::Rung::kCached;
   // Lock-free hit: the acquire load pairs with the release store below, so
   // a non-null slot always shows the entry's finished tree. Entries are
   // never erased, so the pointer cannot dangle.
@@ -94,7 +94,7 @@ std::shared_ptr<const ShortestPathTree> TreeCache::tree(
   // is retried by later calls.
   bool computed = false;
   std::call_once(entry->once, [&] {
-    entry->tree = compute(source, outcome);
+    entry->tree = compute(source, rung);
     computed = true;
   });
   if (computed) {

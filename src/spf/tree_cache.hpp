@@ -42,21 +42,12 @@
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
+#include "obs/request_trace.hpp"
 #include "spf/incremental.hpp"
 #include "spf/spf.hpp"
 #include "spf/tree.hpp"
 
 namespace rbpc::spf {
-
-/// How a tree() call was served — the introspection plane's stage hook:
-/// the service maps this onto its graceful-degradation ladder rung when it
-/// records a RerouteRecord (obs/request_trace.hpp).
-enum class TreeOutcome : std::uint8_t {
-  kHit = 0,       ///< tree was already settled (or a concurrent compute won)
-  kRepaired = 1,  ///< computed by incremental SPT repair from the base tree
-  kScratch = 2,   ///< computed by from-scratch SPF (no base, or empty delta)
-  kFallback = 3,  ///< repair bailed to from-scratch SPF (orphan region too big)
-};
 
 class TreeCache {
  public:
@@ -82,10 +73,11 @@ class TreeCache {
   std::shared_ptr<const ShortestPathTree> tree(graph::NodeId source) {
     return tree(source, nullptr);
   }
-  /// Same, reporting how the call was served into *outcome (when non-null):
-  /// kHit when this call ran no SPF, otherwise which kind of SPF it ran.
+  /// Same, reporting the ladder rung the call ran at into *rung (when
+  /// non-null): kCached when it ran no SPF, kRepaired for incremental
+  /// repair, kScratch for scratch SPF (no base, or repair fell back).
   std::shared_ptr<const ShortestPathTree> tree(graph::NodeId source,
-                                               TreeOutcome* outcome);
+                                               obs::Rung* rung);
 
   /// Cumulative counters across the cache's lifetime: a miss is a tree()
   /// call that ran SPF itself, a hit is one that found (or waited for) an
@@ -114,7 +106,7 @@ class TreeCache {
   };
 
   std::shared_ptr<const ShortestPathTree> compute(graph::NodeId source,
-                                                  TreeOutcome* outcome);
+                                                  obs::Rung* rung);
 
   const graph::Graph& g_;
   graph::FailureMask mask_;

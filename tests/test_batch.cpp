@@ -239,14 +239,15 @@ TEST(BatchRestorer, EdgeCasesMatchSerialSemantics) {
 }
 
 TEST(BatchRestorer, SharesTreesAcrossJobsAndBatchesUnderOneMask) {
+  // Two failed links per mask: the cut rung takes only single failures, so
+  // every job here reads a tree under the mask.
   Rng topo_rng(77);
   const Graph g = topo::make_random_connected(20, 45, topo_rng, 6);
   spf::DistanceOracle oracle(g, FailureMask{}, spf::Metric::Weighted);
   CanonicalBaseSet base(oracle);
   BatchRestorer batch(base, BatchOptions{.threads = 2});
 
-  FailureMask mask;
-  mask.fail_edge(0);
+  const FailureMask mask = FailureMask::of_edges({0, 2});
   // 8 jobs from only 2 distinct sources.
   std::vector<RestoreJob> jobs;
   for (NodeId t = 2; t < 6; ++t) jobs.push_back(RestoreJob{0, t});
@@ -256,16 +257,14 @@ TEST(BatchRestorer, SharesTreesAcrossJobsAndBatchesUnderOneMask) {
   EXPECT_EQ(batch.stats().spf_cache_hits, jobs.size() - 2);
 
   // Same mask again (fresh object, equal content): everything is a hit.
-  FailureMask same;
-  same.fail_edge(0);
+  const FailureMask same = FailureMask::of_edges({2, 0});
   batch.restore_all(same, jobs);
   EXPECT_EQ(batch.stats().spf_cache_misses, 2u);
   EXPECT_EQ(batch.stats().spf_cache_hits, 2 * jobs.size() - 2);
   EXPECT_EQ(batch.stats().mask_changes, 0u);
 
   // New mask: the shared trees are invalid and rebuilt.
-  FailureMask other;
-  other.fail_edge(1);
+  const FailureMask other = FailureMask::of_edges({1, 3});
   batch.restore_all(other, jobs);
   EXPECT_EQ(batch.stats().mask_changes, 1u);
   EXPECT_EQ(batch.stats().spf_cache_misses, 4u);
@@ -283,6 +282,43 @@ TEST(BatchRestorer, SharesTreesAcrossJobsAndBatchesUnderOneMask) {
   // trees or its from-scratch fallback.
   EXPECT_EQ(stats.spf_repairs + stats.spf_repair_fallbacks,
             stats.spf_cache_misses);
+  EXPECT_EQ(stats.cut_routes + stats.cut_fallbacks, 0u);
+}
+
+TEST(BatchRestorer, SingleLinkBatchesTakeTheCutRungAndBuildNoView) {
+  // One failed link: every job's route comes off two unfailed trees, so
+  // the engine builds no view and the output still equals the serial loop.
+  Rng topo_rng(78);
+  const Graph g = topo::make_random_connected(20, 45, topo_rng, 6);
+  spf::DistanceOracle oracle(g, FailureMask{}, spf::Metric::Weighted);
+  CanonicalBaseSet base(oracle);
+  BatchRestorer batch(base, BatchOptions{.threads = 2});
+  spf::DistanceOracle serial_oracle(g, FailureMask{}, spf::Metric::Weighted);
+  CanonicalBaseSet serial_base(serial_oracle);
+
+  std::vector<RestoreJob> jobs;
+  for (NodeId s = 0; s < 4; ++s) {
+    for (NodeId t = 0; t < g.num_nodes(); t += 3) {
+      jobs.push_back(RestoreJob{s, t});
+    }
+  }
+  std::size_t answered = 0;
+  for (EdgeId e = 0; e < g.num_edges(); e += 5) {
+    const FailureMask mask = FailureMask::of_edges({e});
+    const std::vector<Restoration> got = batch.restore_all(mask, jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_identical(source_rbpc_restore(serial_base, jobs[i].src,
+                                           jobs[i].dst, mask),
+                       got[i], "link " + std::to_string(e));
+    }
+    answered += jobs.size();
+  }
+  const BatchStats stats = batch.stats();
+  EXPECT_EQ(batch.tree_pool().views_created(), 0u);
+  EXPECT_EQ(stats.cut_fallbacks, 0u);
+  EXPECT_EQ(stats.cut_routes, answered);
+  EXPECT_EQ(stats.spf_cache_hits + stats.spf_cache_misses, 0u);
+  EXPECT_EQ(stats.mask_changes, 0u);
 }
 
 TEST(BatchRestorer, HardwareDefaultThreadCount) {

@@ -337,10 +337,13 @@ TEST(TreeCacheRepairMode, RepairsFromBaseAndMatchesScratch) {
   TreeCache fallback(ring, cut, options, &ring_unfailed);
   TreeCache ring_scratch(ring, cut, options);
   for (NodeId s = 0; s < ring.num_nodes(); ++s) {
-    TreeOutcome outcome = TreeOutcome::kHit;
-    const auto tree = fallback.tree(s, &outcome);
+    obs::Rung rung = obs::Rung::kCached;
+    const std::size_t fallbacks = fallback.repair_fallbacks();
+    const auto tree = fallback.tree(s, &rung);
     if (s == 0) {
-      EXPECT_EQ(outcome, TreeOutcome::kFallback);
+      // A repair that bails out runs at the scratch rung.
+      EXPECT_EQ(rung, obs::Rung::kScratch);
+      EXPECT_EQ(fallback.repair_fallbacks(), fallbacks + 1);
     }
     expect_identical_trees(*ring_scratch.tree(s), *tree,
                            "fallback s=" + std::to_string(s));

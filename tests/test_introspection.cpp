@@ -52,10 +52,13 @@ obs::RerouteRecord make_record(std::uint64_t id) {
 }
 
 TEST(RequestTrace, PackUnpackRoundTripsEveryField) {
+  // The flight recorder copies a record into its slot words and back.
   const obs::RerouteRecord in = make_record(42);
-  std::uint64_t words[obs::RerouteRecord::kWords];
-  in.pack(words);
-  const obs::RerouteRecord out = obs::RerouteRecord::unpack(words);
+  obs::FlightRecorder recorder(1, 4);
+  recorder.publish(0, in);
+  const std::vector<obs::RerouteRecord> collected = recorder.collect();
+  ASSERT_EQ(collected.size(), 1u);
+  const obs::RerouteRecord& out = collected[0];
   EXPECT_EQ(out.request_id, in.request_id);
   EXPECT_EQ(out.enqueue_ns, in.enqueue_ns);
   EXPECT_EQ(out.start_ns, in.start_ns);

@@ -568,6 +568,10 @@ TEST(Tiebreak, BitIdenticalAcrossThreadCounts) {
 // policy's canonical tree to another — interleaved queries keep answering
 // exactly what a policy-pure oracle answers.
 TEST(Oracle, MixedPolicyQueriesNeverAlias) {
+  // One oracle serves one policy, so policies cannot alias inside an
+  // oracle; what remains to check is that policy-pure oracles answer under
+  // their own policy, and that the policies really diverge on these
+  // tie-heavy shapes (otherwise aliasing would be invisible).
   std::size_t divergent_pairs = 0;
   for (const char* name :
        {"span_ladder6", "dual_plane6", "dual_plane8", "ring_of_rings3x5"}) {
@@ -578,8 +582,6 @@ TEST(Oracle, MixedPolicyQueriesNeverAlias) {
                                  });
     ASSERT_NE(it, cases.end());
     const graph::Graph& g = it->g;
-    spf::DistanceOracle mixed(g, FailureMask::none(), Metric::Weighted);
-    // Policy-pure oracles as ground truth.
     std::array<std::unique_ptr<spf::DistanceOracle>, 3> pure;
     for (std::size_t p = 0; p < kPolicies.size(); ++p) {
       pure[p] = std::make_unique<spf::DistanceOracle>(
@@ -589,81 +591,74 @@ TEST(Oracle, MixedPolicyQueriesNeverAlias) {
     for (std::size_t trial = 0; trial < 6; ++trial) {
       const auto [u, v] = random_pair(g, rng);
       std::array<graph::Path, 3> got;
-      // Interleave: all policies against the shared oracle back to back.
       for (std::size_t p = 0; p < kPolicies.size(); ++p) {
-        got[p] = mixed.canonical_path(u, v, kPolicies[p]);
-      }
-      for (std::size_t p = 0; p < kPolicies.size(); ++p) {
-        EXPECT_EQ(got[p], pure[p]->canonical_path(u, v))
+        got[p] = pure[p]->canonical_path(u, v);
+        EXPECT_EQ(pure[p]->padded_tree(u).tiebreak(), kPolicies[p]);
+        EXPECT_TRUE(pure[p]->is_canonical(got[p].view()))
             << it->name << " " << to_string(kPolicies[p]) << " " << u << "->"
             << v;
-        EXPECT_EQ(mixed.padded_tree(u, kPolicies[p]).tiebreak(), kPolicies[p]);
-        // The mixed oracle must also agree that its own answer is canonical
-        // under the same policy (and membership is policy-scoped).
-        EXPECT_TRUE(mixed.is_canonical(got[p].view(), kPolicies[p]));
       }
       if (got[0] != got[1] || got[1] != got[2] || got[0] != got[2]) {
         ++divergent_pairs;
       }
     }
   }
-  // The regression must bite: on these tie-heavy shapes the policies must
-  // actually disagree somewhere, otherwise aliasing would be invisible.
   EXPECT_GE(divergent_pairs, 1u);
 }
 
-// Count-bound eviction is per policy cache, and a re-queried evicted tree
-// comes back bit-identical — eviction churn across policies never corrupts
-// answers.
+// Count-bound eviction under every policy, and a re-queried evicted tree
+// comes back bit-identical — eviction churn never corrupts answers.
 TEST(Oracle, EvictionAcrossPolicyCachesStaysCorrect) {
   const graph::Graph g = rbpc::testing::make_dual_plane_core(6);
-  spf::DistanceOracle oracle(g, FailureMask::none(), Metric::Weighted,
-                             /*max_cached_trees=*/1);
-  const auto expect_fresh = [&](NodeId u, TiebreakPolicy policy) {
-    const SpfOptions options{
-        .metric = Metric::Weighted, .padded = true, .tiebreak = policy};
-    EXPECT_TRUE(trees_identical(spf::shortest_tree(g, u, {}, options),
-                                oracle.padded_tree(u, policy)))
-        << "u=" << u << " policy=" << to_string(policy);
-  };
-  // Each policy's cache holds one tree; rotating sources within a policy
-  // forces eviction, rotating policies must not (separate caches).
-  for (std::size_t round = 0; round < 3; ++round) {
-    for (const TiebreakPolicy policy : kPolicies) {
-      expect_fresh(static_cast<NodeId>(round), policy);
-      expect_fresh(static_cast<NodeId>(round + 3), policy);
-    }
-  }
-  const std::size_t runs_after_churn = oracle.spf_runs();
-  EXPECT_GT(runs_after_churn, kPolicies.size())
-      << "max_cached_trees=1 must have evicted and recomputed";
-  // Re-querying the newest tree of each policy is a pure cache hit.
   for (const TiebreakPolicy policy : kPolicies) {
-    oracle.padded_tree(static_cast<NodeId>(2 + 3), policy);
+    spf::DistanceOracle oracle(g, FailureMask::none(), Metric::Weighted,
+                               /*max_cached_trees=*/1, 0, policy);
+    const auto expect_fresh = [&](NodeId u) {
+      const SpfOptions options{
+          .metric = Metric::Weighted, .padded = true, .tiebreak = policy};
+      EXPECT_TRUE(trees_identical(spf::shortest_tree(g, u, {}, options),
+                                  oracle.padded_tree(u)))
+          << "u=" << u << " policy=" << to_string(policy);
+    };
+    // The padded cache holds one tree; rotating sources forces eviction.
+    for (std::size_t round = 0; round < 3; ++round) {
+      expect_fresh(static_cast<NodeId>(round));
+      expect_fresh(static_cast<NodeId>(round + 3));
+    }
+    const std::size_t runs_after_churn = oracle.spf_runs();
+    EXPECT_GT(runs_after_churn, 1u)
+        << "max_cached_trees=1 must have evicted and recomputed";
+    // Re-querying the newest tree is a pure cache hit.
+    oracle.padded_tree(static_cast<NodeId>(2 + 3));
+    EXPECT_EQ(oracle.spf_runs(), runs_after_churn);
   }
-  EXPECT_EQ(oracle.spf_runs(), runs_after_churn);
 }
 
-// Byte-bound eviction spans all policy caches but must always keep the
-// newest tree — and survivors keep answering correctly.
+// Byte-bound eviction spans both tree flavors but must always keep the
+// newest tree — and survivors keep answering correctly, under every policy.
 TEST(Oracle, ByteBoundEvictionSpansPolicyCaches) {
   const graph::Graph g = rbpc::testing::make_dual_plane_core(6);
   const std::size_t one_tree_bytes =
       spf::shortest_tree(g, 0, {},
                          SpfOptions{.metric = Metric::Weighted, .padded = true})
           .memory_bytes();
-  spf::DistanceOracle oracle(g, FailureMask::none(), Metric::Weighted,
-                             /*max_cached_trees=*/0,
-                             /*max_cached_bytes=*/one_tree_bytes);
-  for (std::size_t round = 0; round < 2; ++round) {
-    for (const TiebreakPolicy policy : kPolicies) {
+  for (const TiebreakPolicy policy : kPolicies) {
+    spf::DistanceOracle oracle(g, FailureMask::none(), Metric::Weighted,
+                               /*max_cached_trees=*/0,
+                               /*max_cached_bytes=*/one_tree_bytes, policy);
+    for (std::size_t round = 0; round < 2; ++round) {
       const NodeId u = static_cast<NodeId>(round);
       const SpfOptions options{
           .metric = Metric::Weighted, .padded = true, .tiebreak = policy};
       EXPECT_TRUE(trees_identical(spf::shortest_tree(g, u, {}, options),
-                                  oracle.padded_tree(u, policy)));
+                                  oracle.padded_tree(u)));
       EXPECT_LE(oracle.cached_trees(), 1u)
           << "byte bound of one tree must evict down to the newest";
+      EXPECT_TRUE(trees_identical(
+          spf::shortest_tree(g, u, {}, SpfOptions{.metric = Metric::Weighted}),
+          oracle.tree(u)));
+      EXPECT_LE(oracle.cached_trees(), 1u)
+          << "the bound spans the plain and padded caches";
     }
   }
 }

@@ -410,10 +410,8 @@ TEST(ShardedLsdb, FailedLinkListsMatchFullScan) {
     const std::string ctx = "step=" + std::to_string(step++);
     ASSERT_EQ(snap.to_mask().failed_edges(), scan.failed_edges()) << ctx;
     ASSERT_EQ(snap.failed_edge_count(), scan.failed_edge_count()) << ctx;
-    std::vector<EdgeId> listed;
-    for (std::size_t k = 0; k < snap.failed_edge_count(); ++k) {
-      listed.push_back(snap.failed_edge(k));
-    }
+    const std::vector<EdgeId> listed(snap.failed_edges().begin(),
+                                     snap.failed_edges().end());
     ASSERT_EQ(listed, scan.failed_edges()) << ctx << ": list not ascending";
   }
 }
@@ -510,10 +508,8 @@ TEST(ShardedLsdb, SnapshotIsAPrefixOfAppliedEvents) {
         const std::uint64_t v = snap.version();
         ASSERT_GE(v, last_version) << "snapshot versions must be monotone";
         last_version = v;
-        std::vector<EdgeId> down;
-        for (std::size_t i = 0; i < snap.failed_edge_count(); ++i) {
-          down.push_back(snap.failed_edge(i));
-        }
+        const std::vector<EdgeId> down(snap.failed_edges().begin(),
+                                       snap.failed_edges().end());
         std::size_t j = v;
         while (j <= hi && prefix[j] != down) ++j;
         ASSERT_LE(j, hi) << "snapshot at version " << v
