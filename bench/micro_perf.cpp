@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -23,6 +25,7 @@
 #include "spf/oracle.hpp"
 #include "spf/replacement.hpp"
 #include "spf/spf.hpp"
+#include "spf/tree_cache.hpp"
 #include "spf/workspace.hpp"
 #include "topo/generators.hpp"
 #include "util/rng.hpp"
@@ -256,6 +259,125 @@ void BM_CutRouteIsp(benchmark::State& state) {
 }
 BENCHMARK(BM_CutRouteIsp);
 
+// --- The cut rung on the as_flap event mix --------------------------------
+//
+// BM_CutRouteAs draws its 32 (s, t, e) queries uniformly; the service sees
+// something else. perfbench's as_flap fails links by load (a link is hit
+// with probability proportional to the sum of 1/hops over the demands
+// routed across it), and every demand on the failed link reroutes, so
+// the rung mostly runs for hub links and the long-haul demands across
+// them. This set is drawn the same way: perfbench's AS stand-in and 2,000
+// demands (input seed 1), canonical routes in the service's flavor, 24
+// links drawn by systematic sampling on their load, and as queries every
+// demand whose canonical route uses a drawn link (a link drawn twice
+// counts twice, as in the event script). The trees come from one shared
+// unfailed TreeCache, as in the service; the greedy benchmark below
+// decomposes the rung's routes against the same store.
+
+struct LoadedAs {
+  Graph g;
+  std::unique_ptr<spf::TreeCache> store;
+  struct Query {
+    std::shared_ptr<const spf::ShortestPathTree> from_s;
+    std::shared_ptr<const spf::ShortestPathTree> from_t;
+    graph::EdgeId failed;
+  };
+  std::vector<Query> queries;
+  std::vector<graph::Path> routes;  ///< the rung's answers (kCut only)
+};
+
+const LoadedAs& loaded_as() {
+  static const LoadedAs loaded = [] {
+    LoadedAs out;
+    Rng topo_rng(1);
+    out.g = topo::make_as_like(topo_rng);
+    const Graph& g = out.g;
+    Rng demand_rng(2);
+    std::vector<std::pair<NodeId, NodeId>> demands;
+    while (demands.size() < 2000) {
+      const auto s = static_cast<NodeId>(demand_rng.below(g.num_nodes()));
+      const auto t = static_cast<NodeId>(demand_rng.below(g.num_nodes()));
+      if (s != t) demands.emplace_back(s, t);
+    }
+    // Canonical routes, one scratch tree per source at a time.
+    std::map<NodeId, std::vector<std::size_t>> by_source;
+    for (std::size_t d = 0; d < demands.size(); ++d) {
+      by_source[demands[d].first].push_back(d);
+    }
+    std::vector<std::vector<graph::EdgeId>> routes(demands.size());
+    for (const auto& [s, ds] : by_source) {
+      const spf::ShortestPathTree tree =
+          spf::shortest_tree(g, s, FailureMask::none(), kServiceFlavor);
+      for (const std::size_t d : ds) {
+        if (tree.reachable(demands[d].second)) {
+          routes[d] = tree.path_to(g, demands[d].second).edges();
+        }
+      }
+    }
+    std::vector<double> weight(g.num_edges(), 0.0);
+    std::vector<std::vector<std::size_t>> on_edge(g.num_edges());
+    double total = 0.0;
+    for (std::size_t d = 0; d < demands.size(); ++d) {
+      for (const graph::EdgeId e : routes[d]) {
+        weight[e] += 1.0 / static_cast<double>(routes[d].size());
+        on_edge[e].push_back(d);
+      }
+      if (!routes[d].empty()) total += 1.0;
+    }
+    Rng rng(1 ^ 0x5EEDF00DCAFEULL);
+    std::vector<graph::EdgeId> order;
+    for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (weight[e] > 0.0) order.push_back(e);
+    }
+    rng.shuffle(order);
+    constexpr std::size_t kLinks = 24;
+    const double step = total / static_cast<double>(kLinks);
+    double next = rng.uniform() * step, cum = 0.0;
+    std::vector<graph::EdgeId> picks;
+    for (const graph::EdgeId e : order) {
+      cum += weight[e];
+      for (; next < cum && picks.size() < kLinks; next += step) {
+        picks.push_back(e);
+      }
+    }
+    out.store = std::make_unique<spf::TreeCache>(g, FailureMask{},
+                                                 kServiceFlavor);
+    spf::SpfWorkspace ws;
+    for (const graph::EdgeId e : picks) {
+      for (const std::size_t d : on_edge[e]) {
+        LoadedAs::Query q{out.store->tree(demands[d].first),
+                          out.store->tree(demands[d].second), e};
+        graph::Path route;
+        if (spf::replacement_route(g, *q.from_s, *q.from_t, e, ws, route) ==
+            spf::ReplacementKind::kCut) {
+          out.routes.push_back(std::move(route));
+        }
+        out.queries.push_back(std::move(q));
+      }
+    }
+    return out;
+  }();
+  return loaded;
+}
+
+void BM_CutRouteAsLoaded(benchmark::State& state) {
+  const LoadedAs& loaded = loaded_as();
+  spf::SpfWorkspace ws;
+  graph::Path route;
+  std::size_t i = 0;
+  std::size_t unproven = 0;
+  for (auto _ : state) {
+    const LoadedAs::Query& q = loaded.queries[i++ % loaded.queries.size()];
+    unproven += spf::replacement_route(loaded.g, *q.from_s, *q.from_t,
+                                       q.failed, ws, route) ==
+                spf::ReplacementKind::kUnproven;
+    benchmark::DoNotOptimize(route);
+  }
+  state.counters["queries"] = static_cast<double>(loaded.queries.size());
+  state.counters["unproven"] = static_cast<double>(unproven);
+}
+BENCHMARK(BM_CutRouteAsLoaded);
+
 void BM_SourceRbpcRestore(benchmark::State& state) {
   const Graph& g = isp_graph();
   spf::DistanceOracle oracle(g, FailureMask{}, spf::Metric::Weighted);
@@ -363,6 +485,25 @@ void BM_GreedyDecompose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyDecompose);
+
+void BM_GreedyDecomposeSharedAs(benchmark::State& state) {
+  // The service's greedy cover: SharedCanonicalBaseSet over the shared
+  // unfailed store, on the cut rung's routes of the as_flap event mix
+  // (BM_CutRouteAsLoaded). One pass before timing builds every piece
+  // start's tree, so the loop measures the warm cover.
+  const LoadedAs& loaded = loaded_as();
+  core::SharedCanonicalBaseSet base(*loaded.store);
+  for (const graph::Path& route : loaded.routes) {
+    benchmark::DoNotOptimize(core::greedy_decompose(base, route));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const graph::Path& route = loaded.routes[i++ % loaded.routes.size()];
+    benchmark::DoNotOptimize(core::greedy_decompose(base, route));
+  }
+  state.counters["routes"] = static_cast<double>(loaded.routes.size());
+}
+BENCHMARK(BM_GreedyDecomposeSharedAs);
 
 void BM_MplsForwarding(benchmark::State& state) {
   // Forwarding throughput through provisioned label tables on a ring.

@@ -4,6 +4,26 @@
 
 namespace rbpc::core {
 
+// --- BasePathSet ------------------------------------------------------------
+
+std::size_t BasePathSet::longest_prefix(graph::PathView route,
+                                         std::size_t pos) {
+  require(pos + 1 < route.num_nodes(),
+          "BasePathSet::longest_prefix: no hop left at pos");
+  if (!contains(route.subview(pos, pos + 1))) return pos;
+  std::size_t lo = pos + 1;  // known member
+  std::size_t hi = route.num_nodes() - 1;  // candidate range upper end
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    if (contains(route.subview(pos, mid))) {
+      lo = mid;
+    } else {
+      hi = mid - 1;
+    }
+  }
+  return lo;
+}
+
 // --- AllPairsShortestBaseSet -------------------------------------------------
 
 AllPairsShortestBaseSet::AllPairsShortestBaseSet(spf::DistanceOracle& oracle)
@@ -46,6 +66,11 @@ bool CanonicalBaseSet::contains(graph::PathView segment) {
   return oracle_.is_canonical(segment);
 }
 
+std::size_t CanonicalBaseSet::longest_prefix(graph::PathView route,
+                                             std::size_t pos) {
+  return oracle_.padded_tree(route.node(pos)).longest_tree_prefix(route, pos);
+}
+
 graph::Path CanonicalBaseSet::base_path(graph::NodeId u, graph::NodeId v) {
   if (u == v) return graph::Path::trivial(u);
   return oracle_.canonical_path(u, v);
@@ -75,6 +100,11 @@ SharedCanonicalBaseSet::SharedCanonicalBaseSet(spf::TreeCache& trees)
 bool SharedCanonicalBaseSet::contains(graph::PathView segment) {
   if (segment.empty() || segment.hops() == 0) return true;
   return trees_.tree(segment.source())->is_tree_path(segment);
+}
+
+std::size_t SharedCanonicalBaseSet::longest_prefix(graph::PathView route,
+                                                   std::size_t pos) {
+  return trees_.tree(route.node(pos))->longest_tree_prefix(route, pos);
 }
 
 graph::Path SharedCanonicalBaseSet::base_path(graph::NodeId u,

@@ -51,13 +51,13 @@ namespace rbpc::core {
 /// A family of base paths over the unfailed network.
 ///
 /// Every set must be subpath-closed: each subpath of a member is a member.
-/// Greedy decomposition relies on it twice: binary search on prefix length
-/// finds the longest member prefix only because membership of a route's
-/// prefixes is monotone, and the greedy cover is optimal only for such
-/// sets. All five sets below satisfy it: subpaths of shortest paths are
-/// shortest (all-pairs), Theorem 3 (padded canonical paths, both canonical
-/// sets), Corollary 4 (their one-edge extensions) and Bodwin–Wang (the
-/// fault-tolerant set).
+/// Greedy decomposition relies on it twice: longest_prefix() may search
+/// for the longest member prefix (by binary search, or by a forward walk)
+/// only because membership of a route's prefixes is monotone, and the
+/// greedy cover is optimal only for such sets. All five sets below satisfy
+/// it: subpaths of shortest paths are shortest (all-pairs), Theorem 3
+/// (padded canonical paths, both canonical sets), Corollary 4 (their
+/// one-edge extensions) and Bodwin–Wang (the fault-tolerant set).
 class BasePathSet {
  public:
   virtual ~BasePathSet() = default;
@@ -73,6 +73,16 @@ class BasePathSet {
   bool contains(const graph::Path& segment) {
     return contains(segment.view());
   }
+
+  /// The end index of the longest member prefix of `route` from node
+  /// `pos` (route.subview(pos, end) is a member and no longer prefix is),
+  /// or `pos` when not even the first hop is a member. The greedy cover's
+  /// one query. The default probes the first hop and then binary-searches
+  /// the prefix length with contains(); the canonical sets override it
+  /// with one tree lookup and a forward walk, which finds the same end
+  /// because membership is monotone. Precondition: pos + 1 <
+  /// route.num_nodes().
+  virtual std::size_t longest_prefix(graph::PathView route, std::size_t pos);
 
   /// A base path from u to v, or the empty path when the set has none
   /// (disconnected pair). Used by provisioning and overlay decomposition.
@@ -126,6 +136,7 @@ class CanonicalBaseSet final : public BasePathSet {
 
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
+  std::size_t longest_prefix(graph::PathView route, std::size_t pos) override;
   graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
@@ -149,6 +160,7 @@ class SharedCanonicalBaseSet final : public BasePathSet {
 
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
+  std::size_t longest_prefix(graph::PathView route, std::size_t pos) override;
   graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;

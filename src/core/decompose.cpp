@@ -49,12 +49,11 @@ Path Decomposition::joined() const {
 namespace {
 
 /// The greedy cover, the one loop both forms share: repeatedly takes the
-/// longest prefix of the rest of `route` that is a base path, or its first
-/// hop as a loose edge (Theorem 2's interleaved edges) when not even that
-/// hop is a member. Membership of prefixes is monotone (every BasePathSet
-/// is subpath-closed), so the longest member prefix is found by binary
-/// search on its length. Reports each piece as emit(from, to, is_base),
-/// node indices into `route`, in route order.
+/// longest prefix of the rest of `route` that is a base path
+/// (BasePathSet::longest_prefix), or its first hop as a loose edge
+/// (Theorem 2's interleaved edges) when not even that hop is a member.
+/// Reports each piece as emit(from, to, is_base), node indices into
+/// `route`, in route order.
 template <typename Emit>
 void greedy_cover(BasePathSet& base, graph::PathView route, Emit&& emit) {
   RBPC_TRACE_SPAN("decompose");
@@ -62,21 +61,11 @@ void greedy_cover(BasePathSet& base, graph::PathView route, Emit&& emit) {
   const std::size_t last = route.num_nodes() - 1;
   std::size_t pieces = 0;
   for (std::size_t pos = 0; pos < last; ++pieces) {
-    const bool is_base = base.contains(route.subview(pos, pos + 1));
-    std::size_t lo = pos + 1;  // known member (or the loose edge's end)
-    if (is_base) {
-      std::size_t hi = last;  // candidate range upper end
-      while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo + 1) / 2;
-        if (base.contains(route.subview(pos, mid))) {
-          lo = mid;
-        } else {
-          hi = mid - 1;
-        }
-      }
-    }
-    emit(pos, lo, is_base);
-    pos = lo;
+    const std::size_t end = base.longest_prefix(route, pos);
+    const bool is_base = end > pos;
+    const std::size_t to = is_base ? end : pos + 1;
+    emit(pos, to, is_base);
+    pos = to;
   }
   if constexpr (obs::kObsEnabled) {
     // Concatenation length — the paper's figure of merit (pieces per

@@ -3,11 +3,12 @@
 //
 // Two algorithms, as in the paper:
 //  * greedy_decompose — the paper's greedy: repeatedly take the longest
-//    prefix of the remaining route that is a base path (binary search on
-//    prefix length, valid because every BasePathSet is subpath-closed),
-//    falling back to a single edge when not even the first hop is a base
-//    path (Theorem 2's k loose edges). Covers exactly the given route with
-//    the optimal piece count.
+//    prefix of the remaining route that is a base path
+//    (BasePathSet::longest_prefix: a binary search on prefix length, or a
+//    forward walk down one tree for the canonical sets, both valid because
+//    every BasePathSet is subpath-closed), falling back to a single edge
+//    when not even the first hop is a base path (Theorem 2's k loose
+//    edges). Covers exactly the given route with the optimal piece count.
 //  * overlay_decompose — the paper's fallback for sparse base sets:
 //    Dijkstra on the overlay graph whose edges are the *surviving* base
 //    paths plus surviving single edges. Returns a minimum-cost (then

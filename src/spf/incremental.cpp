@@ -23,6 +23,113 @@ bool heap_flavor(const SpfOptions& options) {
   return options.metric == Metric::Weighted || options.padded;
 }
 
+/// Brings the node words (spf/tree.hpp) of `out` — `base` with its
+/// orphaned `region` re-settled — up to date under `mask`, touching only
+/// what the failure changed. `settled` lists the region nodes the repair
+/// reached, in settle order, each with its tie flag from the repair's
+/// relaxations; the others are unreachable (word 0).
+///
+/// Subtree arcs. Every node outside the region keeps its parent, so a
+/// reached region node's subtree holds region nodes only, and the region
+/// sums itself in reverse settle order. A region subtree that hangs from
+/// an intact node adds its total to every ancestor of that node; each
+/// orphaned subtree takes its old total off its old ancestors.
+///
+/// Unique bits. A region node is unique iff its parent is and it has no
+/// tie, as in the heap kernel. An intact node keeps its key and parent, so
+/// its achiever count can change only through a failed arc or a region
+/// neighbour r. Keys only rise, and an intact node's key is at most r's
+/// old key plus the link, so r achieves it now only if r achieved it
+/// before: recounting the intact nodes a region node used to achieve, and
+/// the ends of failed links, covers every change. All are decided in key
+/// order, each from its parent's final bit (a parent's key is smaller). An
+/// intact node whose bit flips queues its children; one whose bit stands
+/// ends the propagation there.
+void update_node_words(const Graph& g, const ShortestPathTree& base,
+                       const FailureMask& mask, const SpfOptions& options,
+                       const std::vector<EdgeId>& failed_edges,
+                       const std::vector<NodeId>& region,
+                       const std::vector<NodeId>& settled, SpfWorkspace& ws,
+                       ShortestPathTree& out) {
+  const auto in_region = [&](NodeId x) {
+    return ws.touched(x) && ws.node(x).in_region[0];
+  };
+  for (const NodeId r : region) {
+    const NodeId p = base.parent(r);
+    if (in_region(p)) continue;  // not the root of an orphaned subtree
+    const std::uint32_t arcs = base.subtree_arcs(r);
+    for (NodeId a = p; a != graph::kInvalidNode; a = out.parent(a)) {
+      out.add_subtree_arcs(a, 0u - arcs);
+    }
+  }
+  for (std::size_t i = settled.size(); i-- > 0;) {
+    const NodeId v = settled[i];
+    out.add_subtree_arcs(v, static_cast<std::uint32_t>(g.degree(v)));
+    const std::uint32_t arcs = out.subtree_arcs(v);
+    for (NodeId a = out.parent(v); a != graph::kInvalidNode;
+         a = out.parent(a)) {
+      out.add_subtree_arcs(a, arcs);
+      if (in_region(a)) break;  // a's own total carries this one upwards
+    }
+  }
+
+  const auto step = [&](EdgeId e) {
+    return options.padded
+               ? padded_weight(g, e, options.metric, options.tiebreak)
+               : metric_weight(g, e, options.metric);
+  };
+  FourAryHeap& heap = ws.heap();
+  heap.clear();
+  const auto offer = [&](NodeId v) {
+    if (out.reachable(v) && !in_region(v)) heap.push(out.key(v), v);
+  };
+  for (const EdgeId e : failed_edges) {
+    offer(g.edge(e).u);
+    offer(g.edge(e).v);
+  }
+  for (const NodeId r : region) {
+    const Weight was = base.key(r);
+    for (const graph::Arc& a : g.arcs(r)) {
+      if (!out.reachable(a.to) || in_region(a.to)) continue;
+      const Weight key = out.key(a.to);
+      if (was < key && was + step(a.edge) == key) offer(a.to);
+    }
+  }
+  const auto sole_achiever = [&](NodeId v) {
+    int achievers = 0;
+    for (const graph::Arc& a : g.arcs(v)) {
+      if (!mask.edge_alive(g, a.edge) || !out.reachable(a.to)) continue;
+      if (out.key(a.to) + step(a.edge) == out.key(v) && ++achievers > 1) {
+        break;
+      }
+    }
+    return achievers == 1;
+  };
+  // Merge the region, already in key order, with the intact candidates.
+  std::size_t next = 0;
+  while (next < settled.size() || !heap.empty()) {
+    if (heap.empty() ||
+        (next < settled.size() && out.key(settled[next]) < heap.top().first)) {
+      const NodeId v = settled[next++];
+      out.set_unique(v, !ws.node(v).tie && out.unique(out.parent(v)));
+      continue;
+    }
+    const NodeId v = heap.pop().second;
+    SpfWorkspace::Node& nv = ws.node(v);
+    if (nv.in_region[1]) continue;  // already decided
+    nv.in_region[1] = true;
+    const bool unique = v == out.source() ||
+                        (out.unique(out.parent(v)) && sole_achiever(v));
+    if (unique == out.unique(v)) continue;
+    out.set_unique(v, unique);
+    for (const graph::Arc& a : g.arcs(v)) {
+      if (out.parent_edge(a.to) == a.edge && out.parent(a.to) == v) {
+        offer(a.to);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void repair_tree_into(const Graph& g, const ShortestPathTree& base,
@@ -83,6 +190,8 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
 
   ws.begin(g.num_nodes());
   std::vector<NodeId>& region = ws.scratch_nodes();
+  std::vector<NodeId>& settled = ws.scratch_nodes(1);
+  const std::vector<EdgeId> failed_edges = mask.failed_edges();
   const auto mark = [&](NodeId x) {
     SpfWorkspace::Node& nx = ws.node(x);
     if (!nx.in_region[0]) {
@@ -93,7 +202,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
 
   // Orphan roots: nodes cut from the tree directly by a failure — a failed
   // parent edge, a failed parent router, or being failed themselves.
-  for (const EdgeId e : mask.failed_edges()) {
+  for (const EdgeId e : failed_edges) {
     const graph::Edge& ed = g.edge(e);
     if (base.parent_edge(ed.u) == e) mark(ed.u);
     if (base.parent_edge(ed.v) == e) mark(ed.v);
@@ -110,9 +219,11 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
   if (region.empty()) {
     // Every failed element was outside the tree: removing a non-tree edge
     // changes no key and no first-achieving relaxation, so the tree is
-    // unchanged verbatim.
+    // unchanged verbatim — except for unique bits the removed link made.
     finish(RepairKind::kIdentity, 0);
     out = base;
+    update_node_words(g, base, mask, options, failed_edges, region, settled,
+                      ws, out);
     return;
   }
 
@@ -139,7 +250,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
 
   out = base;
   for (const NodeId v : region) {
-    out.settle(v, graph::kUnreachable, 0, graph::kInvalidNode,
+    out.settle(v, graph::kUnreachable, graph::kInvalidNode,
                graph::kInvalidEdge);
   }
 
@@ -150,8 +261,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
   std::uint64_t pushes = 0;
   std::uint64_t pops = 0;
   std::uint64_t relax_attempts = 0;
-  const auto relax = [&](NodeId to, EdgeId e, NodeId from, Weight from_key,
-                         std::uint32_t from_hops) {
+  const auto relax = [&](NodeId to, EdgeId e, NodeId from, Weight from_key) {
     ++relax_attempts;
     const Weight step =
         options.padded ? padded_weight(g, e, options.metric, options.tiebreak)
@@ -159,6 +269,9 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     const Weight alt = from_key + step;
     SpfWorkspace::Node& nt = ws.node(to);
     if (nt.settled) return;
+    // Every achiever of `to`'s final key offers it (the seeds cover the
+    // intact ones), so the tie flag ends up as the heap kernel's.
+    if (alt == nt.key) nt.tie = true;
     const bool better =
         alt < nt.key ||
         (alt == nt.key &&
@@ -166,8 +279,8 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
              std::tuple(nt.parent_key, nt.parent, nt.parent_edge));
     if (!better) return;
     const bool improved = alt < nt.key;
+    if (improved) nt.tie = false;
     nt.key = alt;
-    nt.hops = from_hops + 1;
     nt.parent = from;
     nt.parent_edge = e;
     nt.parent_key = from_key;
@@ -186,7 +299,7 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
       if (!mask.edge_alive(g, a.edge)) continue;
       const NodeId u = a.to;
       if (ws.node(u).in_region[0] || !base.reachable(u)) continue;
-      relax(v, a.edge, u, base.key(u), base.hops(u));
+      relax(v, a.edge, u, base.key(u));
     }
   }
 
@@ -198,11 +311,12 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     SpfWorkspace::Node& nv = ws.node(v);
     if (nv.settled || k != nv.key) continue;  // stale entry
     nv.settled = true;
-    out.settle(v, nv.key, nv.hops, nv.parent, nv.parent_edge);
+    out.settle(v, nv.key, nv.parent, nv.parent_edge);
+    settled.push_back(v);
     for (const graph::Arc& a : g.arcs(v)) {
       if (!mask.edge_alive(g, a.edge)) continue;
       if (!ws.node(a.to).in_region[0]) continue;  // intact labels are final
-      relax(a.to, a.edge, v, nv.key, nv.hops);
+      relax(a.to, a.edge, v, nv.key);
     }
   }
 
@@ -219,6 +333,8 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     heap_pops.add(pops);
     relaxations.add(relax_attempts);
   }
+  update_node_words(g, base, mask, options, failed_edges, region, settled, ws,
+                    out);
   finish(RepairKind::kRepaired, region.size());
 }
 

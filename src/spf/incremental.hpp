@@ -14,8 +14,11 @@
 // Dijkstra (the fallback changes performance, never results).
 //
 // Bit-identical guarantee. The repaired tree equals shortest_tree(g, s,
-// mask, options) exactly — same key, hops, parent and parent edge per node
-// — not merely a tree of equal cost. The argument (DESIGN.md §7):
+// mask, options) exactly — same key, parent, parent edge and node word
+// (subtree arcs and unique bit, spf/tree.hpp) per node — not merely a tree
+// of equal cost. The node words are patched where the failure changed
+// them: the region, its intact neighbours and the ancestors of its old and
+// new attachment points. The argument (DESIGN.md §7):
 //
 //  * From-scratch Dijkstra settles nodes in increasing (key, node) order
 //    (strictly positive weights; the heap compares (key, node) pairs), and

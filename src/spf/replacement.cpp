@@ -16,52 +16,26 @@ using graph::Graph;
 using graph::NodeId;
 using graph::Weight;
 
-/// True when `v` has exactly one in-arc attaining its key in `tree` (the
-/// tree's own parent arc always does), so the shortest path to v is unique
-/// given that the shortest path to its parent is.
-bool sole_achiever(const Graph& g, const ShortestPathTree& tree, NodeId v) {
-  const Weight key = tree.key(v);
-  int achievers = 0;
-  for (const graph::Arc& a : g.arcs(v)) {
-    const Weight ku = tree.key(a.to);
-    if (ku == graph::kUnreachable) continue;
-    if (ku + padded_weight(g, a.edge, tree.metric(), tree.tiebreak()) == key &&
-        ++achievers > 1) {
-      return false;
-    }
-  }
-  return achievers == 1;
-}
-
-/// The subtree that the failed link cuts off `tree` below `root`, walked
-/// breadth-first one node per step(): trees store no child lists, so a step
-/// descends tree links through the adjacency. Membership is the
-/// workspace's region flag `side`, and the nodes are collected in its
-/// scratch list `side`.
+/// The subtree that the failed link cuts off `tree` below `root`, collected
+/// breadth-first: trees store no child lists, so the walk descends tree
+/// links through the adjacency. Membership is the workspace's region flag
+/// `side`, and the nodes are collected in its scratch list `side`.
 class CutSide {
  public:
-  CutSide(const ShortestPathTree& tree, NodeId root, std::size_t side,
-          SpfWorkspace& ws)
-      : tree_(tree), side_(side), ws_(ws), region_(ws.scratch_nodes(side)) {
+  CutSide(const Graph& g, const ShortestPathTree& tree, NodeId root,
+          std::size_t side, SpfWorkspace& ws)
+      : side_(side), ws_(ws), region_(ws.scratch_nodes(side)) {
     ws_.node(root).in_region[side_] = true;
     region_.push_back(root);
-  }
-
-  bool done() const { return head_ == region_.size(); }
-
-  /// Visits the next node of the walk. Precondition: !done().
-  void step(const Graph& g) {
-    const NodeId v = region_[head_++];
-    for (const graph::Arc& a : g.arcs(v)) {
-      if (tree_.parent_edge(a.to) == a.edge && tree_.parent(a.to) == v) {
-        ws_.node(a.to).in_region[side_] = true;
-        region_.push_back(a.to);
+    for (std::size_t head = 0; head < region_.size(); ++head) {
+      const NodeId v = region_[head];
+      for (const graph::Arc& a : g.arcs(v)) {
+        if (tree.parent_edge(a.to) == a.edge && tree.parent(a.to) == v) {
+          ws_.node(a.to).in_region[side_] = true;
+          region_.push_back(a.to);
+        }
       }
     }
-  }
-
-  void finish(const Graph& g) {
-    while (!done()) step(g);
   }
 
   bool contains(NodeId x) const {
@@ -71,11 +45,9 @@ class CutSide {
   const std::vector<NodeId>& nodes() const { return region_; }
 
  private:
-  const ShortestPathTree& tree_;
   std::size_t side_;
   SpfWorkspace& ws_;
   std::vector<NodeId>& region_;
-  std::size_t head_ = 0;
 };
 
 /// The cheapest link crossing a cut, and whether another one ties it.
@@ -151,10 +123,13 @@ ReplacementKind replacement_route(const Graph& g, const ShortestPathTree& from_s
   }
   const NodeId c_t = cut_below(from_t, s);
 
-  // Scans one side's subtree and proves its candidate (see the header).
-  // The route always runs canonical(s, x) · (x, y) · reverse(canonical(t,
-  // y)), with x on s's side of the crossing link and y on t's.
-  const auto answer = [&](bool s_side, const CutSide& region) {
+  // Walks and scans one side's subtree and proves its candidate (see the
+  // header). The route always runs canonical(s, x) · (x, y) ·
+  // reverse(canonical(t, y)), with x on s's side of the crossing link and y
+  // on t's.
+  const auto answer = [&](bool s_side) {
+    const CutSide region = s_side ? CutSide(g, from_s, c_s, 0, ws)
+                                  : CutSide(g, from_t, c_t, 1, ws);
     const Crossing best =
         s_side ? scan_cut(g, from_s, from_t, region, failed)
                : scan_cut(g, from_t, from_s, region, failed);
@@ -165,50 +140,53 @@ ReplacementKind replacement_route(const Graph& g, const ShortestPathTree& from_s
     if (best.tied) return ReplacementKind::kUnproven;
     const NodeId x = s_side ? best.outside : best.inside;
     const NodeId y = s_side ? best.inside : best.outside;
-    // Guards 2 and 3: unique achievers along both halves. Neither half
-    // uses the failed link when the crossing link is the strict minimum.
-    for (NodeId v = x; v != s; v = from_s.parent(v)) {
+    // Guards 2 and 3: unique achievers along both halves, which the trees
+    // store as the unique bit at x and at y.
+    if (!from_s.unique(x) || !from_t.unique(y)) {
+      return ReplacementKind::kUnproven;
+    }
+    // canonical(s, x), read backwards up s's parent chain, the crossing
+    // link, then t's half, which t's parent chain yields in y -> t order.
+    // The hops are counted first so each array is allocated once. Neither
+    // half uses the failed link when the crossing link is the strict
+    // minimum.
+    std::size_t s_hops = 0;
+    for (NodeId v = x; v != s; v = from_s.parent(v)) ++s_hops;
+    std::size_t hops = s_hops + 1;
+    for (NodeId v = y; v != t; v = from_t.parent(v)) ++hops;
+    std::vector<NodeId> nodes(hops + 1);
+    std::vector<EdgeId> edges(hops);
+    NodeId v = x;
+    for (std::size_t i = s_hops; i > 0; --i, v = from_s.parent(v)) {
       RBPC_ASSERT(from_s.parent_edge(v) != failed);
-      if (!sole_achiever(g, from_s, v)) return ReplacementKind::kUnproven;
+      nodes[i] = v;
+      edges[i - 1] = from_s.parent_edge(v);
     }
-    for (NodeId v = y; v != t; v = from_t.parent(v)) {
+    nodes[0] = s;
+    edges[s_hops] = best.edge;
+    v = y;
+    for (std::size_t i = s_hops + 1; i < hops; ++i, v = from_t.parent(v)) {
       RBPC_ASSERT(from_t.parent_edge(v) != failed);
-      if (!sole_achiever(g, from_t, v)) return ReplacementKind::kUnproven;
+      nodes[i] = v;
+      edges[i] = from_t.parent_edge(v);
     }
-    // canonical(s, x), the crossing link, then t's half, which reading up
-    // t's parent chain already yields in y -> t order.
-    graph::Path route = from_s.path_to(g, x);
-    route.reserve(from_s.hops(x) + 1 + from_t.hops(y));
-    route.extend(g, best.edge, y);
-    for (NodeId v = y; v != t; v = from_t.parent(v)) {
-      route.extend(g, from_t.parent_edge(v), from_t.parent(v));
-    }
-    out = std::move(route);
+    nodes[hops] = t;
+    out = graph::Path::from_parts(g, std::move(nodes), std::move(edges));
     return ReplacementKind::kCut;
   };
 
   ws.begin(g.num_nodes());
-  CutSide d_s(from_s, c_s, 0, ws);
   if (c_t == graph::kInvalidNode) {
     // e is not on t's path to s (canonical(t, s) is not the reverse of
     // canonical(s, t)), so D_t does not hold s: only D_s bounds the route.
-    d_s.finish(g);
-    return answer(true, d_s);
+    return answer(true);
   }
-  // Walk D_s and D_t in lockstep and scan whichever ends first, so the
-  // work is about twice the smaller subtree. If that side cannot prove its
-  // route, the other side's cut may still.
-  CutSide d_t(from_t, c_t, 1, ws);
-  while (!d_s.done() && !d_t.done()) {
-    d_s.step(g);
-    d_t.step(g);
-  }
-  const bool s_first = d_s.done();
-  const ReplacementKind first = answer(s_first, s_first ? d_s : d_t);
+  // Walk and scan the side whose subtree has fewer arcs; if that side
+  // cannot prove its route, the other side's cut may still.
+  const bool s_first = from_s.subtree_arcs(c_s) <= from_t.subtree_arcs(c_t);
+  const ReplacementKind first = answer(s_first);
   if (first != ReplacementKind::kUnproven) return first;
-  CutSide& second = s_first ? d_t : d_s;
-  second.finish(g);
-  return answer(!s_first, second);
+  return answer(!s_first);
 }
 
 }  // namespace rbpc::spf

@@ -45,6 +45,10 @@
 //         unique (induct backwards from x: a shortest path's last arc
 //         attains the key, and the prefix is shortest to its tail);
 //      3. the same holds on canonical(t, y) in t's tree.
+//    Guards 2 and 3 are properties of the unfailed trees alone, so the
+//    SPF kernels store them: they are the unique bits at x in s's tree
+//    and at y in t's tree (spf/tree.hpp), and the guard reads two bits
+//    instead of scanning every arc of both halves.
 //
 // From t's side the argument is the mirror image, with D_t for D_s:
 //
@@ -65,19 +69,22 @@
 //    both prove a route they prove the same one.
 //
 // Which side is scanned. Both lower bounds hold at once, so either side's
-// proof is enough. The kernel walks D_s and D_t one node at a time in
-// lockstep and scans the subtree whose walk ends first: near s, e cuts
-// almost all of s's tree off while D_t is small, and near t the reverse.
-// Two rules complete it:
+// proof is enough. The kernel walks and scans only the cheaper side: the
+// trees store each node's subtree arcs (the degree sum over its subtree,
+// spf/tree.hpp), which is what the walk and the scan of D_s or D_t read,
+// so comparing subtree_arcs(c_s) with subtree_arcs(c_t) picks the side in
+// O(1) (D_s on a tie). Near s, e cuts almost all of s's tree off while
+// D_t is small, and near t the reverse. Two rules complete it:
 //
 //  * asymmetry: when e is on canonical(s, t) but not on t's tree path to s
 //    (padding can leave canonical(t, s) unequal to the reverse of
 //    canonical(s, t)), D_t does not hold s and bounds nothing, so D_s is
 //    the only side scanned;
 //  * retry: when the chosen side's guard refuses (a tie or a second
-//    achiever), the other side is walked to its end and scanned before
-//    the answer is kUnproven. A refusal on one side says nothing about the
-//    other's cut, so this only adds answers.
+//    achiever), the other side is walked and scanned before the answer is
+//    kUnproven. A refusal on one side says nothing about the other's cut,
+//    so this only adds answers, and the answer never depends on which side
+//    went first.
 //
 // A unique shortest route is the tree path of every shortest-path tree
 // under the mask, in particular of repair_tree's. When e is not on s's
@@ -88,9 +95,9 @@
 // graphs (t's tree holds t -> y paths, not y -> t ones) — the answer is
 // kUnproven and the caller falls back to repair.
 //
-// Cost: the walks touch about 2 min(|D_s|, |D_t|) nodes, and the scan only
-// the scanned side's nodes and links, plus the two tree paths (a retry
-// adds the other side). The only scratch is the workspace's two
+// Cost: the walk and the scan each read the cheaper side's arcs once,
+// min(subtree_arcs(c_s), subtree_arcs(c_t)), plus the two tree paths (a
+// retry adds the other side). The only scratch is the workspace's two
 // epoch-stamped region flags and node lists, so a warm call allocates
 // nothing beyond the output path.
 #pragma once

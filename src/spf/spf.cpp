@@ -48,12 +48,13 @@ void flush_kernel_counts(std::uint64_t pushes, std::uint64_t pops,
 /// BFS for the hop metric (no padding): linear time, deterministic because
 /// adjacency lists are sorted. The workspace provides the FIFO queue;
 /// reachability doubles as the visited set, so no per-node scratch is
-/// needed.
+/// needed. The queue is the settle order the subtree-arc pass needs; the
+/// unique bits stay false (BFS does not count achievers).
 void bfs_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
                    const SpfOptions& options, SpfWorkspace& ws,
                    ShortestPathTree& tree) {
   tree.reset(source, g.num_nodes(), Metric::Hops, /*padded=*/false);
-  tree.settle(source, 0, 0, graph::kInvalidNode, graph::kInvalidEdge);
+  tree.settle(source, 0, graph::kInvalidNode, graph::kInvalidEdge);
   ws.begin(g.num_nodes());
   std::vector<NodeId>& queue = ws.scratch_nodes();
   queue.push_back(source);
@@ -65,10 +66,11 @@ void bfs_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
     for (const graph::Arc& a : g.arcs(v)) {
       ++relax_attempts;
       if (!mask.edge_alive(g, a.edge) || tree.reachable(a.to)) continue;
-      tree.settle(a.to, d + 1, static_cast<std::uint32_t>(d + 1), v, a.edge);
+      tree.settle(a.to, d + 1, v, a.edge);
       queue.push_back(a.to);
     }
   }
+  tree.sum_subtree_arcs(g, queue);
   // The BFS queue stands in for the heap: a push is an enqueue, a pop a
   // dequeue (queue.size() of each).
   flush_kernel_counts(queue.size(), queue.size(), relax_attempts);
@@ -79,6 +81,14 @@ void bfs_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
 /// key is the padded cost, from which the tree derives the true cost
 /// (padding preserves strict order of true costs, so the padded-optimal
 /// path is a true shortest path).
+///
+/// The node words (spf/tree.hpp) come out of the same run. Every in-arc
+/// that achieves v's final key comes from a node settled before v (steps
+/// are positive), so it relaxes v: a relaxation that matches v's current
+/// key sets v's tie flag and a strictly better one clears it, and at
+/// settle v is unique iff its parent is and it has no tie. The settle
+/// order, kept in the workspace's node list, then feeds the subtree-arc
+/// pass.
 void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
                         const SpfOptions& options, SpfWorkspace& ws,
                         ShortestPathTree& tree) {
@@ -87,6 +97,7 @@ void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
 
   ws.begin(g.num_nodes());
   FourAryHeap& heap = ws.heap();
+  std::vector<NodeId>& order = ws.scratch_nodes();
   ws.node(source).key = 0;
   heap.push(0, source);
   std::uint64_t pushes = 1;
@@ -99,7 +110,12 @@ void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
     SpfWorkspace::Node& nv = ws.node(v);
     if (nv.settled || k != nv.key) continue;  // stale entry
     nv.settled = true;
-    tree.settle(v, nv.key, nv.hops, nv.parent, nv.parent_edge);
+    // dist() divides the padded key by kPadScale; the quotient is the true
+    // cost only while the path's salt sum stays below kPadScale.
+    RBPC_ASSERT(!options.padded || nv.hops < kPadScale / kMaxSalt);
+    tree.settle(v, nv.key, nv.parent, nv.parent_edge,
+                !nv.tie && (v == source || tree.unique(nv.parent)));
+    order.push_back(v);
     if (v == options.stop_at) break;
     for (const graph::Arc& a : g.arcs(v)) {
       if (!mask.edge_alive(g, a.edge)) continue;
@@ -116,11 +132,15 @@ void dijkstra_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
         nt.hops = nv.hops + 1;
         nt.parent = v;
         nt.parent_edge = a.edge;
+        nt.tie = false;
         heap.push(alt, a.to);
         ++pushes;
+      } else if (alt == nt.key) {
+        nt.tie = true;
       }
     }
   }
+  tree.sum_subtree_arcs(g, order);
   flush_kernel_counts(pushes, pops, relax_attempts);
 }
 

@@ -14,9 +14,9 @@ ShortestPathTree::ShortestPathTree(graph::NodeId source, std::size_t num_nodes,
       padded_(padded),
       tiebreak_(tiebreak),
       key_(num_nodes, graph::kUnreachable),
-      hops_(num_nodes, 0),
       parent_(num_nodes, graph::kInvalidNode),
-      parent_edge_(num_nodes, graph::kInvalidEdge) {
+      parent_edge_(num_nodes, graph::kInvalidEdge),
+      word_(num_nodes, 0) {
   require(source < num_nodes, "ShortestPathTree: source out of range");
 }
 
@@ -29,18 +29,26 @@ void ShortestPathTree::reset(graph::NodeId source, std::size_t num_nodes,
   padded_ = padded;
   tiebreak_ = tiebreak;
   key_.assign(num_nodes, graph::kUnreachable);
-  hops_.assign(num_nodes, 0);
   parent_.assign(num_nodes, graph::kInvalidNode);
   parent_edge_.assign(num_nodes, graph::kInvalidEdge);
+  word_.assign(num_nodes, 0);
+}
+
+std::uint32_t ShortestPathTree::hops(graph::NodeId v) const {
+  require(reachable(v), "ShortestPathTree::hops: node not reachable");
+  std::uint32_t hops = 0;
+  for (graph::NodeId cur = v; cur != source_; cur = parent_[cur]) ++hops;
+  return hops;
 }
 
 graph::Path ShortestPathTree::path_to(const graph::Graph& g,
                                       graph::NodeId v) const {
   require(reachable(v), "ShortestPathTree::path_to: node not reachable");
+  const std::uint32_t length = hops(v);
   std::vector<graph::NodeId> nodes;
   std::vector<graph::EdgeId> edges;
-  nodes.reserve(hops_[v] + 1);
-  edges.reserve(hops_[v]);
+  nodes.reserve(length + 1);
+  edges.reserve(length);
   for (graph::NodeId cur = v; cur != source_; cur = parent_[cur]) {
     RBPC_ASSERT(cur != graph::kInvalidNode);
     nodes.push_back(cur);
@@ -69,35 +77,54 @@ graph::PathRef ShortestPathTree::path_to_ref(const graph::Graph& g,
 
 bool ShortestPathTree::is_tree_path(graph::PathView segment) const {
   require(!segment.empty(), "ShortestPathTree::is_tree_path: empty segment");
-  graph::NodeId cur = segment.target();
-  if (!reachable(cur) || hops_[cur] != segment.hops()) return false;
-  for (std::size_t i = segment.hops(); i-- > 0;) {
-    if (segment.node(i + 1) != cur || segment.edge(i) != parent_edge_[cur]) {
-      return false;
-    }
-    cur = parent_[cur];
+  return segment.source() == source_ &&
+         longest_tree_prefix(segment, 0) == segment.hops();
+}
+
+std::size_t ShortestPathTree::longest_tree_prefix(graph::PathView route,
+                                                  std::size_t pos) const {
+  require(pos < route.num_nodes() && route.node(pos) == source_,
+          "ShortestPathTree::longest_tree_prefix: route does not start at "
+          "the source");
+  // route[pos..j] is the tree path to route[j] (by induction from the
+  // trivial path at pos), so route[pos..j+1] is one iff route[j+1]'s
+  // parent link is the route's link from route[j].
+  const std::size_t last = route.num_nodes() - 1;
+  std::size_t end = pos;
+  while (end < last && parent_edge(route.node(end + 1)) == route.edge(end)) {
+    ++end;
   }
-  return cur == segment.source();
+  return end;
 }
 
 std::size_t ShortestPathTree::memory_bytes() const {
   return key_.capacity() * sizeof(graph::Weight) +
-         hops_.capacity() * sizeof(std::uint32_t) +
          parent_.capacity() * sizeof(graph::NodeId) +
-         parent_edge_.capacity() * sizeof(graph::EdgeId);
+         parent_edge_.capacity() * sizeof(graph::EdgeId) +
+         word_.capacity() * sizeof(std::uint32_t);
 }
 
 void ShortestPathTree::settle(graph::NodeId v, graph::Weight key,
-                              std::uint32_t hops, graph::NodeId parent,
-                              graph::EdgeId parent_edge) {
+                              graph::NodeId parent, graph::EdgeId parent_edge,
+                              bool unique) {
   RBPC_ASSERT(v < key_.size());
-  // dist() divides the padded key by kPadScale; the quotient is the true
-  // cost only while the path's salt sum stays below kPadScale.
-  RBPC_ASSERT(!padded_ || hops < kPadScale / kMaxSalt);
   key_[v] = key;
-  hops_[v] = hops;
   parent_[v] = parent;
   parent_edge_[v] = parent_edge;
+  word_[v] = unique ? kUniqueBit : 0;
+}
+
+void ShortestPathTree::sum_subtree_arcs(
+    const graph::Graph& g, std::span<const graph::NodeId> settle_order) {
+  // A subtree's arcs never exceed the graph's, so 31 bits hold every sum.
+  require(2 * g.num_edges() <= kSubtreeArcsMask,
+          "ShortestPathTree: too many links for the subtree-arc count");
+  for (std::size_t i = settle_order.size(); i-- > 0;) {
+    const graph::NodeId v = settle_order[i];
+    word_[v] += static_cast<std::uint32_t>(g.degree(v));
+    const graph::NodeId p = parent_[v];
+    if (p != graph::kInvalidNode) word_[p] += word_[v] & kSubtreeArcsMask;
+  }
 }
 
 }  // namespace rbpc::spf

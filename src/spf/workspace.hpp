@@ -98,10 +98,15 @@ class SpfWorkspace {
   /// it); `hops` counts the path's links.
   /// `parent_key` is the key of the current parent candidate, kept so that
   /// equal-key relaxations can be tie-broken exactly like a from-scratch
-  /// run (see incremental.hpp). `in_region` holds two independent region
-  /// flags: incremental repair marks its orphan region with flag 0; the cut
-  /// scan (replacement.hpp) marks the subtree the failed link cuts off s's
-  /// tree with flag 0 and the one it cuts off t's tree with flag 1.
+  /// run (see incremental.hpp). `tie` is set when a second in-arc achieves
+  /// the current key and cleared when a strictly better one arrives, so at
+  /// settle it says whether the node has more than one key-achieving
+  /// in-arc (the tree's unique bit, spf/tree.hpp). `in_region` holds two
+  /// independent region flags: incremental repair marks its orphan region
+  /// with flag 0 and the nodes whose unique bit it has re-decided with flag
+  /// 1; the cut scan (replacement.hpp) marks the subtree the failed link
+  /// cuts off s's tree with flag 0 and the one it cuts off t's tree with
+  /// flag 1.
   struct Node {
     graph::Weight key;
     graph::Weight parent_key;
@@ -109,6 +114,7 @@ class SpfWorkspace {
     graph::EdgeId parent_edge;
     std::uint32_t hops;
     bool settled;
+    bool tie;
     std::array<bool, 2> in_region;
   };
   static_assert(sizeof(Node) == 32, "one record per half cache line");
@@ -130,6 +136,7 @@ class SpfWorkspace {
       nd.parent_edge = graph::kInvalidEdge;
       nd.hops = 0;
       nd.settled = false;
+      nd.tie = false;
       nd.in_region = {false, false};
     }
     return nd;
@@ -140,8 +147,9 @@ class SpfWorkspace {
 
   FourAryHeap& heap() { return heap_; }
 
-  /// Reusable node stacks/queues for traversals (BFS, orphan collection,
-  /// the cut scan's two subtrees); `list` is 0 or 1. begin() empties both.
+  /// Reusable node stacks/queues for traversals (BFS, Dijkstra's settle
+  /// order, orphan collection, the cut scan's two subtrees); `list` is 0 or
+  /// 1. begin() empties both.
   std::vector<graph::NodeId>& scratch_nodes(std::size_t list = 0) {
     return scratch_nodes_[list];
   }

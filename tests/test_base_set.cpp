@@ -194,12 +194,16 @@ TEST(BaseSets, HopMetricMembership) {
 }
 
 TEST(BaseSets, EveryPrefixOfAMemberIsAMember) {
-  // Greedy decomposition binary-searches prefix lengths, which is sound only
-  // when membership of a route's prefixes is monotone. Check it on every
-  // set over the corpus: take members — base paths, one-failure backup
-  // routes, base paths extended by one edge — and require each prefix of
-  // each of them to be a member too.
+  // Greedy decomposition searches prefix lengths (longest_prefix: a binary
+  // search, or a forward walk down one tree for the canonical sets), which
+  // is sound only when membership of a route's prefixes is monotone. Check
+  // it on every set over the corpus: take members — base paths, one-failure
+  // backup routes, base paths extended by one edge — and require each
+  // prefix of each of them to be a member too. Then require longest_prefix
+  // to agree, from every position of every candidate, with a linear scan
+  // of contains().
   std::size_t checked = 0;
+  std::size_t probed = 0;
   for (const auto& tc : testing::corpus()) {
     const Graph& g = tc.g;
     const spf::Metric metric =
@@ -246,9 +250,22 @@ TEST(BaseSets, EveryPrefixOfAMemberIsAMember) {
           ++checked;
         }
       }
+      for (const Path& p : candidates) {
+        for (std::size_t pos = 0; pos + 1 < p.num_nodes(); ++pos) {
+          std::size_t want = pos;
+          for (std::size_t j = pos + 1; j < p.num_nodes(); ++j) {
+            if (set->contains(p.view().subview(pos, j))) want = j;
+          }
+          ASSERT_EQ(set->longest_prefix(p.view(), pos), want)
+              << tc.name << " " << set->name() << ": from " << pos << " of "
+              << p.to_string();
+          ++probed;
+        }
+      }
     }
   }
   EXPECT_GT(checked, 1000u);
+  EXPECT_GT(probed, 1000u);
 }
 
 }  // namespace

@@ -64,7 +64,8 @@ std::string flavor_name(const SpfOptions& o) {
          (o.padded ? "/padded" : "/plain");
 }
 
-// Field-by-field equality: dist AND key AND hops AND parent AND parent edge.
+// Field-by-field equality: dist AND key AND parent AND parent edge AND the
+// node word (subtree arcs and unique bit). Equal parents imply equal hops.
 void expect_identical_trees(const ShortestPathTree& want,
                             const ShortestPathTree& got,
                             const std::string& ctx) {
@@ -75,8 +76,9 @@ void expect_identical_trees(const ShortestPathTree& want,
     EXPECT_EQ(want.dist(v), got.dist(v)) << at;
     EXPECT_EQ(want.key(v), got.key(v)) << at;
     ASSERT_EQ(want.reachable(v), got.reachable(v)) << at;
+    EXPECT_EQ(want.subtree_arcs(v), got.subtree_arcs(v)) << at;
+    EXPECT_EQ(want.unique(v), got.unique(v)) << at;
     if (want.reachable(v)) {
-      EXPECT_EQ(want.hops(v), got.hops(v)) << at;
       EXPECT_EQ(want.parent(v), got.parent(v)) << at;
       EXPECT_EQ(want.parent_edge(v), got.parent_edge(v)) << at;
     }

@@ -11,9 +11,23 @@
 // the guard is exercised and not merely present. The sweeps also count,
 // independently of the kernel, the queries whose smaller cut is t's side
 // and those where only s's side applies (canonical(t, s) is not the
-// reverse of canonical(s, t)), and require both kinds to occur. One test
-// runs the rung from several threads over a shared TreeCache, as the
-// service does; the sanitizer CI jobs run this binary on its own for it.
+// reverse of canonical(s, t)), and require both kinds to occur. Every
+// answer must also have walked the side whose cut-off subtree has fewer
+// arcs, counted here by parent chains: the output is the same from either
+// side, so only this check sees the side choice. One test runs the rung
+// from several threads over a shared TreeCache, as the service does; the
+// sanitizer CI jobs run this binary on its own for it.
+//
+// Each fallback is also checked by brute force on the repaired tree: when
+// the route is unique in G - e all the same, the refusal is counted as a
+// false one (reported, not asserted: the guard reads unfailed trees, so a
+// second achiever through the failed link refuses a unique route).
+//
+// The cut rung reads two facts per tree node that the SPF kernels store in
+// its node word (spf/tree.hpp): subtree arcs and the unique bit. The
+// NodeWord tests check every producer against references computed here
+// from scratch — explicit child lists, and the per-node achiever count the
+// rung's guard used to scan (sole_achiever).
 #include <gtest/gtest.h>
 
 #include "corpus.hpp"
@@ -24,13 +38,17 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
 #include "graph/path.hpp"
+#include "spf/bulk.hpp"
 #include "spf/incremental.hpp"
 #include "spf/metric.hpp"
+#include "spf/oracle.hpp"
 #include "spf/replacement.hpp"
 #include "spf/spf.hpp"
 #include "spf/tree.hpp"
@@ -39,6 +57,7 @@
 #include "topo/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rbpc::spf {
 namespace {
@@ -69,7 +88,8 @@ struct Tally {
   std::size_t cut = 0;
   std::size_t no_route = 0;
   std::size_t unproven = 0;
-  std::size_t t_smaller = 0;   ///< |D_t| < |D_s|: the t-side walk ends first
+  std::size_t false_refusals = 0;  ///< unproven, yet unique in G - e
+  std::size_t t_smaller = 0;   ///< |D_t| < |D_s|: t's cut is smaller
   std::size_t asymmetric = 0;  ///< e on canonical(s,t), not on canonical(t,s)
 
   void add(const Tally& o) {
@@ -78,10 +98,37 @@ struct Tally {
     cut += o.cut;
     no_route += o.no_route;
     unproven += o.unproven;
+    false_refusals += o.false_refusals;
     t_smaller += o.t_smaller;
     asymmetric += o.asymmetric;
   }
 };
+
+/// The number of v's in-arcs alive under `mask` that attain v's key in
+/// `tree` (the tree's own parent arc always does).
+int achievers(const Graph& g, const ShortestPathTree& tree, NodeId v,
+              const FailureMask& mask) {
+  int count = 0;
+  for (const graph::Arc& a : g.arcs(v)) {
+    if (!mask.edge_alive(g, a.edge) || !tree.reachable(a.to)) continue;
+    const graph::Weight step =
+        tree.padded() ? padded_weight(g, a.edge, tree.metric(), tree.tiebreak())
+                      : metric_weight(g, a.edge, tree.metric());
+    count += tree.key(a.to) + step == tree.key(v);
+  }
+  return count;
+}
+
+/// The cut rung's former guard, sole_achiever along a chain: true when
+/// every node on the tree path to v except the source has exactly one
+/// achiever, so the tree path is the only shortest path to v under `mask`.
+bool sole_achiever_chain(const Graph& g, const ShortestPathTree& tree,
+                         NodeId v, const FailureMask& mask) {
+  for (NodeId u = v; u != tree.source(); u = tree.parent(u)) {
+    if (achievers(g, tree, u, mask) != 1) return false;
+  }
+  return true;
+}
 
 /// The node on `tree`'s path to `to` whose parent link is `e`, if any.
 NodeId cut_below(const ShortestPathTree& tree, NodeId to, EdgeId e) {
@@ -103,6 +150,20 @@ std::size_t subtree_size(const Graph& g, const ShortestPathTree& tree,
     size += u == root;
   }
   return size;
+}
+
+/// The degree sum over `root`'s subtree in `tree` — what a walk and a scan
+/// of that subtree read — counted by parent chains like subtree_size.
+std::size_t subtree_arcs_by_chains(const Graph& g, const ShortestPathTree& tree,
+                                   NodeId root) {
+  std::size_t arcs = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (!tree.reachable(v)) continue;
+    NodeId u = v;
+    while (u != root && u != tree.source()) u = tree.parent(u);
+    if (u == root) arcs += g.degree(v);
+  }
+  return arcs;
 }
 
 /// Tallies which cut the kernel is expected to scan for the query (s, t,
@@ -138,9 +199,27 @@ void check_query(const Graph& g, const ShortestPathTree& from_s,
   ++tally.queries;
   const bool on_path =
       from_s.reachable(t) && from_s.path_to(g, t).uses_edge(e);
+  // The kernel walks the side whose cut-off subtree has fewer arcs first
+  // (D_s on a tie), so when both cuts exist and it answered, that side's
+  // workspace list (0 for D_s, 1 for D_t) holds its walk.
+  const NodeId s = from_s.source();
+  if ((kind == ReplacementKind::kCut || kind == ReplacementKind::kNoRoute) &&
+      from_s.reachable(t)) {
+    const NodeId c_s = cut_below(from_s, t, e);
+    const NodeId c_t = cut_below(from_t, s, e);
+    if (c_s != graph::kInvalidNode && c_t != graph::kInvalidNode) {
+      const bool s_first = subtree_arcs_by_chains(g, from_s, c_s) <=
+                           subtree_arcs_by_chains(g, from_t, c_t);
+      EXPECT_FALSE(thread_workspace().scratch_nodes(s_first ? 0 : 1).empty())
+          << ctx << ": the cheaper side was not walked";
+    }
+  }
   switch (kind) {
     case ReplacementKind::kUnproven:
       ++tally.unproven;
+      tally.false_refusals +=
+          repaired.reachable(t) &&
+          sole_achiever_chain(g, repaired, t, FailureMask::of_edges({e}));
       EXPECT_TRUE(on_path) << ctx << ": an intact path needs no proof";
       EXPECT_EQ(got, Path::trivial(t)) << ctx << ": kUnproven wrote a route";
       return;
@@ -168,9 +247,10 @@ void report(const std::string& what, const std::string& flavor_name,
             const Tally& t) {
   std::printf(
       "[ replacement ] %-14s %-24s queries %6zu  intact %6zu  cut %6zu  "
-      "no-route %4zu  fallback %4zu  t-smaller %5zu  asymmetric %4zu\n",
+      "no-route %4zu  fallback %4zu (false %4zu)  t-smaller %5zu  "
+      "asymmetric %4zu\n",
       what.c_str(), flavor_name.c_str(), t.queries, t.intact, t.cut,
-      t.no_route, t.unproven, t.t_smaller, t.asymmetric);
+      t.no_route, t.unproven, t.false_refusals, t.t_smaller, t.asymmetric);
 }
 
 /// Unfailed trees by source, computed on first use.
@@ -487,8 +567,8 @@ TEST(ReplacementRoute, LinkNextToTheSourceMatchesRepair) {
         tally_sides(g, from_s, from_t, first_hop, tally);
         check_query(g, from_s, from_t, first_hop, repaired, tally,
                     flavor(metric, policy) + " t=" + std::to_string(t));
-        // The workspace's list 0 holds the D_s nodes the walk reached: a
-        // query D_t answered stops that walk after a few steps.
+        // The workspace's list 0 holds the D_s nodes the kernel walked: a
+        // query D_t answered never walks D_s in full.
         short_walks += thread_workspace().scratch_nodes(0).size() <
                        kSide * kSide;
       }
@@ -606,9 +686,233 @@ TEST(CompactTree, DerivedDistEqualsPathCost) {
       }
     }
   }
-  // 20 B/node: key (8) + hops (4) + parent (4) + parent edge (4).
+  // 20 B/node: key (8) + parent (4) + parent edge (4) + node word (4).
   const ShortestPathTree tree = shortest_tree(topo::make_ring(100), 0);
   EXPECT_EQ(tree.memory_bytes(), 100u * 20u);
+  EXPECT_EQ(tree.memory_bytes() / tree.num_nodes(), 20u);
+}
+
+// ---------------------------------------------------------------------------
+// The node word: subtree arcs and the unique bit, from every producer.
+// ---------------------------------------------------------------------------
+
+/// Subtree arcs by explicit child lists: each reachable node's degree plus
+/// its children's totals, summed in a post-order from the source.
+std::vector<std::uint32_t> child_list_subtree_arcs(
+    const Graph& g, const ShortestPathTree& tree) {
+  std::vector<std::vector<NodeId>> children(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (v != tree.source() && tree.reachable(v)) {
+      children[tree.parent(v)].push_back(v);
+    }
+  }
+  std::vector<std::uint32_t> arcs(g.num_nodes(), 0);
+  std::vector<std::pair<NodeId, bool>> stack = {{tree.source(), false}};
+  while (!stack.empty()) {
+    const auto [v, expanded] = stack.back();
+    stack.pop_back();
+    if (expanded) {
+      arcs[v] = static_cast<std::uint32_t>(g.degree(v));
+      for (const NodeId c : children[v]) arcs[v] += arcs[c];
+      continue;
+    }
+    stack.emplace_back(v, true);
+    for (const NodeId c : children[v]) stack.emplace_back(c, false);
+  }
+  return arcs;
+}
+
+/// Checks every node's word in `tree`, built under `mask`, against the
+/// references: child-list subtree arcs, and for heap-built trees the
+/// sole-achiever chain (BFS trees keep every unique bit false).
+void expect_node_words(const Graph& g, const ShortestPathTree& tree,
+                       const FailureMask& mask, const std::string& ctx) {
+  const std::vector<std::uint32_t> arcs = child_list_subtree_arcs(g, tree);
+  const bool bfs = tree.metric() == Metric::Hops && !tree.padded();
+  // The chain reference, memoized top-down: chain[v] is 1 when unique.
+  std::vector<std::int8_t> chain(g.num_nodes(), -1);
+  chain[tree.source()] = 1;
+  const auto unique_ref = [&](NodeId v) {
+    std::vector<NodeId> up;
+    NodeId u = v;
+    while (chain[u] < 0) {
+      up.push_back(u);
+      u = tree.parent(u);
+    }
+    for (std::size_t i = up.size(); i-- > 0;) {
+      chain[up[i]] = chain[tree.parent(up[i])] == 1 &&
+                     achievers(g, tree, up[i], mask) == 1;
+    }
+    return chain[v] == 1;
+  };
+  std::size_t mismatches = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const bool want_unique = !bfs && tree.reachable(v) && unique_ref(v);
+    if (tree.subtree_arcs(v) != arcs[v] || tree.unique(v) != want_unique) {
+      if (++mismatches <= 3) {
+        ADD_FAILURE() << ctx << " v=" << v << ": subtree arcs "
+                      << tree.subtree_arcs(v) << " (want " << arcs[v]
+                      << "), unique " << tree.unique(v) << " (want "
+                      << want_unique << ")";
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << ctx;
+}
+
+/// Every flavor: unpadded per metric (one policy) and padded per policy.
+std::vector<SpfOptions> all_flavors() {
+  std::vector<SpfOptions> out;
+  for (const Metric metric : kMetrics) {
+    out.push_back(SpfOptions{.metric = metric});
+    for (const TiebreakPolicy policy : kPolicies) {
+      out.push_back(padded(metric, policy));
+    }
+  }
+  return out;
+}
+
+std::string flavor_of(const SpfOptions& o) {
+  if (o.padded) return flavor(o.metric, o.tiebreak);
+  return std::string(o.metric == Metric::Hops ? "hops" : "weighted") +
+         "/plain";
+}
+
+/// Checks the node words of every producer — scratch Dijkstra or BFS,
+/// bulk, DistanceOracle and repair — on `sources` of `g`, unfailed and
+/// under `mask`, in every flavor. Repaired trees must also carry the
+/// scratch tree's words under the same mask.
+void check_producers(const Graph& g, const std::vector<NodeId>& sources,
+                     const FailureMask& mask, const std::string& name) {
+  ThreadPool pool(2);
+  SpfWorkspace ws;
+  for (const SpfOptions& options : all_flavors()) {
+    for (const FailureMask& m : {FailureMask::none(), mask}) {
+      const std::string ctx = name + " " + flavor_of(options) +
+                              (m.empty() ? " unfailed" : " masked");
+      const std::vector<ShortestPathTree> bulk =
+          build_trees(g, sources, m, options, pool);
+      DistanceOracle oracle(g, m, options.metric, 0, 0, options.tiebreak);
+      for (std::size_t i = 0; i < sources.size(); ++i) {
+        const NodeId s = sources[i];
+        if (!m.node_alive(s)) continue;
+        const std::string at = ctx + " s=" + std::to_string(s);
+        const ShortestPathTree scratch = shortest_tree(g, s, m, options);
+        expect_node_words(g, scratch, m, at + " scratch");
+        expect_node_words(g, bulk[i], m, at + " bulk");
+        expect_node_words(
+            g, options.padded ? oracle.padded_tree(s) : oracle.tree(s), m,
+            at + " oracle");
+        const ShortestPathTree repaired = repair_tree(
+            g, shortest_tree(g, s, FailureMask::none(), options), m, options,
+            ws);
+        expect_node_words(g, repaired, m, at + " repair");
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          ASSERT_EQ(repaired.subtree_arcs(v), scratch.subtree_arcs(v))
+              << at << " repair v=" << v;
+          ASSERT_EQ(repaired.unique(v), scratch.unique(v))
+              << at << " repair v=" << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(NodeWord, EveryProducerMatchesTheReferenceOnCorpus) {
+  Rng rng(41);
+  for (const testing::TopoCase& c : testing::corpus()) {
+    const Graph& g = c.g;
+    std::vector<NodeId> sources;
+    const std::size_t stride = (g.num_nodes() + 3) / 4;
+    for (NodeId s = 0; s < g.num_nodes(); s += stride) sources.push_back(s);
+    // Two failed links and, on larger graphs, one failed router that is
+    // not the first source.
+    FailureMask mask;
+    for (const std::uint64_t e :
+         rng.sample_distinct(g.num_edges(), std::min<std::size_t>(
+                                                2, g.num_edges()))) {
+      mask.fail_edge(static_cast<EdgeId>(e));
+    }
+    if (g.num_nodes() > 4) {
+      mask.fail_node(static_cast<NodeId>(g.num_nodes() - 1));
+    }
+    check_producers(g, sources, mask, c.name);
+  }
+}
+
+TEST(NodeWord, EveryProducerMatchesTheReferenceOnIspAndAs) {
+  Rng topo_rng(11);
+  const Graph isp = topo::make_isp_like(topo_rng);
+  Rng as_rng(12);
+  const Graph as = topo::make_as_like(as_rng);
+  Rng rng(43);
+  for (const auto& [g, name, count] :
+       {std::tuple<const Graph&, const char*, std::size_t>{isp, "isp", 4},
+        std::tuple<const Graph&, const char*, std::size_t>{as, "as", 2}}) {
+    std::vector<NodeId> sources;
+    while (sources.size() < count) {
+      sources.push_back(static_cast<NodeId>(rng.below(g.num_nodes())));
+    }
+    // Links of the first source's tree near the source, so the masked
+    // trees differ from the unfailed ones and repair does real work.
+    const ShortestPathTree first = shortest_tree(
+        g, sources[0], FailureMask::none(),
+        padded(Metric::Hops, TiebreakPolicy::Arbitrary));
+    FailureMask mask;
+    for (const graph::Arc& a : g.arcs(sources[0])) {
+      if (first.parent_edge(a.to) == a.edge) {
+        mask.fail_edge(a.edge);
+        break;
+      }
+    }
+    mask.fail_edge(static_cast<EdgeId>(rng.below(g.num_edges())));
+    check_producers(g, sources, mask, name);
+  }
+}
+
+TEST(NodeWord, TiesClearTheUniqueBitBelowThem) {
+  // A diamond 0 -> {1, 2} -> 3 with a tail 3 - 4: unpadded weighted, node 3
+  // has two achievers, so 3 and 4 are not unique while 0, 1 and 2 are.
+  graph::GraphBuilder b(5);
+  b.add_edge(0, 1);
+  b.add_edge(0, 2);
+  b.add_edge(1, 3);
+  b.add_edge(2, 3);
+  b.add_edge(3, 4);
+  const Graph g = b.build();
+  const ShortestPathTree tree =
+      shortest_tree(g, 0, {}, SpfOptions{.metric = Metric::Weighted});
+  EXPECT_TRUE(tree.unique(0));
+  EXPECT_TRUE(tree.unique(1));
+  EXPECT_TRUE(tree.unique(2));
+  EXPECT_FALSE(tree.unique(3));
+  EXPECT_FALSE(tree.unique(4));
+  // Subtree arcs: the whole graph's 10 arcs at the root; 3's subtree is
+  // {3, 4}, degrees 3 and 1.
+  EXPECT_EQ(tree.subtree_arcs(0), 10u);
+  EXPECT_EQ(tree.subtree_arcs(3), 4u);
+  EXPECT_EQ(tree.subtree_arcs(4), 1u);
+  // Padding breaks the tie, so every node is unique.
+  const ShortestPathTree padded_tree = shortest_tree(
+      g, 0, {}, padded(Metric::Weighted, TiebreakPolicy::Arbitrary));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_TRUE(padded_tree.unique(v));
+  // Failing one side of the diamond makes the other the only route.
+  SpfWorkspace ws;
+  const ShortestPathTree repaired =
+      repair_tree(g, tree, FailureMask::of_edges({2}),
+                  SpfOptions{.metric = Metric::Weighted}, ws);
+  EXPECT_TRUE(repaired.unique(3));
+  EXPECT_TRUE(repaired.unique(4));
+}
+
+TEST(NodeWord, HopsAreCountedFromTheParentChain) {
+  const Graph g = topo::make_ring(9);
+  const ShortestPathTree tree =
+      shortest_tree(g, 0, {}, padded(Metric::Hops, TiebreakPolicy::Arbitrary));
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(tree.hops(v), tree.path_to(g, v).hops()) << "v=" << v;
+    EXPECT_EQ(tree.hops(v), std::min<NodeId>(v, 9 - v)) << "v=" << v;
+  }
 }
 
 }  // namespace
