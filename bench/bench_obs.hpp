@@ -67,12 +67,6 @@ struct ObsCli {
       }
     }
     if (!check.empty()) {
-      if (!obs::kObsEnabled) {
-        // Disabled builds record nothing by design; checking would always
-        // fail, so the guard is meaningful only in instrumented builds.
-        std::cerr << "obs-check: skipped (built with RBPC_OBS_DISABLED)\n";
-        return rc;
-      }
       std::stringstream names(check);
       std::string name;
       while (std::getline(names, name, ',')) {

@@ -140,10 +140,11 @@ int main(int argc, char** argv) {
   if (total_violations > 0) {
     if (!flight_dump.empty()) {
       // The drill engine has no RestorationService (no per-worker rings),
-      // so the dump carries the trace tail and the reason — enough to see
-      // which spans ran leading up to the violation.
-      obs::write_flight_dump(
-          flight_dump, nullptr,
+      // so an empty recorder's dump carries no records, only the trace tail
+      // and the reason — enough to see which spans ran leading up to the
+      // violation.
+      obs::FlightRecorder(1, 1).dump_to_file(
+          flight_dump,
           "chaos acceptance matrix: " + std::to_string(total_violations) +
               " invariant violations");
     }

@@ -556,12 +556,10 @@ BENCHMARK(BM_MinCostBypass);
 
 // --- Observability overhead ------------------------------------------------
 //
-// Quantify the cost of the instrumentation itself. The Disabled variants
-// compile to (nearly) nothing under RBPC_OBS_DISABLED; compare the two
-// builds to verify the kill switch:
+// Quantify the always-on cost of the instrumentation itself (every build
+// compiles it in):
 //
-//   cmake -B build-noobs -DRBPC_OBS_DISABLED=ON -DCMAKE_BUILD_TYPE=Release
-//   build-noobs/bench/micro_perf --benchmark_filter='Obs|Dijkstra'
+//   build/bench/micro_perf --benchmark_filter='Obs|Dijkstra'
 //
 // ObsCounterAdd / ObsHistogramRecord / ObsSpan measure the primitives in a
 // tight loop (worst case: nothing else between increments); DijkstraIsp
@@ -602,37 +600,31 @@ void BM_RerouteRecordCapture(benchmark::State& state) {
   // The introspection plane's entire per-reroute cost in one loop: request
   // id, the eight stage stamps, the exemplar-carrying histogram record and
   // the seqlock publish into a flight-recorder ring — everything
-  // RestorationService::run_reroute adds per pass. Under RBPC_OBS_DISABLED
-  // the body compiles away (same if constexpr gate as the service), so the
-  // disabled build measures an empty loop. CI gates this against
+  // RestorationService adds per pass. CI gates this against
   // BM_SourceRbpcRestore: capture must stay under 5% of a restore.
   static obs::FlightRecorder recorder(1, 64);
   static obs::Histogram latency =
       obs::MetricsRegistry::global().histogram("bench.capture.latency");
   for (auto _ : state) {
-    if constexpr (obs::kObsEnabled) {
-      obs::RerouteRecord rec;
-      rec.request_id = obs::next_request_id();
-      rec.enqueue_ns = obs::now_ns();
-      rec.start_ns = obs::now_ns();
-      rec.snapshot_ns = obs::now_ns();
-      rec.spf_ns = obs::now_ns();
-      rec.decompose_ns = obs::now_ns();
-      rec.install_ns = obs::now_ns();
-      rec.done_ns = obs::now_ns();
-      rec.demand = 1;
-      rec.src = 2;
-      rec.dst = 3;
-      rec.snapshot_version = 4;
-      rec.rung = static_cast<std::uint8_t>(obs::Rung::kRepaired);
-      rec.flags = obs::kFlagInstalled;
-      latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
-                                   rec.request_id);
-      recorder.publish(0, rec);
-      benchmark::DoNotOptimize(rec);
-    } else {
-      benchmark::ClobberMemory();
-    }
+    obs::RerouteRecord rec;
+    rec.request_id = obs::next_request_id();
+    rec.enqueue_ns = obs::now_ns();
+    rec.start_ns = obs::now_ns();
+    rec.snapshot_ns = obs::now_ns();
+    rec.spf_ns = obs::now_ns();
+    rec.decompose_ns = obs::now_ns();
+    rec.install_ns = obs::now_ns();
+    rec.done_ns = obs::now_ns();
+    rec.demand = 1;
+    rec.src = 2;
+    rec.dst = 3;
+    rec.snapshot_version = 4;
+    rec.rung = static_cast<std::uint8_t>(obs::Rung::kRepaired);
+    rec.flags = obs::kFlagInstalled;
+    latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
+                                 rec.request_id);
+    recorder.publish(0, rec);
+    benchmark::DoNotOptimize(rec);
   }
 }
 BENCHMARK(BM_RerouteRecordCapture);
@@ -673,21 +665,17 @@ void BM_ArenaRestoreTracedZeroAlloc(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const Case& c = cases[i++ % cases.size()];
-    if constexpr (obs::kObsEnabled) {
-      obs::RerouteRecord rec;
-      rec.request_id = obs::next_request_id();
-      rec.start_ns = obs::now_ns();
-      core::source_rbpc_restore_into(base, c.s, c.t, c.mask, scratch);
-      rec.done_ns = obs::now_ns();
-      rec.src = c.s;
-      rec.dst = c.t;
-      rec.rung = static_cast<std::uint8_t>(obs::Rung::kCached);
-      latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
-                                   rec.request_id);
-      recorder.publish(0, rec);
-    } else {
-      core::source_rbpc_restore_into(base, c.s, c.t, c.mask, scratch);
-    }
+    obs::RerouteRecord rec;
+    rec.request_id = obs::next_request_id();
+    rec.start_ns = obs::now_ns();
+    core::source_rbpc_restore_into(base, c.s, c.t, c.mask, scratch);
+    rec.done_ns = obs::now_ns();
+    rec.src = c.s;
+    rec.dst = c.t;
+    rec.rung = static_cast<std::uint8_t>(obs::Rung::kCached);
+    latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
+                                 rec.request_id);
+    recorder.publish(0, rec);
     benchmark::DoNotOptimize(scratch.backup);
   }
   gate_zero_allocs(state, heap_allocs() - before,

@@ -26,19 +26,6 @@ namespace {
 
 constexpr SimTime kInf = std::numeric_limits<SimTime>::infinity();
 
-/// Reconstructs the traversed cost from a forwarding trace (min-weight edge
-/// between consecutive routers; exact on simple graphs).
-Weight trace_cost(const graph::Graph& g, const std::vector<NodeId>& trace,
-                  spf::Metric metric) {
-  Weight total = 0;
-  for (std::size_t i = 0; i + 1 < trace.size(); ++i) {
-    const auto e = g.find_edge(trace[i], trace[i + 1]);
-    RBPC_ASSERT(e.has_value());
-    total += spf::metric_weight(g, *e, metric);
-  }
-  return total;
-}
-
 std::string fmt(SimTime t) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(3) << t;
@@ -352,7 +339,7 @@ ChaosReport run_chaos_drill(const graph::Graph& g, spf::Metric metric,
         violate_post(ctx + ": delivered off a forwarding loop");
       }
       if (!report.partitioned && config.check_optimality) {
-        const Weight got = trace_cost(g, r.trace, metric);
+        const Weight got = core::trace_cost(g, r.trace, metric);
         if (got != want) {
           violate_post(ctx + ": route cost " + std::to_string(got) +
                        " != optimal " + std::to_string(want));
@@ -367,40 +354,38 @@ ChaosReport run_chaos_drill(const graph::Graph& g, spf::Metric metric,
   report.lsa_duplicates = vantage_lsdb.duplicates_discarded();
   report.lsa_stale = vantage_lsdb.stale_discarded();
 
-  if constexpr (obs::kObsEnabled) {
-    // One flush per drill, mirroring core/drill's convention.
-    static obs::Counter events =
-        obs::MetricsRegistry::global().counter("chaos.events");
-    static obs::Counter transitions_c =
-        obs::MetricsRegistry::global().counter("chaos.transitions");
-    static obs::Counter probes =
-        obs::MetricsRegistry::global().counter("chaos.probes");
-    static obs::Counter applied =
-        obs::MetricsRegistry::global().counter("chaos.lsa.applied");
-    static obs::Counter lost =
-        obs::MetricsRegistry::global().counter("chaos.lsa.lost");
-    static obs::Counter missed =
-        obs::MetricsRegistry::global().counter("chaos.lsa.missed");
-    static obs::Counter cancelled =
-        obs::MetricsRegistry::global().counter("chaos.lsa.cancelled");
-    static obs::Counter loops =
-        obs::MetricsRegistry::global().counter("chaos.loops");
-    static obs::Counter retries =
-        obs::MetricsRegistry::global().counter("chaos.retries");
-    static obs::Counter violations =
-        obs::MetricsRegistry::global().counter("chaos.violations");
-    events.add(report.events);
-    transitions_c.add(report.transitions);
-    probes.add(report.probes);
-    applied.add(report.lsa_applied);
-    lost.add(report.lsa_lost);
-    missed.add(report.lsa_missed);
-    cancelled.add(report.lsa_cancelled);
-    loops.add(report.loops);
-    retries.add(report.retries);
-    violations.add(report.during_violations.size() +
-                   report.post_violations.size());
-  }
+  // One flush per drill, mirroring core/drill's convention.
+  static obs::Counter events =
+      obs::MetricsRegistry::global().counter("chaos.events");
+  static obs::Counter transitions_c =
+      obs::MetricsRegistry::global().counter("chaos.transitions");
+  static obs::Counter probes =
+      obs::MetricsRegistry::global().counter("chaos.probes");
+  static obs::Counter applied =
+      obs::MetricsRegistry::global().counter("chaos.lsa.applied");
+  static obs::Counter lost =
+      obs::MetricsRegistry::global().counter("chaos.lsa.lost");
+  static obs::Counter missed =
+      obs::MetricsRegistry::global().counter("chaos.lsa.missed");
+  static obs::Counter cancelled =
+      obs::MetricsRegistry::global().counter("chaos.lsa.cancelled");
+  static obs::Counter loops =
+      obs::MetricsRegistry::global().counter("chaos.loops");
+  static obs::Counter retries =
+      obs::MetricsRegistry::global().counter("chaos.retries");
+  static obs::Counter violations =
+      obs::MetricsRegistry::global().counter("chaos.violations");
+  events.add(report.events);
+  transitions_c.add(report.transitions);
+  probes.add(report.probes);
+  applied.add(report.lsa_applied);
+  lost.add(report.lsa_lost);
+  missed.add(report.lsa_missed);
+  cancelled.add(report.lsa_cancelled);
+  loops.add(report.loops);
+  retries.add(report.retries);
+  violations.add(report.during_violations.size() +
+                 report.post_violations.size());
   return report;
 }
 

@@ -55,9 +55,7 @@ std::vector<Restoration> BatchRestorer::restore_all(
 
   std::vector<Restoration> results(jobs.size());
   pool_.parallel_for(jobs.size(), [&](std::size_t i) {
-    if constexpr (obs::kObsEnabled) {
-      queue_wait.record((obs::now_ns() - dispatched_ns) / 1000);
-    }
+    queue_wait.record((obs::now_ns() - dispatched_ns) / 1000);
     RBPC_TRACE_SPAN("batch.job");
     const RestoreJob& job = jobs[i];
     Restoration r;

@@ -316,8 +316,8 @@ void RbpcController::splice(EdgeId e, NodeId at, Label in_label, LspId lsp,
 }
 
 std::vector<Label> RbpcController::end_route_stack(NodeId from, NodeId to) {
-  const Path tail = spf::shortest_path(
-      g_, from, to, mask_, spf::SpfOptions{.metric = metric_, .padded = true});
+  Path tail;
+  trees_.route(from, to, mask_.failed_edges(), mask_.failed_nodes(), tail);
   if (tail.empty()) return {};
   return push_stack(greedy_decompose(base_, tail));
 }

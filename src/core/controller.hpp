@@ -232,7 +232,8 @@ class RbpcController {
               mpls::LspId lsp, std::vector<mpls::Label> push);
 
   /// Bottom-first end-route stack from `from` to `to` under the current
-  /// mask; empty when `to` is unreachable.
+  /// mask, the route taken from trees_'s ladder like every other reroute;
+  /// empty when `to` is unreachable.
   std::vector<mpls::Label> end_route_stack(graph::NodeId from,
                                            graph::NodeId to);
 };

@@ -67,13 +67,11 @@ void greedy_cover(BasePathSet& base, graph::PathView route, Emit&& emit) {
     emit(pos, to, is_base);
     pos = to;
   }
-  if constexpr (obs::kObsEnabled) {
-    // Concatenation length — the paper's figure of merit (pieces per
-    // restored route).
-    static obs::Histogram histogram =
-        obs::MetricsRegistry::global().histogram("decompose.pieces");
-    histogram.record(pieces);
-  }
+  // Concatenation length — the paper's figure of merit (pieces per
+  // restored route).
+  static obs::Histogram histogram =
+      obs::MetricsRegistry::global().histogram("decompose.pieces");
+  histogram.record(pieces);
 }
 
 }  // namespace

@@ -15,10 +15,6 @@ using graph::EdgeId;
 using graph::NodeId;
 using graph::Weight;
 
-namespace {
-
-/// Reconstructs the traversed cost from a forwarding trace (min-weight edge
-/// between consecutive routers; exact on simple graphs).
 Weight trace_cost(const graph::Graph& g, const std::vector<NodeId>& trace,
                   spf::Metric metric) {
   Weight total = 0;
@@ -29,8 +25,6 @@ Weight trace_cost(const graph::Graph& g, const std::vector<NodeId>& trace,
   }
   return total;
 }
-
-}  // namespace
 
 DrillReport run_failure_drill(const graph::Graph& g, spf::Metric metric,
                               const DrillActions& actions,
@@ -168,19 +162,17 @@ DrillReport run_failure_drill(const graph::Graph& g, spf::Metric metric,
 
     if (batch) batch_cross_check(step);
   }
-  if constexpr (obs::kObsEnabled) {
-    // One flush per drill: the drill is a test harness, so per-step striped
-    // adds would only add noise to the metrics it is checking.
-    static obs::Counter events =
-        obs::MetricsRegistry::global().counter("drill.events");
-    static obs::Counter probes =
-        obs::MetricsRegistry::global().counter("drill.probes");
-    static obs::Counter violations =
-        obs::MetricsRegistry::global().counter("drill.violations");
-    events.add(report.events);
-    probes.add(report.probes);
-    violations.add(report.violations.size());
-  }
+  // One flush per drill: the drill is a test harness, so per-step striped
+  // adds would only add noise to the metrics it is checking.
+  static obs::Counter events =
+      obs::MetricsRegistry::global().counter("drill.events");
+  static obs::Counter probes =
+      obs::MetricsRegistry::global().counter("drill.probes");
+  static obs::Counter violations =
+      obs::MetricsRegistry::global().counter("drill.violations");
+  events.add(report.events);
+  probes.add(report.probes);
+  violations.add(report.violations.size());
   return report;
 }
 

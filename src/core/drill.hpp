@@ -76,6 +76,12 @@ struct DrillReport {
   bool ok() const { return violations.empty(); }
 };
 
+/// Reconstructs the traversed cost from a forwarding trace (min-weight edge
+/// between consecutive routers; exact on simple graphs).
+graph::Weight trace_cost(const graph::Graph& g,
+                         const std::vector<graph::NodeId>& trace,
+                         spf::Metric metric);
+
 /// Runs the drill. Throws nothing on invariant violations — they are
 /// reported so tests can print them all.
 DrillReport run_failure_drill(const graph::Graph& g, spf::Metric metric,

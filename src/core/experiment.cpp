@@ -9,12 +9,10 @@
 #include "spf/bypass.hpp"
 #include "spf/counting.hpp"
 #include "spf/oracle.hpp"
-#include "graph/analysis.hpp"
 #include "spf/spf.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rbpc::core {
 
@@ -41,6 +39,10 @@ std::uint64_t mix_router(std::uint64_t piece_hash, NodeId router) {
   return splitmix64(s);
 }
 
+/// SPF-tree cache bound of the storm's membership oracle (memory control
+/// on the large topologies).
+constexpr std::size_t kStormOracleCacheCap = 128;
+
 /// The three base-set flavors over one shared unfailed-network oracle, with
 /// selection by BaseSetKind (shared by the Table-2 and storm engines).
 struct BaseSetBundle {
@@ -49,9 +51,8 @@ struct BaseSetBundle {
   AllPairsShortestBaseSet all_pairs;
   ExpandedBaseSet expanded;
 
-  BaseSetBundle(const graph::Graph& g, spf::Metric metric, std::size_t cap,
-                std::size_t byte_cap)
-      : oracle(g, graph::FailureMask{}, metric, cap, byte_cap),
+  BaseSetBundle(const graph::Graph& g, spf::Metric metric, std::size_t cap)
+      : oracle(g, graph::FailureMask{}, metric, cap),
         canonical(oracle),
         all_pairs(oracle),
         expanded(oracle) {}
@@ -79,29 +80,9 @@ Table2Row run_table2(const graph::Graph& g, FailureClass cls,
   // per pair ("One shortest path was chosen arbitrarily if several
   // existed") plus its subpaths — the canonical padded set realizes exactly
   // that. The other kinds serve the base-set ablation.
-  BaseSetBundle bundle(g, cfg.metric, cfg.oracle_cache_cap,
-                       cfg.oracle_cache_bytes);
+  BaseSetBundle bundle(g, cfg.metric, cfg.oracle_cache_cap);
   spf::DistanceOracle& oracle0 = bundle.oracle;
   BasePathSet& base = bundle.pick(cfg.base_set);
-
-  // Prefetch phase (performance only): replay the sample draws on a copy
-  // of the Rng to learn which sources this run will root its canonical
-  // LSPs at, and build those padded trees across the pool before the
-  // serial measured pass begins. The replay consumes no real draws and the
-  // cache contents never change any answer, so results are bit-identical
-  // with and without this phase — see the sharding test in test_arena.cpp.
-  if (cfg.threads != 1) {
-    const graph::Components comps = graph::connected_components(g);
-    Rng replay = rng;
-    std::vector<NodeId> sources;
-    sources.reserve(cfg.samples);
-    for (std::size_t s = 0; s < cfg.samples; ++s) {
-      Rng sample_rng = replay.fork();
-      sources.push_back(replay_sample_pair(g, comps, sample_rng).first);
-    }
-    ThreadPool pool(cfg.threads);
-    oracle0.prefetch(sources, /*padded=*/true, pool);
-  }
 
   Table2Row row;
   StatAccumulator pc_length;
@@ -192,25 +173,8 @@ StormResult run_storm(const graph::Graph& g, const StormConfig& cfg) {
   require(cfg.max_failed_links >= 1,
           "run_storm: need at least one failed link per event");
   Rng rng(cfg.seed);
-  BaseSetBundle bundle(g, cfg.metric, cfg.oracle_cache_cap,
-                       cfg.oracle_cache_bytes);
+  BaseSetBundle bundle(g, cfg.metric, kStormOracleCacheCap);
   BasePathSet& base = bundle.pick(cfg.base_set);
-
-  // Prefetch the provisioning sources' padded trees in parallel (cf.
-  // run_table2 — replay, then prefetch; provisioned pairs and results stay
-  // bit-identical for every thread count).
-  if (cfg.threads != 1) {
-    const graph::Components comps = graph::connected_components(g);
-    Rng replay = rng;
-    std::vector<NodeId> sources;
-    sources.reserve(cfg.provisioned);
-    for (std::size_t i = 0; i < cfg.provisioned; ++i) {
-      Rng sample_rng = replay.fork();
-      sources.push_back(replay_sample_pair(g, comps, sample_rng).first);
-    }
-    ThreadPool pool(cfg.threads);
-    bundle.oracle.prefetch(sources, /*padded=*/true, pool);
-  }
 
   // Provision the LSP pool. Pairs may repeat sources — exactly the sharing
   // the batch engine's per-source tree cache exploits.

@@ -34,18 +34,9 @@ struct Table2Config {
   /// Cap on two-failure combinations derived from one sampled LSP.
   std::size_t max_cases_per_sample = 64;
   /// SPF-tree cache bound inside the oracle (memory control on the 40k-node
-  /// topology); 0 = unlimited.
+  /// topology); 0 = unlimited. Caches never influence output, only
+  /// wall-clock: the run is one serial pass over the sampled pairs.
   std::size_t oracle_cache_cap = 128;
-  /// Byte-based cache bound (cf. DistanceOracle); 0 = unlimited. The count
-  /// cap above stays for compatibility; at million-node scale set this one.
-  std::size_t oracle_cache_bytes = 0;
-  /// Worker threads for the tree-prefetch phase (0 = hardware concurrency,
-  /// 1 = fully serial). Sampled pairs and all results are bit-identical for
-  /// every thread count: the run replays the sample draws up front
-  /// (replay_sample_pair), prefetches the sampled sources' trees across the
-  /// pool, and then executes the measured pass unchanged — caches never
-  /// influence output, only wall-clock.
-  std::size_t threads = 1;
 };
 
 struct Table2Row {
@@ -86,10 +77,6 @@ struct StormConfig {
   BaseSetKind base_set = BaseSetKind::Canonical;
   /// Batch engine worker threads (0 = hardware concurrency).
   std::size_t threads = 1;
-  /// SPF-tree cache bound inside the membership oracle (cf. Table2Config).
-  std::size_t oracle_cache_cap = 128;
-  /// Byte-based cache bound (cf. Table2Config); 0 = unlimited.
-  std::size_t oracle_cache_bytes = 0;
 };
 
 struct StormResult {

@@ -39,23 +39,6 @@ SamplePair sample_pair(spf::DistanceOracle& oracle, Rng& rng) {
   throw NoRouteError("sample_pair: could not find a connected pair");
 }
 
-std::pair<NodeId, NodeId> replay_sample_pair(const graph::Graph& g,
-                                             const graph::Components& comps,
-                                             Rng& rng) {
-  require(g.num_nodes() >= 2, "sample_pair: need at least two routers");
-  constexpr int kMaxAttempts = 10000;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    // No mask draws to mirror: sample_pair's node_alive checks consume no
-    // randomness, and an unfailed oracle passes them for every node.
-    if (!comps.same_component(s, t)) continue;  // lsp would be empty
-    return {s, t};
-  }
-  throw NoRouteError("sample_pair: could not find a connected pair");
-}
-
 namespace {
 
 template <typename T>

@@ -6,7 +6,6 @@
 
 #include <vector>
 
-#include "graph/analysis.hpp"
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
 #include "graph/path.hpp"
@@ -42,18 +41,6 @@ struct SamplePair {
 /// LSP. Throws NoRouteError after too many failed attempts (graph too
 /// fragmented).
 SamplePair sample_pair(spf::DistanceOracle& oracle, Rng& rng);
-
-/// Replays sample_pair's draw sequence without touching an oracle: consumes
-/// the identical Rng draws and returns the (src, dst) pair sample_pair
-/// would accept. Connectivity is answered from `comps` — on the unfailed
-/// network, canonical_path(s, t) is empty exactly when s and t sit in
-/// different components, so the replay accepts and rejects the very same
-/// draws. Only valid for oracles carrying no failures (the experiment
-/// engines' case). Used to pre-discover the sources a sampling phase will
-/// touch so their SPF trees can be prefetched in parallel; the replay can
-/// never change which pairs the real pass draws.
-std::pair<graph::NodeId, graph::NodeId> replay_sample_pair(
-    const graph::Graph& g, const graph::Components& comps, Rng& rng);
 
 /// All failure cases of class `cls` derived from the pair's LSP:
 ///  - OneLink:    each link of the LSP individually;

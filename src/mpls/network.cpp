@@ -270,19 +270,15 @@ ForwardResult Network::forward_loop(Packet& pkt) {
     }
     if (status == ForwardStatus::UnknownLabel) {
       ++stats_.label_misses;
-      if constexpr (obs::kObsEnabled) {
-        static obs::Counter misses =
-            obs::MetricsRegistry::global().counter("mpls.label_miss");
-        misses.inc();
-      }
+      static obs::Counter misses =
+          obs::MetricsRegistry::global().counter("mpls.label_miss");
+      misses.inc();
     }
     if (status == ForwardStatus::TtlExpired) {
       ++stats_.ttl_expired;
-      if constexpr (obs::kObsEnabled) {
-        static obs::Counter expired =
-            obs::MetricsRegistry::global().counter("mpls.ttl_expired");
-        expired.inc();
-      }
+      static obs::Counter expired =
+          obs::MetricsRegistry::global().counter("mpls.ttl_expired");
+      expired.inc();
     }
     stats_.link_hops += r.hops;
     return r;
@@ -320,11 +316,9 @@ ForwardResult Network::forward_loop(Packet& pkt) {
       if (std::find(seen.begin(), seen.end(), state) != seen.end()) {
         looped = true;
         ++stats_.loops_detected;
-        if constexpr (obs::kObsEnabled) {
-          static obs::Counter loops =
-              obs::MetricsRegistry::global().counter("mpls.loop_detected");
-          loops.inc();
-        }
+        static obs::Counter loops =
+            obs::MetricsRegistry::global().counter("mpls.loop_detected");
+        loops.inc();
       } else {
         seen.push_back(state);
       }

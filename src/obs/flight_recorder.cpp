@@ -140,24 +140,13 @@ void append_trace_tail_json(std::ostringstream& os) {
   os << (events.empty() ? "" : "\n  ") << "]";
 }
 
-void append_json_escaped(std::ostringstream& os, std::string_view s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    if (c == '\n') {
-      os << "\\n";
-      continue;
-    }
-    os << c;
-  }
-}
-
 }  // namespace
 
 std::string FlightRecorder::dump_json(std::string_view reason) const {
   const std::vector<RerouteRecord> records = collect();
   std::ostringstream os;
   os << "{\n  \"reason\": \"";
-  append_json_escaped(os, reason);
+  detail::append_json_escaped(os, reason);
   os << "\",\n  \"published\": " << published()
      << ",\n  \"torn_reads\": " << torn_reads() << ",\n  \"records\": [";
   for (std::size_t i = 0; i < records.size(); ++i) {
@@ -174,25 +163,6 @@ bool FlightRecorder::dump_to_file(const std::string& path,
                                   std::string_view reason) const {
   std::ofstream out(path);
   out << dump_json(reason);
-  if (!out) {
-    std::cerr << "flight recorder: failed to write dump to " << path << "\n";
-    return false;
-  }
-  std::cerr << "flight recorder: wrote dump to " << path << "\n";
-  return true;
-}
-
-bool write_flight_dump(const std::string& path, const FlightRecorder* recorder,
-                       std::string_view reason) {
-  if (recorder != nullptr) return recorder->dump_to_file(path, reason);
-  std::ostringstream os;
-  os << "{\n  \"reason\": \"";
-  append_json_escaped(os, reason);
-  os << "\",\n  \"records\": [],\n";
-  append_trace_tail_json(os);
-  os << "\n}\n";
-  std::ofstream out(path);
-  out << os.str();
   if (!out) {
     std::cerr << "flight recorder: failed to write dump to " << path << "\n";
     return false;

@@ -98,11 +98,4 @@ class FlightRecorder {
   mutable std::atomic<std::uint64_t> torn_{0};
 };
 
-/// Writes a flight dump to `path` even without a recorder: the records
-/// section comes from `recorder` when non-null, and the trace tail /
-/// reason are always included. Used by benches (chaos_drill has no
-/// service) to ship evidence with a red run. Returns false on I/O failure.
-bool write_flight_dump(const std::string& path, const FlightRecorder* recorder,
-                       std::string_view reason);
-
 }  // namespace rbpc::obs

@@ -45,14 +45,10 @@ void HistogramCells::reset() {
 }  // namespace detail
 
 void Gauge::set_max(std::int64_t v) {
-  if constexpr (kObsEnabled) {
-    if (cell_ == nullptr) return;
-    std::int64_t cur = cell_->value.load(std::memory_order_relaxed);
-    while (v > cur && !cell_->value.compare_exchange_weak(
-                          cur, v, std::memory_order_relaxed)) {
-    }
-  } else {
-    (void)v;
+  if (cell_ == nullptr) return;
+  std::int64_t cur = cell_->value.load(std::memory_order_relaxed);
+  while (v > cur && !cell_->value.compare_exchange_weak(
+                        cur, v, std::memory_order_relaxed)) {
   }
 }
 
@@ -133,14 +129,22 @@ void MetricsRegistry::reset() {
   for (auto& [name, cells] : histograms_) cells->reset();
 }
 
-namespace {
+namespace detail {
 
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
+void append_json_escaped(std::ostringstream& os, std::string_view s) {
   for (const char c : s) {
     if (c == '"' || c == '\\') os << '\\';
+    if (c == '\n') {
+      os << "\\n";
+      continue;
+    }
     os << c;
   }
 }
+
+}  // namespace detail
+
+namespace {
 
 /// Highest nonempty bucket's upper bound (0 for empty histograms).
 std::uint64_t hist_max_bound(const LatencyHistogram& h) {
@@ -158,20 +162,20 @@ std::string MetricsRegistry::Snapshot::to_json() const {
   os << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < counters.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    \"";
-    append_json_escaped(os, counters[i].name);
+    detail::append_json_escaped(os, counters[i].name);
     os << "\": " << counters[i].value;
   }
   os << (counters.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
   for (std::size_t i = 0; i < gauges.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    \"";
-    append_json_escaped(os, gauges[i].name);
+    detail::append_json_escaped(os, gauges[i].name);
     os << "\": " << gauges[i].value;
   }
   os << (gauges.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
     const LatencyHistogram& h = histograms[i].hist;
     os << (i == 0 ? "\n" : ",\n") << "    \"";
-    append_json_escaped(os, histograms[i].name);
+    detail::append_json_escaped(os, histograms[i].name);
     os << "\": {\"count\": " << h.count() << ", \"sum\": " << h.sum();
     if (!h.empty()) {
       os << ", \"mean\": " << h.mean() << ", \"p50\": " << h.quantile(0.5)

@@ -18,16 +18,15 @@
 // copyable and remain valid for the registry's lifetime; metrics are never
 // unregistered.
 //
-// Compile-time kill switch: building with -DRBPC_OBS_DISABLED (CMake
-// option RBPC_OBS_DISABLED) turns every increment/record into a no-op the
-// optimizer deletes, while the registration and export API stays intact so
-// callers need no #ifdefs. Use `if constexpr (obs::kObsEnabled)` to gate
-// larger instrumentation blocks out of hot loops.
+// Observability is always compiled in: an increment is one relaxed atomic
+// add on the thread's own stripe, and bench/micro_perf's BM_Obs* cases
+// measure that always-on cost.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -39,13 +38,9 @@
 
 namespace rbpc::obs {
 
-/// True unless the build compiled observability out (RBPC_OBS_DISABLED).
-inline constexpr bool kObsEnabled =
-#ifdef RBPC_OBS_DISABLED
-    false;
-#else
-    true;
-#endif
+/// Always true: every build records metrics and trace spans. Kept only so
+/// reports can state it.
+inline constexpr bool kObsEnabled = true;
 
 namespace detail {
 
@@ -56,6 +51,10 @@ inline constexpr std::size_t kStripes = 16;
 
 /// The calling thread's stripe, assigned round-robin on first use.
 std::size_t stripe_index();
+
+/// Writes `s` as the body of a JSON string literal, escaping '"', '\\' and
+/// newlines (the registry's and the flight recorder's JSON dumps).
+void append_json_escaped(std::ostringstream& os, std::string_view s);
 
 /// One cache line per stripe so increments on different stripes never
 /// false-share.
@@ -129,21 +128,13 @@ class Counter {
   Counter() = default;
 
   void add(std::uint64_t n = 1) {
-    if constexpr (kObsEnabled) {
-      if (cells_ != nullptr) cells_->add(n);
-    } else {
-      (void)n;
-    }
+    if (cells_ != nullptr) cells_->add(n);
   }
   void inc() { add(1); }
 
   /// Merged total across all stripes (exact once writers are quiesced).
   std::uint64_t value() const {
-    if constexpr (kObsEnabled) {
-      return cells_ != nullptr ? cells_->total() : 0;
-    } else {
-      return 0;
-    }
+    return cells_ != nullptr ? cells_->total() : 0;
   }
 
  private:
@@ -159,30 +150,18 @@ class Gauge {
   Gauge() = default;
 
   void set(std::int64_t v) {
-    if constexpr (kObsEnabled) {
-      if (cell_ != nullptr) cell_->value.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
+    if (cell_ != nullptr) cell_->value.store(v, std::memory_order_relaxed);
   }
   void add(std::int64_t delta) {
-    if constexpr (kObsEnabled) {
-      if (cell_ != nullptr)
-        cell_->value.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
-    }
+    if (cell_ != nullptr)
+      cell_->value.fetch_add(delta, std::memory_order_relaxed);
   }
   /// Records v if it exceeds the current value (monotone high-water mark).
   void set_max(std::int64_t v);
 
   std::int64_t value() const {
-    if constexpr (kObsEnabled) {
-      return cell_ != nullptr ? cell_->value.load(std::memory_order_relaxed)
-                              : 0;
-    } else {
-      return 0;
-    }
+    return cell_ != nullptr ? cell_->value.load(std::memory_order_relaxed)
+                            : 0;
   }
 
  private:
@@ -200,12 +179,7 @@ class Histogram {
   Histogram() = default;
 
   void record(std::uint64_t value, std::uint64_t weight = 1) {
-    if constexpr (kObsEnabled) {
-      if (cells_ != nullptr) cells_->record(value, weight);
-    } else {
-      (void)value;
-      (void)weight;
-    }
+    if (cells_ != nullptr) cells_->record(value, weight);
   }
 
   /// record() plus attaching `id` as the bucket's exemplar (the request id
@@ -213,25 +187,15 @@ class Histogram {
   /// obs/request_trace.hpp). id 0 records no exemplar.
   void record_with_exemplar(std::uint64_t value, std::uint64_t id,
                             std::uint64_t weight = 1) {
-    if constexpr (kObsEnabled) {
-      if (cells_ != nullptr) {
-        cells_->record(value, weight);
-        if (id != 0) cells_->record_exemplar(value, id);
-      }
-    } else {
-      (void)value;
-      (void)id;
-      (void)weight;
+    if (cells_ != nullptr) {
+      cells_->record(value, weight);
+      if (id != 0) cells_->record_exemplar(value, id);
     }
   }
 
   /// Merged snapshot across all stripes.
   LatencyHistogram snapshot() const {
-    if constexpr (kObsEnabled) {
-      return cells_ != nullptr ? cells_->snapshot() : LatencyHistogram{};
-    } else {
-      return LatencyHistogram{};
-    }
+    return cells_ != nullptr ? cells_->snapshot() : LatencyHistogram{};
   }
   std::uint64_t count() const { return snapshot().count(); }
 
@@ -319,8 +283,7 @@ class MetricsRegistry {
 /// their historical per-instance accessors as thin views while all counts
 /// flow through one registry. The local count is striped like the registry
 /// cells, so a hot per-instance counter (TreeCache hits) costs each thread
-/// an add on its own cache line; it always works, even when the build
-/// disables the registry mirror.
+/// an add on its own cache line.
 class InstanceCounter {
  public:
   explicit InstanceCounter(Counter global) : global_(global) {}

@@ -19,9 +19,6 @@
 // single-failure cut scan -> incremental repair -> scratch SPF -> explicit
 // no-route. A flight dump after a failed drill therefore shows not just how
 // slow each reroute was but how far it degraded and why.
-//
-// With RBPC_OBS_DISABLED the service compiles the capture out entirely
-// (~0 ns); this header stays included so the types remain nameable.
 #pragma once
 
 #include <atomic>
@@ -54,9 +51,11 @@ inline constexpr std::uint8_t kFlagRecovery = 1u << 2;
 /// One reroute's lifecycle. Plain trivially-copyable data: built on the
 /// worker's stack, published into the flight recorder by relaxed atomic
 /// word stores (see flight_recorder.hpp). A zero timestamp means the stage
-/// was never reached (e.g. decompose_ns stays 0 when the destination was
-/// unreachable). Timestamps are obs::now_ns() values from one steady
-/// clock, so cross-record ordering is meaningful.
+/// was never stamped; the service stamps every stage, so an unreachable
+/// destination's record has an empty decompose stage, not a zero stamp.
+/// Timestamps are obs::now_ns() values from one steady clock, so
+/// cross-record ordering is meaningful, and the service's svc.reroute /
+/// svc.spf / svc.decompose histograms are timed from them.
 struct RerouteRecord {
   std::uint64_t request_id = 0;  ///< process-unique, assigned at ingest
   std::uint64_t enqueue_ns = 0;  ///< enqueue_demand won the dedup CAS

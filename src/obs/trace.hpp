@@ -25,8 +25,7 @@
 // events whose [ts, ts+dur] ranges contain each other.
 //
 // Cost: ~two steady_clock reads plus one striped histogram record per span
-// when tracing is off, one short mutexed append more when it is on. With
-// RBPC_OBS_DISABLED the macro expands to nothing at all.
+// when tracing is off, one short mutexed append more when it is on.
 #pragma once
 
 #include <atomic>
@@ -119,15 +118,25 @@ class Tracer {
   std::uint32_t next_tid_ = 0;
 };
 
-/// One RBPC_TRACE_SPAN site: interns the span name and resolves the
-/// backing histogram once (function-local static in the macro expansion).
+/// One timed phase: interns the span name and resolves the backing
+/// histogram once (a function-local static in the RBPC_TRACE_SPAN
+/// expansion, or a member of an object that times its own stages).
 class SpanSite {
  public:
   explicit SpanSite(const char* name)
       : name_(name), hist_(MetricsRegistry::global().histogram(name)) {}
 
-  const char* name() const { return name_; }
-  Histogram& hist() { return hist_; }
+  /// Records one occurrence that ran over [start_ns, end_ns): its duration
+  /// into the histogram (microseconds) and, when tracing is enabled, a
+  /// trace event on the calling thread. SpanScope calls it at scope exit;
+  /// code that already stamps its stage boundaries calls it with those
+  /// stamps instead of reading the clock again.
+  void record(std::uint64_t start_ns, std::uint64_t end_ns) {
+    const std::uint64_t dur = end_ns - start_ns;
+    hist_.record(dur / 1000);
+    Tracer& tracer = Tracer::global();
+    if (tracer.enabled()) tracer.record(name_, start_ns, dur);
+  }
 
  private:
   const char* name_;
@@ -139,12 +148,7 @@ class SpanSite {
 class SpanScope {
  public:
   explicit SpanScope(SpanSite& site) : site_(&site), start_ns_(now_ns()) {}
-  ~SpanScope() {
-    const std::uint64_t dur = now_ns() - start_ns_;
-    site_->hist().record(dur / 1000);  // histograms are in microseconds
-    Tracer& tracer = Tracer::global();
-    if (tracer.enabled()) tracer.record(site_->name(), start_ns_, dur);
-  }
+  ~SpanScope() { site_->record(start_ns_, now_ns()); }
 
   SpanScope(const SpanScope&) = delete;
   SpanScope& operator=(const SpanScope&) = delete;
@@ -156,7 +160,6 @@ class SpanScope {
 
 }  // namespace rbpc::obs
 
-#ifndef RBPC_OBS_DISABLED
 #define RBPC_OBS_CONCAT_IMPL(a, b) a##b
 #define RBPC_OBS_CONCAT(a, b) RBPC_OBS_CONCAT_IMPL(a, b)
 /// Times the rest of the enclosing scope as the named phase. `name` must
@@ -168,6 +171,3 @@ class SpanScope {
   ::rbpc::obs::SpanScope RBPC_OBS_CONCAT(rbpc_span_scope_, __LINE__) {     \
     RBPC_OBS_CONCAT(rbpc_span_site_, __LINE__)                             \
   }
-#else
-#define RBPC_TRACE_SPAN(name) ((void)0)
-#endif

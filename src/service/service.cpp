@@ -610,15 +610,13 @@ void RestorationService::enqueue_demand(std::size_t d, std::uint8_t flags) {
                                          std::memory_order_seq_cst)) {
     return;  // already pending; its task will snapshot fresh state
   }
-  if constexpr (obs::kObsEnabled) {
-    // Winning the dedup CAS starts a new causal pass: assign its request id
-    // here so every stage downstream — queue, snapshot, SPF, decompose,
-    // install, revalidation — reports under one id. The worker that clears
-    // `queued` is the only reader, ordered through the flag.
-    st.request_id.store(obs::next_request_id(), std::memory_order_relaxed);
-    st.enqueue_ns.store(obs::now_ns(), std::memory_order_relaxed);
-    st.enqueue_flags.store(flags, std::memory_order_relaxed);
-  }
+  // Winning the dedup CAS starts a new causal pass: assign its request id
+  // here so every stage downstream — queue, snapshot, SPF, decompose,
+  // install, revalidation — reports under one id. The worker that clears
+  // `queued` is the only reader, ordered through the flag.
+  st.request_id.store(obs::next_request_id(), std::memory_order_relaxed);
+  st.enqueue_ns.store(obs::now_ns(), std::memory_order_relaxed);
+  st.enqueue_flags.store(flags, std::memory_order_relaxed);
   inflight_.fetch_add(1, std::memory_order_seq_cst);
   // The ring holds each queued demand at most once (this CAS is the only
   // way in, and only compute_reroute, after the pop, clears the flag), and
@@ -717,7 +715,6 @@ void RestorationService::record_failure(std::exception_ptr error) {
 
 void RestorationService::compute_reroute(std::size_t d, std::size_t worker,
                                          Pending& out) {
-  RBPC_TRACE_SPAN("svc.reroute");
   DemandState& st = demands_[d];
   out.demand = d;
   // The causal record for this pass rides in the group's reused storage —
@@ -725,16 +722,14 @@ void RestorationService::compute_reroute(std::size_t d, std::size_t worker,
   // *before* the dedup flag is cleared below: afterwards a fresh enqueue
   // may overwrite them.
   obs::RerouteRecord& rec = out.rec;
-  if constexpr (obs::kObsEnabled) {
-    rec.request_id = st.request_id.load(std::memory_order_relaxed);
-    rec.enqueue_ns = st.enqueue_ns.load(std::memory_order_relaxed);
-    rec.flags |= st.enqueue_flags.load(std::memory_order_relaxed);
-    rec.demand = static_cast<std::uint32_t>(d);
-    rec.src = st.src;
-    rec.dst = st.dst;
-    rec.worker = static_cast<std::uint32_t>(worker);
-    rec.start_ns = obs::now_ns();
-  }
+  rec.request_id = st.request_id.load(std::memory_order_relaxed);
+  rec.enqueue_ns = st.enqueue_ns.load(std::memory_order_relaxed);
+  rec.flags |= st.enqueue_flags.load(std::memory_order_relaxed);
+  rec.demand = static_cast<std::uint32_t>(d);
+  rec.src = st.src;
+  rec.dst = st.dst;
+  rec.worker = static_cast<std::uint32_t>(worker);
+  rec.start_ns = obs::now_ns();
 
   // Clear the dedup flag *before* snapshotting: an event applied after the
   // snapshot re-enqueues the demand rather than being swallowed.
@@ -743,37 +738,31 @@ void RestorationService::compute_reroute(std::size_t d, std::size_t worker,
   ShardedLsdb::Snapshot snap = lsdb_.snapshot();
   snapshots_.inc();
   out.version = snap.version();
-  if constexpr (obs::kObsEnabled) {
-    rec.snapshot_ns = obs::now_ns();
-    rec.snapshot_version = out.version;
-  }
+  rec.snapshot_ns = obs::now_ns();
+  rec.snapshot_version = out.version;
 
   obs::Rung rung = obs::Rung::kCached;
   // No link down: the route is the provisioned baseline (same unfailed
   // tree, same decomposition), which is immutable — share it.
   std::shared_ptr<core::Restoration> fresh;
-  if (snap.failed_edge_count() == 0) {
+  out.link_down = snap.failed_edge_count() != 0;
+  if (!out.link_down) {
     out.route = st.baseline;
   } else {
-    RBPC_TRACE_SPAN("svc.spf");
     fresh = std::make_shared<core::Restoration>();
     rung = pool_.route(st.src, st.dst, snap.failed_edges(), {}, fresh->backup);
   }
-  if constexpr (obs::kObsEnabled) rec.spf_ns = obs::now_ns();
+  rec.spf_ns = obs::now_ns();
   if (fresh != nullptr) {
     if (fresh->restored()) {
-      RBPC_TRACE_SPAN("svc.decompose");
       fresh->decomposition = core::greedy_decompose(base_, fresh->backup);
     }
     out.route = std::move(fresh);
   }
   const core::Restoration& r = *out.route;
   const bool reachable = r.restored();
-  if constexpr (obs::kObsEnabled) {
-    rec.decompose_ns = obs::now_ns();
-    rec.rung = static_cast<std::uint8_t>(reachable ? rung
-                                                   : obs::Rung::kNoRoute);
-  }
+  rec.decompose_ns = obs::now_ns();
+  rec.rung = static_cast<std::uint8_t>(reachable ? rung : obs::Rung::kNoRoute);
 
   // The WAL image is built here, outside the install lock; commit_group()
   // appends it only when the install won the stamp gate, so the WAL
@@ -822,27 +811,31 @@ void RestorationService::commit_group(CommitGroup& group) {
   // snapshots fresh state and usually installs the identical route. One
   // version read after the whole commit follows every install in it.
   const std::uint64_t version = lsdb_.version();
-  const std::uint64_t committed_ns = obs::kObsEnabled ? obs::now_ns() : 0;
+  const std::uint64_t committed_ns = obs::now_ns();
   for (Pending& p : group.items) {
     const bool stale = version != p.version;
     if (stale) {
       revalidations_.inc();
       enqueue_demand(p.demand);
     }
-    if constexpr (obs::kObsEnabled) {
-      obs::RerouteRecord& rec = p.rec;
-      if (p.installed) rec.flags |= obs::kFlagInstalled;
-      if (stale) rec.flags |= obs::kFlagRevalidated;
-      rec.group = static_cast<std::uint8_t>(group.items.size());
-      rec.install_ns = committed_ns;
-      rec.done_ns = obs::now_ns();
-      latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
-                                   rec.request_id);
-      flight_.publish(rec.worker, rec);
-      if (rec.rung == static_cast<std::uint8_t>(obs::Rung::kNoRoute)) {
-        maybe_dump_flight("degradation ladder: no-route install");
-      }
+    obs::RerouteRecord& rec = p.rec;
+    const bool no_route =
+        rec.rung == static_cast<std::uint8_t>(obs::Rung::kNoRoute);
+    // The compute stages, timed from the record's own stamps.
+    reroute_span_.record(rec.start_ns, rec.decompose_ns);
+    if (p.link_down) {
+      spf_span_.record(rec.snapshot_ns, rec.spf_ns);
+      if (!no_route) decompose_span_.record(rec.spf_ns, rec.decompose_ns);
     }
+    if (p.installed) rec.flags |= obs::kFlagInstalled;
+    if (stale) rec.flags |= obs::kFlagRevalidated;
+    rec.group = static_cast<std::uint8_t>(group.items.size());
+    rec.install_ns = committed_ns;
+    rec.done_ns = obs::now_ns();
+    latency.record_with_exemplar((rec.done_ns - rec.start_ns) / 1000,
+                                 rec.request_id);
+    flight_.publish(rec.worker, rec);
+    if (no_route) maybe_dump_flight("degradation ladder: no-route install");
   }
   group.items.clear();  // frees the replaced routes, outside every lock
 }

@@ -73,6 +73,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
+#include "obs/trace.hpp"
 #include "persist/io.hpp"
 #include "persist/store.hpp"
 #include "service/mpmc_queue.hpp"
@@ -254,8 +255,8 @@ class RestorationService {
   /// flag a silent worker.
   std::uint64_t worker_heartbeat_ns(std::size_t w) const;
 
-  /// The service's flight recorder (always present; rings are only written
-  /// when the obs plane is compiled in).
+  /// The service's flight recorder: every reroute's record lands in its
+  /// worker's ring.
   const obs::FlightRecorder& flight_recorder() const { return flight_; }
   /// The bound scrape port, or 0 when serve_metrics is off.
   std::uint16_t metrics_port() const;
@@ -300,6 +301,9 @@ class RestorationService {
     RouteRef route;
     persist::WalRecord wal;  ///< the install's WAL image (persistence on)
     bool installed = false;
+    /// The snapshot had a link down, so the route was computed (and
+    /// svc.spf timed) rather than shared from the baseline.
+    bool link_down = false;
     obs::RerouteRecord rec;
   };
   /// A worker's uncommitted reroutes (worker-local; storage is reused).
@@ -445,6 +449,11 @@ class RestorationService {
   obs::InstanceCounter snapshots_;
   obs::Gauge no_route_g_;  ///< mirrors no_route_count_ (set under routes_mu_)
   obs::Gauge dirty_g_;     ///< svc.dirty, mirrors dirty_.size() (ditto)
+  /// Compute-stage timers (svc.reroute / svc.spf / svc.decompose), fed by
+  /// commit_group() from each RerouteRecord's stamps.
+  obs::SpanSite reroute_span_{"svc.reroute"};
+  obs::SpanSite spf_span_{"svc.spf"};
+  obs::SpanSite decompose_span_{"svc.decompose"};
 
   obs::FlightRecorder flight_;
   std::atomic<bool> escalation_dumped_{false};

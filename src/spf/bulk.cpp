@@ -12,11 +12,9 @@ void build_trees(const graph::Graph& g, std::span<const graph::NodeId> sources,
           "build_trees: one output slot per source required");
   require(options.stop_at == graph::kInvalidNode,
           "build_trees: bulk builds are for full trees only");
-  if constexpr (obs::kObsEnabled) {
-    static obs::Counter bulk_sources =
-        obs::MetricsRegistry::global().counter("spf.bulk.sources");
-    bulk_sources.add(sources.size());
-  }
+  static obs::Counter bulk_sources =
+      obs::MetricsRegistry::global().counter("spf.bulk.sources");
+  bulk_sources.add(sources.size());
   pool.parallel_for(sources.size(), [&](std::size_t i) {
     shortest_tree_into(g, sources[i], mask, options, thread_workspace(),
                        trees[i]);

@@ -148,26 +148,24 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
           "repair_tree: base tree does not match the graph");
 
   const auto finish = [&](RepairKind kind, std::size_t orphaned) {
-    if constexpr (obs::kObsEnabled) {
-      // Repair outcome mix (identity : local repair : full fallback) and
-      // orphan-region sizes — the fallback-to-full rate and the paper's
-      // damage-proportionality claim in two metrics.
-      static obs::Counter identities =
-          obs::MetricsRegistry::global().counter("repair.identity");
-      static obs::Counter locals =
-          obs::MetricsRegistry::global().counter("repair.local");
-      static obs::Counter fallbacks =
-          obs::MetricsRegistry::global().counter("repair.scratch_fallback");
-      static obs::Histogram orphan_sizes =
-          obs::MetricsRegistry::global().histogram("spf.repair.orphaned");
-      switch (kind) {
-        case RepairKind::kIdentity: identities.inc(); break;
-        case RepairKind::kRepaired:
-          locals.inc();
-          orphan_sizes.record(orphaned);
-          break;
-        case RepairKind::kScratch: fallbacks.inc(); break;
-      }
+    // Repair outcome mix (identity : local repair : full fallback) and
+    // orphan-region sizes — the fallback-to-full rate and the paper's
+    // damage-proportionality claim in two metrics.
+    static obs::Counter identities =
+        obs::MetricsRegistry::global().counter("repair.identity");
+    static obs::Counter locals =
+        obs::MetricsRegistry::global().counter("repair.local");
+    static obs::Counter fallbacks =
+        obs::MetricsRegistry::global().counter("repair.scratch_fallback");
+    static obs::Histogram orphan_sizes =
+        obs::MetricsRegistry::global().histogram("spf.repair.orphaned");
+    switch (kind) {
+      case RepairKind::kIdentity: identities.inc(); break;
+      case RepairKind::kRepaired:
+        locals.inc();
+        orphan_sizes.record(orphaned);
+        break;
+      case RepairKind::kScratch: fallbacks.inc(); break;
     }
     if (report != nullptr) {
       report->kind = kind;
@@ -320,19 +318,17 @@ void repair_tree_into(const Graph& g, const ShortestPathTree& base,
     }
   }
 
-  if constexpr (obs::kObsEnabled) {
-    // One flush per repair, not per heap op: the loop above pays a plain
-    // register increment, the shared counters one striped add each.
-    static obs::Counter heap_pushes =
-        obs::MetricsRegistry::global().counter("spf.heap.pushes");
-    static obs::Counter heap_pops =
-        obs::MetricsRegistry::global().counter("spf.heap.pops");
-    static obs::Counter relaxations =
-        obs::MetricsRegistry::global().counter("spf.relaxations");
-    heap_pushes.add(pushes);
-    heap_pops.add(pops);
-    relaxations.add(relax_attempts);
-  }
+  // One flush per repair, not per heap op: the loop above pays a plain
+  // register increment, the shared counters one striped add each.
+  static obs::Counter heap_pushes =
+      obs::MetricsRegistry::global().counter("spf.heap.pushes");
+  static obs::Counter heap_pops =
+      obs::MetricsRegistry::global().counter("spf.heap.pops");
+  static obs::Counter relaxations =
+      obs::MetricsRegistry::global().counter("spf.relaxations");
+  heap_pushes.add(pushes);
+  heap_pops.add(pops);
+  relaxations.add(relax_attempts);
   update_node_words(g, base, mask, options, failed_edges, region, settled, ws,
                     out);
   finish(RepairKind::kRepaired, region.size());

@@ -1,7 +1,6 @@
 #include "spf/oracle.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -211,32 +210,6 @@ bool DistanceOracle::is_shortest(graph::PathView segment) {
 bool DistanceOracle::is_canonical(graph::PathView segment) {
   if (segment.empty() || segment.hops() == 0) return true;
   return padded_tree(segment.source()).is_tree_path(segment);
-}
-
-void DistanceOracle::prefetch(std::span<const graph::NodeId> sources,
-                              bool padded, ThreadPool& pool) {
-  Cache& cache = padded ? padded_ : plain_;
-  std::vector<graph::NodeId> missing;
-  std::unordered_set<graph::NodeId> seen;
-  for (const graph::NodeId u : sources) {
-    if (cache.slots.contains(u) || !seen.insert(u).second) continue;
-    missing.push_back(u);
-  }
-  if (missing.empty()) return;
-  std::vector<std::unique_ptr<ShortestPathTree>> built(missing.size());
-  const SpfOptions options{
-      .metric = metric_, .padded = padded, .tiebreak = tiebreak_};
-  pool.parallel_for(missing.size(), [&](std::size_t i) {
-    auto t = std::make_unique<ShortestPathTree>();
-    shortest_tree_into(g_, missing[i], mask_, options, thread_workspace(), *t);
-    built[i] = std::move(t);
-  });
-  // Serial insertion in request order: cache contents (and any eviction)
-  // end up exactly as if tree()/padded_tree() had been called in order.
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    ++spf_runs_;
-    insert(cache, missing[i], std::move(built[i]));
-  }
 }
 
 }  // namespace rbpc::spf

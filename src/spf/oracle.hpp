@@ -17,7 +17,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <unordered_map>
 
 #include "graph/failure.hpp"
@@ -27,7 +26,6 @@
 #include "spf/metric.hpp"
 #include "spf/spf.hpp"
 #include "spf/tree.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rbpc::spf {
 
@@ -103,16 +101,6 @@ class DistanceOracle {
     return is_canonical(segment.view());
   }
 
-  /// Builds and caches the trees for `sources` (one flavor) in parallel
-  /// over `pool`, skipping sources already cached. Equivalent to calling
-  /// tree()/padded_tree() serially for each source — the cache contents
-  /// and every subsequent answer are identical — but the SPF runs shard
-  /// across the pool's workers. Respects the cache bounds, so prefetching
-  /// more than fits simply evicts LRU-first; callers size the bounds to
-  /// the working set they prefetch.
-  void prefetch(std::span<const graph::NodeId> sources, bool padded,
-                ThreadPool& pool);
-
   /// When enabled, dist()/reachable()/is_shortest() queries whose source
   /// (and, undirected, target) has no cached tree are answered by
   /// bidirectional search (spf::bounded_distance) instead of a cached
@@ -124,7 +112,7 @@ class DistanceOracle {
   bool bounded_point_queries() const { return bounded_point_; }
 
   /// Number of SPF runs performed so far (both flavors, including
-  /// prefetched and bidirectional runs); used by the benchmarks to report
+  /// bidirectional runs); used by the benchmarks to report
   /// work done.
   std::size_t spf_runs() const { return spf_runs_; }
 

@@ -22,27 +22,21 @@ using graph::Weight;
 /// Flushes one SPF run's locally accumulated kernel counts into the
 /// process-wide registry — a handful of striped adds per run instead of
 /// one per heap operation, so the kernels stay allocation- and
-/// contention-free. Compiled out entirely under RBPC_OBS_DISABLED.
+/// contention-free.
 void flush_kernel_counts(std::uint64_t pushes, std::uint64_t pops,
                          std::uint64_t relax_attempts) {
-  if constexpr (obs::kObsEnabled) {
-    static obs::Counter runs =
-        obs::MetricsRegistry::global().counter("spf.runs");
-    static obs::Counter heap_pushes =
-        obs::MetricsRegistry::global().counter("spf.heap.pushes");
-    static obs::Counter heap_pops =
-        obs::MetricsRegistry::global().counter("spf.heap.pops");
-    static obs::Counter relaxations =
-        obs::MetricsRegistry::global().counter("spf.relaxations");
-    runs.add(1);
-    heap_pushes.add(pushes);
-    heap_pops.add(pops);
-    relaxations.add(relax_attempts);
-  } else {
-    (void)pushes;
-    (void)pops;
-    (void)relax_attempts;
-  }
+  static obs::Counter runs =
+      obs::MetricsRegistry::global().counter("spf.runs");
+  static obs::Counter heap_pushes =
+      obs::MetricsRegistry::global().counter("spf.heap.pushes");
+  static obs::Counter heap_pops =
+      obs::MetricsRegistry::global().counter("spf.heap.pops");
+  static obs::Counter relaxations =
+      obs::MetricsRegistry::global().counter("spf.relaxations");
+  runs.add(1);
+  heap_pushes.add(pushes);
+  heap_pops.add(pops);
+  relaxations.add(relax_attempts);
 }
 
 /// BFS for the hop metric (no padding): linear time, deterministic because

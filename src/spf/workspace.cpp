@@ -5,18 +5,16 @@
 namespace rbpc::spf {
 
 void SpfWorkspace::begin(std::size_t n) {
-  if constexpr (obs::kObsEnabled) {
-    // One striped add per SPF run — begin() is the single chokepoint every
-    // kernel (scratch, BFS, repair) passes through, so this counts total
-    // workspace activations; the gauge tracks the largest graph any
-    // workspace has been sized for.
-    static obs::Counter begins =
-        obs::MetricsRegistry::global().counter("spf.workspace.begins");
-    static obs::Gauge capacity =
-        obs::MetricsRegistry::global().gauge("spf.workspace.capacity");
-    begins.add(1);
-    capacity.set_max(static_cast<std::int64_t>(n));
-  }
+  // One striped add per SPF run — begin() is the single chokepoint every
+  // kernel (scratch, BFS, repair) passes through, so this counts total
+  // workspace activations; the gauge tracks the largest graph any
+  // workspace has been sized for.
+  static obs::Counter begins =
+      obs::MetricsRegistry::global().counter("spf.workspace.begins");
+  static obs::Gauge capacity =
+      obs::MetricsRegistry::global().gauge("spf.workspace.capacity");
+  begins.add(1);
+  capacity.set_max(static_cast<std::int64_t>(n));
   if (nodes_.size() < n) {
     nodes_.resize(n);
     stamp_.resize(n, 0);

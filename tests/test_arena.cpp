@@ -13,11 +13,9 @@
 
 #include "core/base_set.hpp"
 #include "core/decompose.hpp"
-#include "core/experiment.hpp"
 #include "core/restoration.hpp"
 #include "core/scenario.hpp"
 #include "corpus.hpp"
-#include "graph/analysis.hpp"
 #include "graph/failure.hpp"
 #include "graph/path_arena.hpp"
 #include "obs/metrics.hpp"
@@ -394,13 +392,10 @@ TEST(OracleMemory, ByteCapEvictsAndGaugeTracks) {
     for (NodeId s = 0; s < 10; ++s) {
       EXPECT_EQ(oracle.dist(s, 0), spf::distance(g, s, 0));
     }
-    // The gauge carries every live oracle's cached bytes (it reads zero
-    // in an RBPC_OBS_DISABLED build; the eviction checks above still run).
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(oracle_trees_gauge() - gauge_before,
-                static_cast<std::int64_t>(unbounded.cached_bytes() +
-                                          oracle.cached_bytes()));
-    }
+    // The gauge carries every live oracle's cached bytes.
+    EXPECT_EQ(oracle_trees_gauge() - gauge_before,
+              static_cast<std::int64_t>(unbounded.cached_bytes() +
+                                        oracle.cached_bytes()));
   }
   // Destruction returns the gauge to its prior level.
   EXPECT_EQ(oracle_trees_gauge(), gauge_before);
@@ -418,68 +413,6 @@ TEST(OracleMemory, BoundedPointQueriesAnswerWithoutCaching) {
     EXPECT_EQ(oracle.dist(s, t), spf::distance(g, s, t));
   }
   EXPECT_EQ(oracle.cached_trees(), 0u);  // point queries cached nothing
-}
-
-// --- Experiment sharding ----------------------------------------------------
-
-TEST(ExperimentSharding, ReplaySamplePairMatchesSamplePair) {
-  for (const auto& tc : testing::corpus()) {
-    spf::DistanceOracle oracle(tc.g, FailureMask{},
-                               tc.g.is_unit_weight() ? spf::Metric::Hops
-                                                     : spf::Metric::Weighted);
-    const graph::Components comps = graph::connected_components(tc.g);
-    Rng rng_a(11);
-    Rng rng_b(11);
-    for (int i = 0; i < 8; ++i) {
-      Rng fork_a = rng_a.fork();
-      Rng fork_b = rng_b.fork();
-      const core::SamplePair real = core::sample_pair(oracle, fork_a);
-      const auto [s, t] = core::replay_sample_pair(tc.g, comps, fork_b);
-      ASSERT_EQ(real.src, s) << tc.name;
-      ASSERT_EQ(real.dst, t) << tc.name;
-    }
-  }
-}
-
-TEST(ExperimentSharding, Table2BitIdenticalAcrossThreadCounts) {
-  Rng rng(21);
-  const Graph g = topo::make_waxman(40, 0.4, 0.35, rng);
-  core::Table2Config cfg;
-  cfg.samples = 8;
-  cfg.seed = 3;
-  cfg.oracle_cache_bytes = 512 << 10;
-  core::Table2Config cfg2 = cfg;
-  cfg2.threads = 2;
-  const core::Table2Row serial =
-      core::run_table2(g, core::FailureClass::OneLink, cfg);
-  const core::Table2Row sharded =
-      core::run_table2(g, core::FailureClass::OneLink, cfg2);
-  EXPECT_EQ(serial.cases, sharded.cases);
-  EXPECT_EQ(serial.restored, sharded.restored);
-  EXPECT_EQ(serial.unrestorable, sharded.unrestorable);
-  EXPECT_EQ(serial.max_pc_length, sharded.max_pc_length);
-  EXPECT_DOUBLE_EQ(serial.avg_pc_length, sharded.avg_pc_length);
-  EXPECT_DOUBLE_EQ(serial.length_stretch, sharded.length_stretch);
-  EXPECT_DOUBLE_EQ(serial.redundancy, sharded.redundancy);
-}
-
-TEST(ExperimentSharding, StormBitIdenticalAcrossThreadCounts) {
-  Rng rng(23);
-  const Graph g = topo::make_waxman(40, 0.4, 0.35, rng);
-  core::StormConfig cfg;
-  cfg.provisioned = 30;
-  cfg.events = 6;
-  cfg.seed = 5;
-  cfg.oracle_cache_bytes = 512 << 10;
-  core::StormConfig cfg2 = cfg;
-  cfg2.threads = 3;
-  const core::StormResult serial = core::run_storm(g, cfg);
-  const core::StormResult sharded = core::run_storm(g, cfg2);
-  EXPECT_EQ(serial.affected, sharded.affected);
-  EXPECT_EQ(serial.restored, sharded.restored);
-  EXPECT_EQ(serial.unrestorable, sharded.unrestorable);
-  EXPECT_EQ(serial.max_pc_length, sharded.max_pc_length);
-  EXPECT_DOUBLE_EQ(serial.avg_pc_length, sharded.avg_pc_length);
 }
 
 }  // namespace

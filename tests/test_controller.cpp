@@ -243,7 +243,6 @@ TEST(Controller, ControllerBuildsNoDistanceOracle) {
   // read the controller's one store of unfailed trees, so neither label
   // plan caches a tree in a DistanceOracle (whose bytes the
   // rbpc.mem.oracle_trees gauge reports).
-  if (!obs::kObsEnabled) GTEST_SKIP() << "registry disabled in this build";
   const obs::Gauge oracle_trees =
       obs::MetricsRegistry::global().gauge("rbpc.mem.oracle_trees");
   Rng topo_rng(41);

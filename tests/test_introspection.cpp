@@ -133,7 +133,6 @@ TEST(FlightRecorder, DumpJsonNamesRequestIdsAndRungs) {
 }
 
 TEST(FlightRecorder, SingleLinkFailureReroutesShowTheCutRung) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "request tracing disabled";
   // A 6-ring: failing link 0 (0 - 1) reroutes the demand 0 -> 1 the other
   // way round, from the two unfailed trees alone.
   const graph::Graph g = topo::make_ring(6);
@@ -152,7 +151,6 @@ TEST(FlightRecorder, SingleLinkFailureReroutesShowTheCutRung) {
 }
 
 TEST(FlightRecorder, GroupCommitRecordsAreMonotoneAndSized) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "request tracing disabled";
   // A 12x12 grid with 300 demands: failing a central link reroutes many
   // demands at once, so the workers commit them in groups. Every record's
   // stage stamps run forward from enqueue to done, and each names the size
@@ -256,7 +254,6 @@ TEST(SloTracker, HistogramDeltaIsExactBucketwise) {
 }
 
 TEST(SloTracker, QuantileObjectiveBreachesAndRecovers) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "registry disabled in this build";
   obs::MetricsRegistry reg;
   obs::Histogram lat = reg.histogram("t.latency");
   obs::SloTracker slo(reg,
@@ -295,7 +292,6 @@ TEST(SloTracker, QuantileObjectiveBreachesAndRecovers) {
 }
 
 TEST(SloTracker, RatioObjectiveComparesGauges) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "registry disabled in this build";
   obs::MetricsRegistry reg;
   reg.gauge("t.bad").set(3);
   reg.gauge("t.all").set(100);
@@ -344,7 +340,6 @@ std::string http_get(std::uint16_t port, const std::string& path) {
 }
 
 TEST(ExpositionServer, ServesPrometheusJsonFlightAndSlo) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "registry disabled in this build";
   obs::MetricsRegistry reg;
   reg.counter("end.point.hits").add(7);
   obs::Histogram lat = reg.histogram("end.latency");
@@ -391,7 +386,6 @@ TEST(ExpositionServer, ServesPrometheusJsonFlightAndSlo) {
 }
 
 TEST(ExpositionServer, ConcurrentScrapesDuringPublishes) {
-  if (!obs::kObsEnabled) GTEST_SKIP() << "registry disabled in this build";
   obs::MetricsRegistry reg;
   obs::FlightRecorder flight(2, 8);
   obs::ExpositionOptions eo;

@@ -6,11 +6,6 @@
 // writer threads into one counter/histogram while a scraper snapshots
 // concurrently, which is exactly the access pattern the striped cells must
 // keep race-free.
-//
-// Under RBPC_OBS_DISABLED the increments are compiled out; tests that
-// assert on recorded values skip themselves via obs::kObsEnabled, while
-// the API-shape tests still run (the registry must stay usable either
-// way).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,12 +31,8 @@ TEST(MetricsRegistry, SameNameSharesCells) {
   Counter b = reg.counter("x");
   a.add(3);
   b.add(4);
-  if (kObsEnabled) {
-    EXPECT_EQ(a.value(), 7u);
-    EXPECT_EQ(b.value(), 7u);
-  } else {
-    EXPECT_EQ(a.value(), 0u);
-  }
+  EXPECT_EQ(a.value(), 7u);
+  EXPECT_EQ(b.value(), 7u);
 }
 
 TEST(MetricsRegistry, DefaultHandlesAreInert) {
@@ -57,7 +48,6 @@ TEST(MetricsRegistry, DefaultHandlesAreInert) {
 }
 
 TEST(MetricsRegistry, GaugeSetAddSetMax) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   Gauge g = reg.gauge("g");
   g.set(10);
@@ -71,7 +61,6 @@ TEST(MetricsRegistry, GaugeSetAddSetMax) {
 }
 
 TEST(MetricsRegistry, HistogramSnapshotMergesStripes) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   Histogram h = reg.histogram("lat");
   h.record(100);
@@ -84,7 +73,6 @@ TEST(MetricsRegistry, HistogramSnapshotMergesStripes) {
 }
 
 TEST(MetricsRegistry, SnapshotIsSortedAndComplete) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   reg.counter("b").add(2);
   reg.counter("a").add(1);
@@ -109,7 +97,6 @@ TEST(MetricsRegistry, SnapshotIsSortedAndComplete) {
 }
 
 TEST(MetricsRegistry, ResetZeroesButKeepsHandles) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   Counter c = reg.counter("c");
   Histogram h = reg.histogram("h");
@@ -127,18 +114,15 @@ TEST(InstanceCounter, LocalValueWorksRegardlessOfBuild) {
   InstanceCounter ic(reg.counter("mirrored"));
   ic.inc();
   ic.add(4);
-  // The local count must work even when the registry mirror is compiled
-  // out — TreeCache/BatchRestorer accessors depend on it.
+  // TreeCache/BatchRestorer accessors read the local count; scrapes read
+  // the registry mirror.
   EXPECT_EQ(ic.value(), 5u);
-  if (kObsEnabled) {
-    EXPECT_EQ(reg.counter("mirrored").value(), 5u);
-  }
+  EXPECT_EQ(reg.counter("mirrored").value(), 5u);
 }
 
 // --- Concurrency (the TSan targets) ----------------------------------------
 
 TEST(MetricsConcurrency, HammeredCounterTotalsAreExact) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 50000;
@@ -185,7 +169,6 @@ TEST(MetricsConcurrency, HammeredCounterTotalsAreExact) {
 }
 
 TEST(MetricsConcurrency, GaugeSetMaxIsMonotoneUnderRaces) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   Gauge g = reg.gauge("high.water");
   std::vector<std::thread> writers;
@@ -204,7 +187,6 @@ TEST(MetricsConcurrency, GaugeSetMaxIsMonotoneUnderRaces) {
 // --- Spans and tracing ------------------------------------------------------
 
 TEST(TraceSpan, RecordsDurationIntoNamedHistogram) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   Histogram h = MetricsRegistry::global().histogram("test.span.hist");
   const std::uint64_t before = h.snapshot().count();
   {
@@ -214,7 +196,6 @@ TEST(TraceSpan, RecordsDurationIntoNamedHistogram) {
 }
 
 TEST(TraceSpan, NestedSpansExportChromeJson) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.enable();
@@ -273,7 +254,6 @@ TEST(TraceSpan, DisabledTracerRecordsNoEvents) {
 }
 
 TEST(TraceSpan, ConcurrentSpansAllRecorded) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   Tracer& tracer = Tracer::global();
   tracer.clear();
   tracer.enable();
@@ -305,7 +285,6 @@ TEST(TraceSpan, ConcurrentSpansAllRecorded) {
 }
 
 TEST(TraceSpan, BoundedBufferCountsDropsIntoTheRegistry) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   Tracer& tracer = Tracer::global();
   tracer.clear();
   const std::size_t old_cap = tracer.max_events_per_thread();
@@ -359,7 +338,6 @@ TEST(Exposition, NameSanitization) {
 }
 
 TEST(Exposition, CountersGaugesAndHistogramShape) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   reg.counter("exp.count").add(5);
   reg.gauge("exp.gauge").set(-3);
@@ -397,7 +375,6 @@ TEST(Exposition, CountersGaugesAndHistogramShape) {
 }
 
 TEST(Exposition, ExemplarSyntaxOnBucketLines) {
-  if (!kObsEnabled) GTEST_SKIP() << "built with RBPC_OBS_DISABLED";
   MetricsRegistry reg;
   Histogram h = reg.histogram("exp.ex");
   h.record_with_exemplar(100, 4242);

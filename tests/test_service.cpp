@@ -37,6 +37,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <thread>
 #include <vector>
@@ -57,6 +58,7 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
+#include "obs/trace.hpp"
 #include "persist/format.hpp"
 #include "persist/io.hpp"
 #include "service/epoch.hpp"
@@ -802,7 +804,6 @@ TEST(ServiceEquivalence, ServiceBuildsNoDistanceOracle) {
   // Canonical membership reads the tree pool's unfailed trees, so neither
   // provisioning nor rerouting caches a tree in a DistanceOracle (whose
   // bytes the rbpc.mem.oracle_trees gauge reports).
-  if (!obs::kObsEnabled) GTEST_SKIP() << "registry disabled in this build";
   const obs::Gauge oracle_trees =
       obs::MetricsRegistry::global().gauge("rbpc.mem.oracle_trees");
   const std::int64_t before = oracle_trees.value();
@@ -995,9 +996,6 @@ TEST(ServiceProperty, InterleavingIndependenceMatrix) {
 // ---------------------------------------------------------------------------
 
 TEST(ServiceStress, LadderEscalationDumpsFlightRecorder) {
-  if (!obs::kObsEnabled) {
-    GTEST_SKIP() << "request tracing disabled in this build";
-  }
   // A chain 0 - 1 - 2 - 3: every link is a bridge, so failing link 1 - 2
   // strands the demand 0 -> 3, whose pass installs an explicit empty route.
   // That escalation past scratch SPF dumps the flight recorder once.
@@ -1141,31 +1139,29 @@ TEST(ServiceStress, FreeRunningChurnWithConcurrentScraper) {
   EXPECT_EQ(stats.events_applied + stats.events_discarded,
             storm.deliveries.size());
 
-  if (obs::kObsEnabled) {
-    // Request-trace lifecycle: every flight-recorder record carries a live
-    // request id and a rung from the degradation ladder, and its stage
-    // timestamps are causally ordered.
-    const std::vector<obs::RerouteRecord> records =
-        svc.flight_recorder().collect();
-    ASSERT_FALSE(records.empty());
-    for (const obs::RerouteRecord& rec : records) {
-      EXPECT_NE(rec.request_id, 0u);
-      EXPECT_LE(rec.rung, static_cast<std::uint8_t>(obs::Rung::kNoRoute));
-      EXPECT_LE(rec.start_ns, rec.done_ns);
-      EXPECT_LE(rec.snapshot_ns, rec.spf_ns);
-      EXPECT_LE(rec.spf_ns, rec.decompose_ns);
-    }
-    // ServiceStats and the registry agree: stats() reads the same
-    // InstanceCounters that mirror into the global registry, so the
-    // process-wide counter can only be >= this instance's share.
-    EXPECT_GE(obs::MetricsRegistry::global().counter("svc.reroutes").value(),
-              stats.reroutes);
-    // And the endpoint serves the same families a Prometheus scraper needs.
-    const std::string final_scrape = http_get(svc.metrics_port(), "/metrics");
-    EXPECT_NE(final_scrape.find("svc_reroutes_total"), std::string::npos);
-    EXPECT_NE(final_scrape.find("svc_restore_latency_bucket"),
-              std::string::npos);
+  // Request-trace lifecycle: every flight-recorder record carries a live
+  // request id and a rung from the degradation ladder, and its stage
+  // timestamps are causally ordered.
+  const std::vector<obs::RerouteRecord> records =
+      svc.flight_recorder().collect();
+  ASSERT_FALSE(records.empty());
+  for (const obs::RerouteRecord& rec : records) {
+    EXPECT_NE(rec.request_id, 0u);
+    EXPECT_LE(rec.rung, static_cast<std::uint8_t>(obs::Rung::kNoRoute));
+    EXPECT_LE(rec.start_ns, rec.done_ns);
+    EXPECT_LE(rec.snapshot_ns, rec.spf_ns);
+    EXPECT_LE(rec.spf_ns, rec.decompose_ns);
   }
+  // ServiceStats and the registry agree: stats() reads the same
+  // InstanceCounters that mirror into the global registry, so the
+  // process-wide counter can only be >= this instance's share.
+  EXPECT_GE(obs::MetricsRegistry::global().counter("svc.reroutes").value(),
+            stats.reroutes);
+  // And the endpoint serves the same families a Prometheus scraper needs.
+  const std::string final_scrape = http_get(svc.metrics_port(), "/metrics");
+  EXPECT_NE(final_scrape.find("svc_reroutes_total"), std::string::npos);
+  EXPECT_NE(final_scrape.find("svc_restore_latency_bucket"),
+            std::string::npos);
   svc.stop();
 }
 
@@ -1458,9 +1454,7 @@ TEST(ServiceGroupCommit, DirtyIndexMatchesDirtyFlagsAfterStorms) {
     const std::size_t dirty = count_dirty(svc);
     dirty_seen += dirty;
     EXPECT_EQ(svc.stats().dirty, dirty) << tc.name;
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(dirty_g.value(), static_cast<std::int64_t>(dirty)) << tc.name;
-    }
+    EXPECT_EQ(dirty_g.value(), static_cast<std::int64_t>(dirty)) << tc.name;
 
     // Bring every link back: the index must drain to empty.
     for (const lsdb::LinkStateRecord& rec : svc.lsdb().export_records()) {
@@ -1469,9 +1463,7 @@ TEST(ServiceGroupCommit, DirtyIndexMatchesDirtyFlagsAfterStorms) {
     svc.quiesce();
     EXPECT_EQ(count_dirty(svc), 0u) << tc.name;
     EXPECT_EQ(svc.stats().dirty, 0u) << tc.name;
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(dirty_g.value(), 0) << tc.name;
-    }
+    EXPECT_EQ(dirty_g.value(), 0) << tc.name;
     svc.stop();
   }
   EXPECT_GT(dirty_seen, 0u) << "no storm left a demand dirty";
@@ -1512,6 +1504,70 @@ TEST(ServiceGroupCommit, RecoveryToEmptyMaskReusesTheBaseline) {
     EXPECT_GT(recovered_reroutes, 0u) << tc.name;
     svc.stop();
   }
+}
+
+TEST(ServiceStageTimers, HistogramsAndTraceEventsFollowTheRecord) {
+  // commit_group() times the compute stages from each RerouteRecord's
+  // stamps: one svc.reroute sample per reroute, an svc.spf sample only when
+  // a link was down, an svc.decompose sample only for a restored route.
+  // With the tracer on, each svc.spf event lies inside an svc.reroute event
+  // on the same (worker) thread.
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+  const obs::Histogram reroute_h = reg.histogram("svc.reroute");
+  const obs::Histogram spf_h = reg.histogram("svc.spf");
+  const obs::Histogram decompose_h = reg.histogram("svc.decompose");
+  const TopoCase tc = largest_cases(1).front();
+  const Graph& g = tc.g;
+  Rng rng(6500 + g.num_nodes());
+  const std::vector<Demand> demands = random_demands(g, 60, rng);
+  const chaos::Storm storm = chaos::plan_storm(g, storm_config(), rng);
+  ServiceOptions options;
+  options.workers = 2;
+  RestorationService svc(g, demands, options);
+
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.enable();
+  const std::uint64_t reroutes0 = svc.stats().reroutes;
+  const std::uint64_t reroute0 = reroute_h.count();
+  const std::uint64_t spf0 = spf_h.count();
+  const std::uint64_t decompose0 = decompose_h.count();
+  // Quiesce after each event, so every link-down event's reroutes run
+  // while that link is still down.
+  for (const chaos::StormEvent& d : storm.deliveries) {
+    svc.ingest(d.event);
+    svc.quiesce();
+  }
+  tracer.disable();
+
+  const std::uint64_t reroutes = svc.stats().reroutes - reroutes0;
+  const std::uint64_t spf = spf_h.count() - spf0;
+  EXPECT_GT(reroutes, 0u);
+  EXPECT_GT(spf, 0u) << "the storm never rerouted with a link down";
+  EXPECT_EQ(reroute_h.count() - reroute0, reroutes);
+  EXPECT_LE(spf, reroutes);
+  EXPECT_LE(decompose_h.count() - decompose0, spf);
+
+  std::vector<obs::TraceEvent> reroute_events;
+  std::vector<obs::TraceEvent> spf_events;
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (std::string_view(ev.name) == "svc.reroute") reroute_events.push_back(ev);
+    if (std::string_view(ev.name) == "svc.spf") spf_events.push_back(ev);
+  }
+  EXPECT_EQ(reroute_events.size(), reroutes);
+  EXPECT_EQ(spf_events.size(), spf);
+  for (const obs::TraceEvent& inner : spf_events) {
+    const bool nested = std::any_of(
+        reroute_events.begin(), reroute_events.end(),
+        [&](const obs::TraceEvent& outer) {
+          return outer.tid == inner.tid && outer.ts_ns <= inner.ts_ns &&
+                 inner.ts_ns + inner.dur_ns <= outer.ts_ns + outer.dur_ns;
+        });
+    EXPECT_TRUE(nested) << "svc.spf at " << inner.ts_ns << " on tid "
+                        << inner.tid << " outside every svc.reroute";
+  }
+  tracer.clear();
+  svc.stop();
 }
 
 // ---------------------------------------------------------------------------
