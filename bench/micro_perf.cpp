@@ -125,12 +125,11 @@ const std::vector<RepairScenario>& isp_failure_scenarios() {
 void BM_SpfScratchSingleFailureIsp(benchmark::State& state) {
   const Graph& g = isp_graph();
   const auto& scenarios = isp_failure_scenarios();
-  spf::SpfWorkspace ws;
   std::size_t i = 0;
   for (auto _ : state) {
     const RepairScenario& sc = scenarios[i++ % scenarios.size()];
     benchmark::DoNotOptimize(spf::shortest_tree(
-        g, sc.source, sc.mask, spf::SpfOptions{.padded = true}, ws));
+        g, sc.source, sc.mask, spf::SpfOptions{.padded = true}));
   }
 }
 BENCHMARK(BM_SpfScratchSingleFailureIsp);

@@ -33,8 +33,9 @@
 // (whose membership oracles cache trees and are not thread-safe) under a
 // mutex; SPF under the mask dominates, so restorations scale while
 // decomposition serializes on warm unfailed-network caches. The set stays
-// caller-supplied because callers pass oracle-backed AllPairs, Canonical
-// and Expanded sets, whose decompositions differ from one another.
+// caller-supplied because callers pass different oracle-backed sets, whose
+// decompositions differ from one another: bench/batch_restore a Canonical
+// set, examples/multi_failure_storm an AllPairs one.
 #pragma once
 
 #include <atomic>

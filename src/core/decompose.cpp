@@ -96,35 +96,56 @@ void greedy_decompose_into(BasePathSet& base, const graph::PathArena& arena,
                });
 }
 
-void overlay_decompose_into(BasePathSet& base, const graph::FailureMask& mask,
-                            NodeId s, NodeId t, graph::PathArena& arena,
-                            OverlayWorkspace& ws, DecompositionRef& out) {
+namespace {
+
+/// One node's best overlay label: cost, then piece count, and the last
+/// piece that reached it.
+struct OverlayState {
+  Weight cost = graph::kUnreachable;
+  std::uint32_t pieces = ~0u;
+  NodeId pred = graph::kInvalidNode;
+  bool pred_is_base = false;  // piece from pred was a base path (vs edge)
+  EdgeId pred_edge = graph::kInvalidEdge;  // when piece was an edge
+  bool settled = false;
+};
+
+struct OverlayHeapItem {
+  Weight cost;
+  std::uint32_t pieces;
+  NodeId node;
+  bool operator>(const OverlayHeapItem& o) const {
+    if (cost != o.cost) return cost > o.cost;
+    if (pieces != o.pieces) return pieces > o.pieces;
+    return node > o.node;
+  }
+};
+
+}  // namespace
+
+Decomposition overlay_decompose(BasePathSet& base,
+                                const graph::FailureMask& mask, NodeId s,
+                                NodeId t) {
   RBPC_TRACE_SPAN("decompose.overlay");
   const graph::Graph& g = base.graph();
   require(s < g.num_nodes() && t < g.num_nodes(),
           "overlay_decompose: node out of range");
   require(mask.node_alive(s) && mask.node_alive(t),
           "overlay_decompose: endpoint router is failed");
-  out.clear();
 
-  using State = OverlayWorkspace::State;
-  using HeapItem = OverlayWorkspace::HeapItem;
-  std::vector<State>& states = ws.states;
-  states.assign(g.num_nodes(), State{});
+  std::vector<OverlayState> states(g.num_nodes());
+  graph::PathArena arena;
 
-  // Binary min-heap via push_heap/pop_heap over operator>. HeapItem
+  // Binary min-heap via push_heap/pop_heap over operator>. OverlayHeapItem
   // comparison is total over (cost, pieces, node), so the pop sequence is
-  // the sorted order — identical to the std::priority_queue the legacy
-  // implementation used, regardless of heap internals.
-  std::vector<HeapItem>& heap = ws.heap;
-  heap.clear();
-  const auto heap_push = [&](HeapItem item) {
+  // the sorted order, regardless of heap internals.
+  std::vector<OverlayHeapItem> heap;
+  const auto heap_push = [&](OverlayHeapItem item) {
     heap.push_back(item);
     std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   };
   const auto heap_pop = [&] {
     std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-    const HeapItem item = heap.back();
+    const OverlayHeapItem item = heap.back();
     heap.pop_back();
     return item;
   };
@@ -135,7 +156,7 @@ void overlay_decompose_into(BasePathSet& base, const graph::FailureMask& mask,
 
   auto relax = [&](NodeId to, Weight cost, std::uint32_t pieces, NodeId pred,
                    bool is_base, EdgeId pred_edge) {
-    State& st = states[to];
+    OverlayState& st = states[to];
     if (st.settled) return;
     if (cost < st.cost || (cost == st.cost && pieces < st.pieces)) {
       st.cost = cost;
@@ -148,8 +169,8 @@ void overlay_decompose_into(BasePathSet& base, const graph::FailureMask& mask,
   };
 
   while (!heap.empty()) {
-    const HeapItem item = heap_pop();
-    State& st = states[item.node];
+    const OverlayHeapItem item = heap_pop();
+    OverlayState& st = states[item.node];
     if (st.settled || item.cost != st.cost || item.pieces != st.pieces) continue;
     st.settled = true;
     if (item.node == t) break;
@@ -186,12 +207,13 @@ void overlay_decompose_into(BasePathSet& base, const graph::FailureMask& mask,
     }
   }
 
-  if (states[t].cost == graph::kUnreachable) return;
+  if (states[t].cost == graph::kUnreachable) return {};
 
   // Reconstruct pieces t <- ... <- s, then reverse.
+  DecompositionRef out;
   NodeId cur = t;
   while (cur != s) {
-    const State& st = states[cur];
+    const OverlayState& st = states[cur];
     if (st.pred_is_base) {
       out.pieces.push_back(base.base_path_ref(st.pred, cur, arena));
       out.is_base.push_back(1);
@@ -208,16 +230,7 @@ void overlay_decompose_into(BasePathSet& base, const graph::FailureMask& mask,
   }
   std::reverse(out.pieces.begin(), out.pieces.end());
   std::reverse(out.is_base.begin(), out.is_base.end());
-}
-
-Decomposition overlay_decompose(BasePathSet& base,
-                                const graph::FailureMask& mask, NodeId s,
-                                NodeId t) {
-  graph::PathArena arena;
-  OverlayWorkspace ws;
-  DecompositionRef ref;
-  overlay_decompose_into(base, mask, s, t, arena, ws, ref);
-  return ref.materialize(base.graph(), arena);
+  return out.materialize(g, arena);
 }
 
 }  // namespace rbpc::core

@@ -91,45 +91,11 @@ void greedy_decompose_into(BasePathSet& base, const graph::PathArena& arena,
 /// paths and surviving single edges. Returns an empty decomposition when t
 /// is unreachable. Cost ties are broken towards fewer pieces, then
 /// deterministically. O(n * (n + m)) per call — intended for ISP-scale
-/// graphs and the base-set ablation, not the 40k-node topologies.
+/// graphs and the base-set ablation, not the 40k-node topologies. Candidate
+/// base paths are probed in a call-local arena (mark/rewind), so the scan
+/// allocates nothing per candidate.
 Decomposition overlay_decompose(BasePathSet& base,
                                 const graph::FailureMask& mask,
                                 graph::NodeId s, graph::NodeId t);
-
-/// Reusable scratch for overlay_decompose_into: the per-node label array
-/// and the binary heap survive across calls, so a warm workspace makes the
-/// overlay allocation-free apart from candidate probes rewound inside the
-/// arena.
-struct OverlayWorkspace {
-  struct State {
-    graph::Weight cost = graph::kUnreachable;
-    std::uint32_t pieces = ~0u;
-    graph::NodeId pred = graph::kInvalidNode;
-    bool pred_is_base = false;  // piece from pred was a base path (vs edge)
-    graph::EdgeId pred_edge = graph::kInvalidEdge;  // when piece was an edge
-    bool settled = false;
-  };
-  struct HeapItem {
-    graph::Weight cost;
-    std::uint32_t pieces;
-    graph::NodeId node;
-    bool operator>(const HeapItem& o) const {
-      if (cost != o.cost) return cost > o.cost;
-      if (pieces != o.pieces) return pieces > o.pieces;
-      return node > o.node;
-    }
-  };
-  std::vector<State> states;
-  std::vector<HeapItem> heap;
-};
-
-/// Arena form of overlay_decompose, the single underlying implementation
-/// (the legacy overload wraps it): candidate base paths are stored in
-/// `arena` only transiently (mark/rewind), the final pieces permanently.
-/// Appends to `out` after clear(); `out` is empty when t is unreachable.
-void overlay_decompose_into(BasePathSet& base, const graph::FailureMask& mask,
-                            graph::NodeId s, graph::NodeId t,
-                            graph::PathArena& arena, OverlayWorkspace& ws,
-                            DecompositionRef& out);
 
 }  // namespace rbpc::core

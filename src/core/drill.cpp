@@ -1,10 +1,7 @@
 #include "core/drill.hpp"
 
-#include <memory>
 #include <sstream>
 
-#include "core/batch.hpp"
-#include "core/restoration.hpp"
 #include "obs/metrics.hpp"
 #include "spf/spf.hpp"
 #include "util/error.hpp"
@@ -39,43 +36,6 @@ DrillReport run_failure_drill(const graph::Graph& g, spf::Metric metric,
   DrillReport report;
   auto violate = [&](const std::string& what) {
     if (report.violations.size() < 32) report.violations.push_back(what);
-  };
-
-  std::unique_ptr<BatchRestorer> batch;
-  if (config.batch_base != nullptr) {
-    require(&config.batch_base->graph() == &g,
-            "run_failure_drill: batch_base must be built over the drilled graph");
-    batch = std::make_unique<BatchRestorer>(
-        *config.batch_base, BatchOptions{.threads = config.batch_threads});
-  }
-  // Cross-checks the parallel batch engine against the serial restoration
-  // loop on random alive pairs under the current mask.
-  auto batch_cross_check = [&](std::size_t step) {
-    const graph::FailureMask& mask = actions.failures();
-    std::vector<RestoreJob> jobs;
-    for (std::size_t p = 0; p < config.batch_pairs; ++p) {
-      const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-      const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-      if (s == t || !mask.node_alive(s) || !mask.node_alive(t)) continue;
-      jobs.push_back(RestoreJob{s, t});
-    }
-    const std::vector<Restoration> got = batch->restore_all(mask, jobs);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const Restoration want = source_rbpc_restore(
-          *config.batch_base, jobs[i].src, jobs[i].dst, mask);
-      if (got[i].backup == want.backup &&
-          got[i].decomposition.pieces == want.decomposition.pieces &&
-          got[i].decomposition.is_base == want.decomposition.is_base) {
-        continue;
-      }
-      std::ostringstream ctx;
-      ctx << "step " << step << " batch check " << jobs[i].src << "->"
-          << jobs[i].dst << ": parallel restoration diverges from serial"
-          << " (serial " << want.backup.to_string() << " in "
-          << want.pc_length() << " pieces, batch " << got[i].backup.to_string()
-          << " in " << got[i].pc_length() << " pieces)";
-      violate(ctx.str());
-    }
   };
 
   const bool router_events = static_cast<bool>(actions.fail_router) &&
@@ -159,8 +119,6 @@ DrillReport run_failure_drill(const graph::Graph& g, spf::Metric metric,
         }
       }
     }
-
-    if (batch) batch_cross_check(step);
   }
   // One flush per drill: the drill is a test harness, so per-step striped
   // adds would only add noise to the metrics it is checking.

@@ -3,17 +3,18 @@
 // event — packets are delivered if and only if the pair is connected under
 // the current failures, and always along a minimum-cost surviving route.
 //
-// Used by the integration fuzz tests (against both RbpcController label plans)
-// and available to downstream users as a soak-testing harness. Intended for
-// simple graphs (no parallel links): route costs are reconstructed from the
-// forwarding trace.
+// The controller soak harness: the integration fuzz tests run it against
+// both RbpcController label plans, and the chaos drill (chaos/chaos_drill)
+// drives control planes through the same DrillActions. It checks the data
+// plane only; route-for-route agreement between the restoration engines is
+// pinned by tests/test_engines.cpp. Intended for simple graphs (no parallel
+// links): route costs are reconstructed from the forwarding trace.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "core/base_set.hpp"
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
 #include "mpls/packet.hpp"
@@ -44,6 +45,7 @@ struct DrillActions {
   std::function<void(const graph::FailureMask&)> set_data_failures;
 };
 
+/// The churn a drill generates and how densely it probes the data plane.
 struct DrillConfig {
   std::size_t steps = 50;           ///< fail/recover events to execute
   std::size_t probes_per_step = 20; ///< random pair probes after each event
@@ -52,17 +54,6 @@ struct DrillConfig {
   double router_chance = 0.25;      ///< chance a failure event hits a router
                                     ///< (needs the router hooks)
   std::size_t max_concurrent = 3;   ///< cap on simultaneous failed elements
-
-  /// Optional parallel-engine cross-check: when `batch_base` is set (a base
-  /// set over the unfailed graph), the drill additionally restores
-  /// `batch_pairs` random alive pairs after every event, both through the
-  /// serial source_rbpc_restore loop and through a BatchRestorer on
-  /// `batch_threads` threads, and reports any divergence as a violation —
-  /// soak-testing the engine's determinism guarantee under realistic
-  /// fail/recover churn. Off by default.
-  BasePathSet* batch_base = nullptr;
-  std::size_t batch_threads = 2;    ///< 0 = hardware concurrency
-  std::size_t batch_pairs = 8;      ///< pairs cross-checked per event
 };
 
 struct DrillReport {

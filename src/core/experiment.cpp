@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "core/base_set.hpp"
-#include "core/batch.hpp"
 #include "core/restoration.hpp"
 #include "spf/bypass.hpp"
 #include "spf/counting.hpp"
@@ -39,12 +38,8 @@ std::uint64_t mix_router(std::uint64_t piece_hash, NodeId router) {
   return splitmix64(s);
 }
 
-/// SPF-tree cache bound of the storm's membership oracle (memory control
-/// on the large topologies).
-constexpr std::size_t kStormOracleCacheCap = 128;
-
 /// The three base-set flavors over one shared unfailed-network oracle, with
-/// selection by BaseSetKind (shared by the Table-2 and storm engines).
+/// selection by BaseSetKind (run_table2; table2_source_rbpc sets every kind).
 struct BaseSetBundle {
   spf::DistanceOracle oracle;
   CanonicalBaseSet canonical;
@@ -166,66 +161,6 @@ Table2Row run_table2(const graph::Graph& g, FailureClass cls,
     row.avg_ilm_stretch = stretch.mean();
   }
   return row;
-}
-
-StormResult run_storm(const graph::Graph& g, const StormConfig& cfg) {
-  require(g.num_nodes() >= 3, "run_storm: graph too small");
-  require(cfg.max_failed_links >= 1,
-          "run_storm: need at least one failed link per event");
-  Rng rng(cfg.seed);
-  BaseSetBundle bundle(g, cfg.metric, kStormOracleCacheCap);
-  BasePathSet& base = bundle.pick(cfg.base_set);
-
-  // Provision the LSP pool. Pairs may repeat sources — exactly the sharing
-  // the batch engine's per-source tree cache exploits.
-  std::vector<RestoreJob> pairs;
-  std::vector<Path> lsps;
-  pairs.reserve(cfg.provisioned);
-  lsps.reserve(cfg.provisioned);
-  for (std::size_t i = 0; i < cfg.provisioned; ++i) {
-    Rng sample_rng = rng.fork();
-    const SamplePair pair = sample_pair(bundle.oracle, sample_rng);
-    pairs.push_back(RestoreJob{pair.src, pair.dst});
-    lsps.push_back(pair.lsp);
-  }
-
-  BatchRestorer batch(base, BatchOptions{.threads = cfg.threads});
-  StormResult out;
-  StatAccumulator pc_length;
-  for (std::size_t ev = 0; ev < cfg.events; ++ev) {
-    Rng event_rng = rng.fork();
-    const std::size_t k =
-        1 + event_rng.below(std::min<std::uint64_t>(cfg.max_failed_links,
-                                                    g.num_edges()));
-    graph::FailureMask mask;
-    for (std::uint64_t pick : event_rng.sample_distinct(g.num_edges(), k)) {
-      mask.fail_edge(static_cast<EdgeId>(pick));
-    }
-
-    // Link failures keep every router alive, so every affected source is a
-    // valid restoration root.
-    std::vector<RestoreJob> jobs;
-    for (std::size_t idx : affected_lsps(g, lsps, mask)) {
-      jobs.push_back(pairs[idx]);
-    }
-    const std::vector<Restoration> results = batch.restore_all(mask, jobs);
-
-    ++out.events;
-    out.affected += jobs.size();
-    for (const Restoration& r : results) {
-      if (!r.restored()) {
-        ++out.unrestorable;
-        continue;
-      }
-      ++out.restored;
-      pc_length.add(static_cast<double>(r.pc_length()));
-      out.max_pc_length = std::max(out.max_pc_length, r.pc_length());
-    }
-  }
-  if (!pc_length.empty()) out.avg_pc_length = pc_length.mean();
-  out.spf_cache_hits = batch.stats().spf_cache_hits;
-  out.spf_cache_misses = batch.stats().spf_cache_misses;
-  return out;
 }
 
 Table3Result run_table3(const graph::Graph& g, const Table3Config& cfg) {

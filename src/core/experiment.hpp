@@ -60,43 +60,6 @@ Table2Row run_table2(const graph::Graph& g, FailureClass cls,
                      const Table2Config& cfg);
 
 // ---------------------------------------------------------------------------
-// Failure storms — the Section-5 event workload at batch granularity:
-// after each failure event, *every* affected provisioned LSP is restored at
-// once through the parallel BatchRestorer (core/batch.hpp).
-// ---------------------------------------------------------------------------
-
-struct StormConfig {
-  /// Provisioned LSP pool: this many random connected pairs with their
-  /// canonical base LSPs.
-  std::size_t provisioned = 400;
-  /// Failure events; each event fails 1..max_failed_links random links.
-  std::size_t events = 25;
-  std::size_t max_failed_links = 2;
-  std::uint64_t seed = 1;
-  spf::Metric metric = spf::Metric::Weighted;
-  BaseSetKind base_set = BaseSetKind::Canonical;
-  /// Batch engine worker threads (0 = hardware concurrency).
-  std::size_t threads = 1;
-};
-
-struct StormResult {
-  std::size_t events = 0;
-  std::size_t affected = 0;       ///< restorations attempted (sum over events)
-  std::size_t restored = 0;
-  std::size_t unrestorable = 0;
-  double avg_pc_length = 0.0;
-  std::size_t max_pc_length = 0;
-  /// Batch-engine cache effectiveness (per-source SPF sharing).
-  std::size_t spf_cache_hits = 0;
-  std::size_t spf_cache_misses = 0;
-};
-
-/// Runs the storm workload through a BatchRestorer on `cfg.threads`
-/// threads. The result is thread-count independent (the batch engine's
-/// determinism guarantee), so `threads` only changes wall-clock time.
-StormResult run_storm(const graph::Graph& g, const StormConfig& cfg);
-
-// ---------------------------------------------------------------------------
 // Table 3 — min-cost bypass hopcount distribution.
 // ---------------------------------------------------------------------------
 

@@ -49,13 +49,4 @@ FecUpdatePlan compute_fec_update_plan(BasePathSet& base, EdgeId link) {
   return plan;
 }
 
-std::vector<FecUpdatePlan> compute_all_fec_update_plans(BasePathSet& base) {
-  std::vector<FecUpdatePlan> plans;
-  plans.reserve(base.graph().num_edges());
-  for (EdgeId e = 0; e < base.graph().num_edges(); ++e) {
-    plans.push_back(compute_fec_update_plan(base, e));
-  }
-  return plans;
-}
-
 }  // namespace rbpc::core

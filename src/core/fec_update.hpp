@@ -46,7 +46,4 @@ struct FecUpdatePlan {
 /// work, traded for O(1) lookup at failure time.
 FecUpdatePlan compute_fec_update_plan(BasePathSet& base, graph::EdgeId link);
 
-/// Plans for every link, indexed by EdgeId.
-std::vector<FecUpdatePlan> compute_all_fec_update_plans(BasePathSet& base);
-
 }  // namespace rbpc::core

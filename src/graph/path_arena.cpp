@@ -37,10 +37,6 @@ void PathArena::clear() {
   open_ = kClosed;
 }
 
-std::size_t PathArena::used_bytes() const {
-  return nodes_.size() * sizeof(NodeId) + edges_.size() * sizeof(EdgeId);
-}
-
 std::size_t PathArena::capacity_bytes() const {
   return nodes_.capacity() * sizeof(NodeId) +
          edges_.capacity() * sizeof(EdgeId);

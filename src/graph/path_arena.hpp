@@ -69,7 +69,6 @@ class PathArena {
 
   /// Total u32 slots in use (node count across stored paths, incl. pads).
   std::size_t size() const { return nodes_.size(); }
-  std::size_t used_bytes() const;
   /// Heap footprint (capacity, both arrays) — what rbpc.mem.arena_bytes
   /// reports.
   std::size_t capacity_bytes() const;
@@ -118,13 +117,11 @@ class PathArena {
 
   // --- Serialization boundary (src/persist snapshots) -----------------------
   //
-  // A snapshot persists the arena as its two raw arrays plus the PathRef
-  // handles; adopt() is the inverse, replacing this arena's contents with
-  // previously exported arrays so recovery can view()/to_path() the same
-  // refs. The exported layout is the in-memory layout (pad slots included).
+  // A snapshot persists paths in the arena's in-memory layout: two
+  // index-aligned raw arrays (pad slots included) plus the PathRef handles.
+  // adopt() replaces this arena's contents with such arrays so recovery can
+  // view()/to_path() the same refs.
 
-  std::span<const NodeId> nodes_data() const { return nodes_; }
-  std::span<const EdgeId> edges_data() const { return edges_; }
   /// Replaces the arena contents with exported raw arrays. Structural
   /// validation only (index-aligned lengths, no open path); per-path
   /// validity is checked by to_path() against the graph, as recovery does.

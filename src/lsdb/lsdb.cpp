@@ -101,17 +101,4 @@ FloodOutcome flood_notification_times(const graph::Graph& g,
   return out;
 }
 
-void schedule_flood(EventQueue& queue, const graph::Graph& g,
-                    const graph::FailureMask& mask_after, LinkEvent event,
-                    const FloodParams& params,
-                    std::function<void(NodeId, const LinkEvent&)> on_notified) {
-  const FloodOutcome outcome = flood_notification_times(
-      g, mask_after, event.edge, queue.now(), params);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const SimTime when = outcome.notified_at[v];
-    if (when == std::numeric_limits<SimTime>::infinity()) continue;
-    queue.schedule_at(when, [v, event, on_notified] { on_notified(v, event); });
-  }
-}
-
 }  // namespace rbpc::lsdb

@@ -3,14 +3,13 @@
 // The paper's schemes differ in *when* a router learns of a failure: the
 // adjacent router detects it immediately (local RBPC), while the source
 // router waits for the link-state protocol to flood the LSA (source RBPC).
-// FloodSim models that propagation: an LSA originates at both endpoints of
-// the failed link and travels hop-by-hop over surviving links with a fixed
-// per-link delay plus a per-router processing delay, which is all the
-// hybrid scheme's timeline depends on.
+// flood_notification_times models that propagation: an LSA originates at
+// both endpoints of the failed link and travels hop-by-hop over surviving
+// links with a fixed per-link delay plus a per-router processing delay,
+// which is all the hybrid scheme's timeline (core/hybrid) depends on.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "graph/failure.hpp"
@@ -126,14 +125,5 @@ FloodOutcome flood_notification_times(const graph::Graph& g,
                                       const graph::FailureMask& mask_after,
                                       graph::EdgeId e, SimTime t0,
                                       const FloodParams& params = {});
-
-/// Event-driven variant: schedules per-router `on_notified(router, event)`
-/// callbacks on `queue`. Used by the hybrid-RBPC example to interleave the
-/// flood with traffic.
-void schedule_flood(EventQueue& queue, const graph::Graph& g,
-                    const graph::FailureMask& mask_after, LinkEvent event,
-                    const FloodParams& params,
-                    std::function<void(graph::NodeId, const LinkEvent&)>
-                        on_notified);
 
 }  // namespace rbpc::lsdb

@@ -64,12 +64,10 @@ class Lsr {
   /// nullptr when the label is unknown (packet would be dropped).
   const IlmEntry* ilm(Label label) const;
   std::size_t ilm_size() const { return ilm_.size(); }
-  const std::unordered_map<Label, IlmEntry>& ilm_table() const { return ilm_; }
 
   void set_fec(graph::NodeId dest, FecEntry entry);
   void clear_fec(graph::NodeId dest);
   const FecEntry* fec(graph::NodeId dest) const;
-  std::size_t fec_size() const { return fec_.size(); }
 
  private:
   graph::NodeId id_;

@@ -78,7 +78,6 @@ class SloTracker {
   /// Advances the window one tick, re-evaluates every objective, exports
   /// the slo.* metrics. Thread-safe (serialized internally). Returns the
   /// number of objectives currently breached.
-  std::size_t breached_now() { return tick(); }
   std::size_t tick();
 
   /// Objectives breached on the most recent tick.

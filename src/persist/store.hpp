@@ -96,7 +96,6 @@ class PersistentStore {
   /// and starts a fresh WAL. Returns the assigned sequence number.
   std::uint64_t rotate(SnapshotState state);
 
-  std::uint64_t current_seq() const { return seq_; }
   bool has_snapshot() const { return seq_ != 0; }
   std::uint64_t records_since_rotate() const { return records_since_; }
 

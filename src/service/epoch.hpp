@@ -97,9 +97,6 @@ class EpochManager {
 
   // --- introspection (tests, svc.* gauges) ----------------------------------
 
-  std::uint64_t global_epoch() const {
-    return global_epoch_.load(std::memory_order_seq_cst);
-  }
   /// Smallest pinned epoch; uint64 max when no reader is pinned.
   std::uint64_t min_pinned() const;
   /// Retired objects still awaiting reclamation.

@@ -109,7 +109,6 @@ class DistanceOracle {
   /// them. Path and canonical queries still build trees. Undirected
   /// oracles only.
   void set_bounded_point_queries(bool enabled);
-  bool bounded_point_queries() const { return bounded_point_; }
 
   /// Number of SPF runs performed so far (both flavors, including
   /// bidirectional runs); used by the benchmarks to report

@@ -153,16 +153,10 @@ void shortest_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
 }
 
 ShortestPathTree shortest_tree(const Graph& g, NodeId source,
-                               const FailureMask& mask, SpfOptions options,
-                               SpfWorkspace& workspace) {
-  ShortestPathTree tree;
-  shortest_tree_into(g, source, mask, options, workspace, tree);
-  return tree;
-}
-
-ShortestPathTree shortest_tree(const Graph& g, NodeId source,
                                const FailureMask& mask, SpfOptions options) {
-  return shortest_tree(g, source, mask, options, thread_workspace());
+  ShortestPathTree tree;
+  shortest_tree_into(g, source, mask, options, thread_workspace(), tree);
+  return tree;
 }
 
 Weight bounded_distance(const Graph& g, NodeId s, NodeId t,

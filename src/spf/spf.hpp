@@ -39,21 +39,16 @@ ShortestPathTree shortest_tree(const graph::Graph& g, graph::NodeId source,
                                const graph::FailureMask& mask = graph::FailureMask::none(),
                                SpfOptions options = {});
 
-/// Same computation through an explicit caller-owned workspace (see
-/// spf/workspace.hpp). The no-workspace overload uses the calling thread's
-/// thread_workspace(); pass one explicitly only to control scratch reuse
-/// (e.g. a long-lived engine that wants its allocations accounted). The
-/// result is identical either way — the workspace never influences output.
-ShortestPathTree shortest_tree(const graph::Graph& g, graph::NodeId source,
-                               const graph::FailureMask& mask,
-                               SpfOptions options, SpfWorkspace& workspace);
-
-/// In-place variant: rebuilds `out` with the tree from `source`, reusing its
-/// SoA array capacity. Once `workspace` and `out` have been sized for the
-/// graph, a run performs zero heap allocations (beyond amortized heap-vector
-/// growth inside the workspace, which also reaches a fixed point). Output is
-/// bit-identical to shortest_tree — the storage strategy never influences
-/// results.
+/// In-place variant through an explicit caller-owned workspace (see
+/// spf/workspace.hpp): rebuilds `out` with the tree from `source`, reusing
+/// its SoA array capacity. shortest_tree runs this on the calling thread's
+/// thread_workspace(); pass a workspace explicitly to control scratch reuse
+/// (e.g. a long-lived engine that wants its allocations accounted). Once
+/// `workspace` and `out` have been sized for the graph, a run performs zero
+/// heap allocations (beyond amortized heap-vector growth inside the
+/// workspace, which also reaches a fixed point). Output is bit-identical to
+/// shortest_tree — neither the workspace nor the storage strategy ever
+/// influences results.
 void shortest_tree_into(const graph::Graph& g, graph::NodeId source,
                         const graph::FailureMask& mask, SpfOptions options,
                         SpfWorkspace& workspace, ShortestPathTree& out);

@@ -61,23 +61,6 @@ std::string TablePrinter::to_text() const {
   return os.str();
 }
 
-std::string TablePrinter::to_markdown() const {
-  std::ostringstream os;
-  auto emit_row = [&](const std::vector<std::string>& cells) {
-    os << "|";
-    for (const auto& cell : cells) os << ' ' << cell << " |";
-    os << '\n';
-  };
-  emit_row(headers_);
-  os << "|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << '\n';
-  for (const Row& row : rows_) {
-    if (!row.separator) emit_row(row.cells);
-  }
-  return os.str();
-}
-
 std::string TablePrinter::num(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, v);

@@ -1,5 +1,5 @@
-// Aligned console / markdown table printing for the bench binaries, which
-// reproduce the paper's tables row-for-row.
+// Aligned console table printing for the bench binaries, which reproduce
+// the paper's tables row-for-row.
 #pragma once
 
 #include <iosfwd>
@@ -8,20 +8,18 @@
 
 namespace rbpc {
 
-/// Builds a rectangular table of strings and renders it either as an
-/// aligned plain-text table or as GitHub-flavored markdown.
+/// Builds a rectangular table of strings and renders it as an aligned
+/// plain-text table.
 class TablePrinter {
  public:
   /// Column headers define the table width; every later row must match.
   explicit TablePrinter(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> cells);
-  /// Inserts a visual separator (rendered as a rule in text mode, skipped
-  /// in markdown where it would be invalid).
+  /// Inserts a visual separator, rendered as a rule.
   void add_separator();
 
   std::string to_text() const;
-  std::string to_markdown() const;
 
   /// Convenience: formats a double with `digits` decimals.
   static std::string num(double v, int digits = 2);

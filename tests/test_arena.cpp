@@ -1,6 +1,6 @@
 // Arena-backed hot path: PathArena unit behavior and, corpus-wide, the
 // bit-identical equivalence of the allocation-free engines against their
-// legacy counterparts — restoration, greedy/overlay decomposition, bulk SPF
+// legacy counterparts — restoration, greedy decomposition, bulk SPF
 // and bounded point distances. Standalone binary so CI can run it under
 // TSan and ASan directly (the arena growth/reuse/rewind paths are exactly
 // where lifetime bugs would hide).
@@ -227,37 +227,6 @@ TEST(ArenaDifferential, GreedyDecomposeIdenticalForCanonicalSet) {
       arena.clear();
       core::greedy_decompose_into(base, arena, arena.store(backup), out);
       ASSERT_EQ(legacy, out.materialize(tc.g, arena)) << tc.name;
-    }
-  }
-}
-
-TEST(ArenaDifferential, OverlayDecomposeStableUnderSharedArena) {
-  // The overlay engine mark/rewinds its candidate probes; repeated runs in
-  // one arena must neither leak probe storage nor change the answer.
-  for (const auto& tc : testing::corpus()) {
-    if (tc.g.num_nodes() > 30) continue;  // overlay is O(n^2) per call
-    const spf::Metric metric =
-        tc.g.is_unit_weight() ? spf::Metric::Hops : spf::Metric::Weighted;
-    spf::DistanceOracle oracle(tc.g, FailureMask{}, metric);
-    core::CanonicalBaseSet base(oracle);
-    PathArena arena;
-    core::OverlayWorkspace ws;
-    core::DecompositionRef out;
-    Rng rng(53);
-    Rng sample_rng = rng.fork();
-    const core::SamplePair pair = core::sample_pair(oracle, sample_rng);
-    FailureMask mask;
-    mask.fail_edge(pair.lsp.edge(0));
-    const core::Decomposition legacy =
-        core::overlay_decompose(base, mask, pair.src, pair.dst);
-    std::size_t settled_size = 0;
-    for (int round = 0; round < 3; ++round) {
-      arena.clear();
-      core::overlay_decompose_into(base, mask, pair.src, pair.dst, arena, ws,
-                                   out);
-      ASSERT_EQ(legacy, out.materialize(tc.g, arena)) << tc.name;
-      if (round == 0) settled_size = arena.size();
-      ASSERT_EQ(arena.size(), settled_size) << tc.name;  // probes rewound
     }
   }
 }

@@ -25,7 +25,6 @@
 #include "core/base_set.hpp"
 #include "core/batch.hpp"
 #include "core/decompose.hpp"
-#include "core/experiment.hpp"
 #include "core/restoration.hpp"
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
@@ -345,36 +344,6 @@ TEST(BatchRestorer, AffectedLspsFindsBrokenPaths) {
   node_mask.fail_node(2);  // breaks both non-trivial LSPs
   EXPECT_EQ(affected_lsps(g, lsps, node_mask),
             (std::vector<std::size_t>{0, 1}));
-}
-
-// ---------------------------------------------------------------------------
-// Storm experiment driver: thread-count independence end to end.
-// ---------------------------------------------------------------------------
-
-TEST(StormExperiment, ResultsAreThreadCountIndependent) {
-  Rng topo_rng(11);
-  const Graph g = topo::make_random_connected(40, 100, topo_rng, 12);
-  StormConfig cfg;
-  cfg.provisioned = 60;
-  cfg.events = 10;
-  cfg.max_failed_links = 3;
-  cfg.threads = 1;
-  const StormResult serial = run_storm(g, cfg);
-  cfg.threads = 4;
-  const StormResult parallel = run_storm(g, cfg);
-
-  EXPECT_GT(serial.affected, 0u);
-  EXPECT_EQ(serial.events, parallel.events);
-  EXPECT_EQ(serial.affected, parallel.affected);
-  EXPECT_EQ(serial.restored, parallel.restored);
-  EXPECT_EQ(serial.unrestorable, parallel.unrestorable);
-  EXPECT_DOUBLE_EQ(serial.avg_pc_length, parallel.avg_pc_length);
-  EXPECT_EQ(serial.max_pc_length, parallel.max_pc_length);
-  // Weighted canonical base: Theorems 2-3 ceiling.
-  EXPECT_LE(serial.max_pc_length, 2 * cfg.max_failed_links + 1);
-  // Same workload, same sharing opportunities.
-  EXPECT_EQ(serial.spf_cache_misses, parallel.spf_cache_misses);
-  EXPECT_EQ(serial.spf_cache_hits, parallel.spf_cache_hits);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,10 +3,8 @@
 // event (core/drill.hpp).
 #include <gtest/gtest.h>
 
-#include "core/base_set.hpp"
 #include "core/controller.hpp"
 #include "core/drill.hpp"
-#include "spf/oracle.hpp"
 #include "topo/generators.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -106,26 +104,6 @@ TEST(Drill, MergedControllerWithLocalPatches) {
   cfg.patch_chance = 1.0;
   expect_clean(run_failure_drill(g, spf::Metric::Weighted,
                                  actions_for(ctl, true), cfg, rng));
-}
-
-TEST(Drill, BatchEngineMatchesSerialUnderChurn) {
-  // Soak the parallel batch engine against the serial restoration loop
-  // amid random fail/recover churn (including router failures): any
-  // divergence is reported as a drill violation.
-  Rng topo_rng(231);
-  const Graph g = topo::make_random_connected(22, 55, topo_rng, 7);
-  RbpcController ctl(g, spf::Metric::Weighted);
-  ctl.provision();
-  spf::DistanceOracle oracle(g, graph::FailureMask{}, spf::Metric::Weighted);
-  CanonicalBaseSet base(oracle);
-  Rng rng(233);
-  DrillConfig cfg;
-  cfg.steps = 25;
-  cfg.router_chance = 0.3;
-  cfg.batch_base = &base;
-  cfg.batch_threads = 3;
-  expect_clean(run_failure_drill(g, spf::Metric::Weighted,
-                                 actions_for(ctl, false, true), cfg, rng));
 }
 
 TEST(Drill, PerLspControllerWithRouterFailures) {

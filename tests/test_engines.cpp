@@ -6,9 +6,12 @@
 // rung for a single failed link, else a view repaired from the unfailed
 // trees. The serial source_rbpc_restore loop climbs no ladder at all, so
 // it is the reference. The sweep covers the corpus with one, two and three
-// failed links and with one failed router, and checks that both the cut
+// failed links, one failed router, one and two failed links together with
+// that router, and then everything back up. It checks that both the cut
 // rung and the repair rung actually ran in every engine — agreement that
-// never exercised a rung would prove nothing about it.
+// never exercised a rung would prove nothing about it. A link plus a
+// router is the case where the cut rung must stand aside: its proof
+// covers exactly one failed element.
 #include <gtest/gtest.h>
 
 #include "corpus.hpp"
@@ -44,7 +47,8 @@ using rbpc::testing::corpus;
 
 constexpr spf::Metric kMetric = spf::Metric::Hops;  // the service's default
 
-/// One failure set of the sweep: some failed links, or one failed router.
+/// One failure set of the sweep: some failed links, possibly with one
+/// failed router.
 struct Scenario {
   std::string name;
   std::vector<EdgeId> links;
@@ -61,8 +65,8 @@ struct Scenario {
 /// carries link events only, so a failed router is every link at it; for
 /// pairs that do not end at the router the routes are the same.
 std::vector<EdgeId> down_links(const Graph& g, const Scenario& sc) {
-  if (sc.router == graph::kInvalidNode) return sc.links;
-  std::vector<EdgeId> out;
+  std::vector<EdgeId> out = sc.links;
+  if (sc.router == graph::kInvalidNode) return out;
   for (const graph::Arc& a : g.arcs(sc.router)) out.push_back(a.edge);
   return out;
 }
@@ -126,13 +130,16 @@ TEST(EngineAgreement, EveryEngineReturnsTheSerialRoutes) {
     spf::DistanceOracle oracle(g, FailureMask{}, kMetric);
     core::CanonicalBaseSet serial(oracle);
 
-    // k = 1, 2, 3 failed links. The first one lies on a pair's canonical
-    // route, so the failure reroutes at least that pair.
-    std::vector<Scenario> scenarios;
-    for (std::size_t k = 1; k <= 3; ++k) {
+    // k failed links, plus `with_router` when it is set. The first link
+    // lies on a pair's canonical route, so the failure reroutes at least
+    // that pair.
+    const auto k_links = [&](std::size_t k, NodeId with_router) {
       const RestoreJob& hit = jobs[rng.below(jobs.size())];
       const graph::Path route = serial.base_path(hit.src, hit.dst);
-      Scenario sc{"k=" + std::to_string(k), {}, graph::kInvalidNode};
+      Scenario sc{"k=" + std::to_string(k), {}, with_router};
+      if (with_router != graph::kInvalidNode) {
+        sc.name += " + router " + std::to_string(with_router);
+      }
       if (route.hops() > 0) {
         sc.links.push_back(route.edge(rng.below(route.hops())));
       }
@@ -142,9 +149,16 @@ TEST(EngineAgreement, EveryEngineReturnsTheSerialRoutes) {
           sc.links.push_back(e);
         }
       }
-      scenarios.push_back(std::move(sc));
+      return sc;
+    };
+    std::vector<Scenario> scenarios;
+    for (std::size_t k = 1; k <= 3; ++k) {
+      scenarios.push_back(k_links(k, graph::kInvalidNode));
     }
     scenarios.push_back({"router " + std::to_string(router), {}, router});
+    scenarios.push_back(k_links(1, router));
+    scenarios.push_back(k_links(2, router));
+    scenarios.push_back({"all up", {}, graph::kInvalidNode});
 
     spf::DistanceOracle oracle1(g, FailureMask{}, kMetric);
     core::CanonicalBaseSet base1(oracle1);

@@ -182,26 +182,6 @@ TEST(Flood, IsolatedThirdPartyUnreachable) {
   EXPECT_TRUE(std::isinf(out.notified_at[2]));
 }
 
-TEST(Flood, ScheduleFloodDrivesCallbacks) {
-  const auto g = topo::make_ring(5);
-  EventQueue q;
-  FailureMask after = FailureMask::of_edges({0});
-  std::vector<double> notified(g.num_nodes(), -1.0);
-  schedule_flood(q, g, after, LinkEvent{0, false},
-                 FloodParams{.link_delay = 1.0, .process_delay = 0.0,
-                             .detect_delay = 0.0},
-                 [&](graph::NodeId v, const LinkEvent& ev) {
-                   EXPECT_EQ(ev.edge, 0u);
-                   notified[v] = q.now();
-                 });
-  q.run_all();
-  // Endpoints of edge 0 (nodes 0, 1) detect at t=0; the farthest router on
-  // the surviving 4-link arc hears after 2 links.
-  EXPECT_DOUBLE_EQ(notified[0], 0.0);
-  EXPECT_DOUBLE_EQ(notified[1], 0.0);
-  EXPECT_DOUBLE_EQ(notified[3], 2.0);
-}
-
 // ---------------------------------------------------------------------------
 // Durable-state round-trip (the persistence plane's snapshot contract).
 // ---------------------------------------------------------------------------

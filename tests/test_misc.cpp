@@ -199,8 +199,6 @@ TEST(TablePrinterExtras, SeparatorRendering) {
     }
   }
   EXPECT_EQ(rules, 2u);
-  // Markdown skips separators (invalid there).
-  EXPECT_EQ(t.to_markdown().find("---|\n|---"), std::string::npos);
 }
 
 TEST(ControllerExtras, SendToSelfDeliversTrivially) {

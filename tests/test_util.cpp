@@ -330,15 +330,6 @@ TEST(TablePrinter, TextLayout) {
   EXPECT_LT(text.find("name"), text.find("alpha"));
 }
 
-TEST(TablePrinter, MarkdownLayout) {
-  TablePrinter t({"a", "b"});
-  t.add_row({"x", "y"});
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("| a | b |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| x | y |"), std::string::npos);
-}
-
 TEST(TablePrinter, RowWidthMismatchThrows) {
   TablePrinter t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), PreconditionError);

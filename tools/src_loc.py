@@ -9,10 +9,14 @@ is not a // comment, not inside a /* */ block and not a preprocessor line
 (#include, #pragma, ...). One definition, so "src/ shrank" means the same
 thing in every change that claims it.
 
-With --base REV the script also counts REV's src/ tree, read through
-`git ls-tree` and `git show` without a checkout, and prints the delta.
-When REV does not resolve (a shallow clone, say) it prints only the
-current count. The exit status is always 0: the number is informational.
+After the total it prints one line per module: each directory directly
+under src/ (src/core, src/spf, ...), and each file that sits in src/
+itself. With --base REV the script also counts REV's src/ tree, read
+through `git ls-tree` and `git show` without a checkout, and prints the
+delta of the total and of every module, so a refactor shows which
+modules it shrank. When REV does not resolve (a shallow clone, say) it
+prints only the current counts. The exit status is always 0: the number
+is informational.
 """
 
 import argparse
@@ -52,12 +56,21 @@ def count_code_lines(text):
     return count
 
 
+def module_of(name):
+    """The module of a path relative to src/: its first component."""
+    return "src/" + name.split("/", 1)[0]
+
+
 def count_tree(root):
+    """src/ code lines in the working tree, as {module: lines}."""
     src = pathlib.Path(root) / "src"
-    return sum(
-        count_code_lines(p.read_text(encoding="utf-8", errors="replace"))
-        for p in sorted(src.rglob("*"))
-        if p.is_file() and p.suffix in SUFFIXES)
+    modules = {}
+    for p in sorted(src.rglob("*")):
+        if p.is_file() and p.suffix in SUFFIXES:
+            module = module_of(p.relative_to(src).as_posix())
+            modules[module] = modules.get(module, 0) + count_code_lines(
+                p.read_text(encoding="utf-8", errors="replace"))
+    return modules
 
 
 def git(root, *args):
@@ -66,19 +79,22 @@ def git(root, *args):
 
 
 def count_rev(root, rev):
-    """src/ code lines at `rev`, or None when `rev` does not resolve."""
+    """src/ code lines at `rev` as {module: lines}, or None when `rev`
+    does not resolve."""
     try:
         git(root, "rev-parse", "--verify", "--quiet", rev + "^{commit}")
     except subprocess.CalledProcessError:
         return None
     names = git(root, "ls-tree", "-r", "--name-only", rev, "--",
                 "src").decode().splitlines()
-    total = 0
+    modules = {}
     for name in names:
         if name.endswith(SUFFIXES):
             blob = git(root, "show", f"{rev}:{name}")
-            total += count_code_lines(blob.decode("utf-8", errors="replace"))
-    return total
+            module = module_of(name[len("src/"):])
+            modules[module] = modules.get(module, 0) + count_code_lines(
+                blob.decode("utf-8", errors="replace"))
+    return modules
 
 
 def main():
@@ -89,15 +105,23 @@ def main():
     args = parser.parse_args()
 
     now = count_tree(args.root)
+    base = None if args.base is None else count_rev(args.root, args.base)
+    total = sum(now.values())
     if args.base is None:
-        print(f"src code lines: {now}")
-        return 0
-    base = count_rev(args.root, args.base)
-    if base is None:
-        print(f"src code lines: {now} (base {args.base} not found)")
-        return 0
-    print(f"src code lines: {base} at {args.base} -> {now} "
-          f"({now - base:+d})")
+        print(f"src code lines: {total}")
+    elif base is None:
+        print(f"src code lines: {total} (base {args.base} not found)")
+    else:
+        base_total = sum(base.values())
+        print(f"src code lines: {base_total} at {args.base} -> {total} "
+              f"({total - base_total:+d})")
+    for module in sorted(set(now) | set(base or {})):
+        lines = now.get(module, 0)
+        if base is None:
+            print(f"  {module}: {lines}")
+        else:
+            was = base.get(module, 0)
+            print(f"  {module}: {was} -> {lines} ({lines - was:+d})")
     return 0
 
 
