@@ -90,6 +90,32 @@ void BM_PaddedDijkstraIsp(benchmark::State& state) {
 }
 BENCHMARK(BM_PaddedDijkstraIsp);
 
+// The restoration service's own tree flavor: padded hops under the default
+// (Arbitrary) tiebreak, the trees it provisions and rebuilds per source.
+void BM_PaddedHopTreeIsp(benchmark::State& state) {
+  const Graph& g = isp_graph();
+  Rng rng(6);
+  for (auto _ : state) {
+    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+    benchmark::DoNotOptimize(spf::shortest_tree(
+        g, s, FailureMask::none(),
+        spf::SpfOptions{.metric = spf::Metric::Hops, .padded = true}));
+  }
+}
+BENCHMARK(BM_PaddedHopTreeIsp);
+
+void BM_PaddedHopTreeAs(benchmark::State& state) {
+  const Graph& g = as_graph();
+  Rng rng(7);
+  for (auto _ : state) {
+    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
+    benchmark::DoNotOptimize(spf::shortest_tree(
+        g, s, FailureMask::none(),
+        spf::SpfOptions{.metric = spf::Metric::Hops, .padded = true}));
+  }
+}
+BENCHMARK(BM_PaddedHopTreeAs);
+
 // --- Incremental repair vs from-scratch SPF under a single link failure ---
 //
 // The restoration hot path: a link fails, every affected source needs its

@@ -21,10 +21,6 @@ void set_bit(std::vector<bool>& bits, std::size_t idx, bool value,
   }
 }
 
-bool get_bit(const std::vector<bool>& bits, std::size_t idx) {
-  return idx < bits.size() && bits[idx];
-}
-
 }  // namespace
 
 void FailureMask::fail_edge(EdgeId e) {
@@ -41,16 +37,6 @@ void FailureMask::restore_edge(EdgeId e) {
 
 void FailureMask::restore_node(NodeId v) {
   set_bit(node_failed_, v, false, failed_node_count_);
-}
-
-bool FailureMask::edge_failed(EdgeId e) const { return get_bit(edge_failed_, e); }
-
-bool FailureMask::node_failed(NodeId v) const { return get_bit(node_failed_, v); }
-
-bool FailureMask::edge_alive(const Graph& g, EdgeId e) const {
-  if (edge_failed(e)) return false;
-  const Edge& ed = g.edge(e);
-  return node_alive(ed.u) && node_alive(ed.v);
 }
 
 std::size_t FailureMask::removed_edge_count(const Graph& g) const {

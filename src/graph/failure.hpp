@@ -27,11 +27,22 @@ class FailureMask {
   void restore_edge(EdgeId e);
   void restore_node(NodeId v);
 
-  bool edge_failed(EdgeId e) const;
-  bool node_failed(NodeId v) const;
+  // The checks are inline: the SPF kernels, the cut scan and repair ask
+  // them once per arc.
+  bool edge_failed(EdgeId e) const {
+    return e < edge_failed_.size() && edge_failed_[e];
+  }
+  bool node_failed(NodeId v) const {
+    return v < node_failed_.size() && node_failed_[v];
+  }
 
   /// A link is usable iff neither it nor either endpoint has failed.
-  bool edge_alive(const Graph& g, EdgeId e) const;
+  bool edge_alive(const Graph& g, EdgeId e) const {
+    if (empty()) return true;
+    if (edge_failed(e)) return false;
+    const Edge& ed = g.edge(e);
+    return node_alive(ed.u) && node_alive(ed.v);
+  }
   bool node_alive(NodeId v) const { return !node_failed(v); }
 
   /// True when nothing is failed.

@@ -80,12 +80,6 @@ bool ShardedLsdb::Snapshot::edge_failed(graph::EdgeId e) const {
   return std::binary_search(down_->begin(), down_->end(), e);
 }
 
-graph::FailureMask ShardedLsdb::Snapshot::to_mask() const {
-  graph::FailureMask mask;
-  for (const graph::EdgeId e : *down_) mask.fail_edge(e);
-  return mask;
-}
-
 std::uint64_t ShardedLsdb::Snapshot::generation(graph::EdgeId e) const {
   std::lock_guard<std::mutex> lock(db_->mu_);
   return db_->lsdb_.applied_generation(e);

@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "graph/failure.hpp"
 #include "graph/types.hpp"
 #include "lsdb/lsdb.hpp"
 #include "service/epoch.hpp"
@@ -78,11 +77,6 @@ class ShardedLsdb {
     std::size_t failed_edge_count() const { return down_->size(); }
     /// The down links, ascending.
     std::span<const graph::EdgeId> failed_edges() const { return *down_; }
-
-    /// Materializes the view as a FailureMask (link failures only — the
-    /// service's ingest stream is the LSA flood, which carries no router
-    /// events). Walks the down list, not every link.
-    graph::FailureMask to_mask() const;
 
     /// Highest generation applied for `e`, read from the live database
     /// under its writer lock (so possibly newer than the view). Kept for

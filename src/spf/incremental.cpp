@@ -17,8 +17,10 @@ using graph::Graph;
 using graph::NodeId;
 using graph::Weight;
 
-/// True for the flavors computed by the heap kernel (whose tie-breaking the
-/// repair can reproduce); the plain-BFS hop flavor is not repairable.
+/// True for the flavors whose parents follow Dijkstra's first-achiever
+/// rule (weighted, and every padded run, heap or layered), which the
+/// repair can reproduce; the plain hop flavor keeps BFS's first
+/// discoverer and is not repairable.
 bool heap_flavor(const SpfOptions& options) {
   return options.metric == Metric::Weighted || options.padded;
 }

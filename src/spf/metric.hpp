@@ -22,6 +22,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
+#include "util/rng.hpp"
 
 namespace rbpc::spf {
 
@@ -70,9 +71,64 @@ inline graph::Weight metric_weight(const graph::Graph& g, graph::EdgeId e,
   return metric == Metric::Hops ? 1 : g.weight(e);
 }
 
+namespace detail {
+
+// The seed's pseudo-random salt: SplitMix64 of the edge id; fixed basis so
+// salts are stable across runs. Must stay bit-identical — every pre-policy
+// padded tree, cache entry, and golden result was computed with it.
+inline graph::Weight arbitrary_salt(graph::EdgeId e) {
+  std::uint64_t s = 0xA5A5A5A55A5A5A5Aull ^ (static_cast<std::uint64_t>(e) + 1);
+  const std::uint64_t mixed = splitmix64(s);
+  return static_cast<graph::Weight>(mixed % static_cast<std::uint64_t>(kMaxSalt)) + 1;
+}
+
+// Salts strictly increasing in edge id: a path's salt sum compares
+// lexicographically-by-smallest-usable-edge among equal-cost, equal-length
+// alternatives, and lower-id edges are always preferred at equal cost.
+inline graph::Weight lexicographic_salt(graph::EdgeId e) {
+  return static_cast<graph::Weight>(
+             static_cast<std::uint64_t>(e) %
+             static_cast<std::uint64_t>(kMaxSalt - 1)) +
+         1;
+}
+
+// Hop-dominant salts: every edge pays a large fixed bias plus a small
+// jitter, so a path's salt sum is (hops * kHopBias + small). Among
+// equal-cost paths the fewer-hop one always wins while accumulated jitter
+// stays under one bias — i.e. for paths up to kRestorableHopLimit hops,
+// since kRestorableHopLimit * (kJitter - 1) < kHopBias. Jitter (from the
+// edge id) breaks remaining fewer-hop ties deterministically.
+inline constexpr graph::Weight kHopBias = kMaxSalt / 2;  // 2^13
+inline constexpr graph::Weight kJitter = 8;
+static_assert(kRestorableHopLimit * (kJitter - 1) < kHopBias,
+              "restorable salts must stay hop-dominant up to the hop limit");
+static_assert(kHopBias + kJitter <= kMaxSalt,
+              "restorable salts must fit the padding budget");
+
+inline graph::Weight restorable_salt(graph::EdgeId e) {
+  std::uint64_t s = 0xC3C3C3C33C3C3C3Cull ^ (static_cast<std::uint64_t>(e) + 1);
+  const std::uint64_t mixed = splitmix64(s);
+  return kHopBias + 1 +
+         static_cast<graph::Weight>(mixed % static_cast<std::uint64_t>(kJitter));
+}
+
+}  // namespace detail
+
 /// Deterministic per-edge padding salt in [1, kMaxSalt] under `policy`.
-graph::Weight padding_salt(graph::EdgeId e,
-                           TiebreakPolicy policy = TiebreakPolicy::Arbitrary);
+/// Inline: the SPF kernels, the cut scan and repair price every relaxed arc
+/// with it.
+inline graph::Weight padding_salt(
+    graph::EdgeId e, TiebreakPolicy policy = TiebreakPolicy::Arbitrary) {
+  switch (policy) {
+    case TiebreakPolicy::Lexicographic:
+      return detail::lexicographic_salt(e);
+    case TiebreakPolicy::Restorable:
+      return detail::restorable_salt(e);
+    case TiebreakPolicy::Arbitrary:
+      break;
+  }
+  return detail::arbitrary_salt(e);
+}
 
 /// Augmented (padded) cost of one edge under `metric` and `policy`.
 inline graph::Weight padded_weight(

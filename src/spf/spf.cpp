@@ -39,42 +39,99 @@ void flush_kernel_counts(std::uint64_t pushes, std::uint64_t pops,
   relaxations.add(relax_attempts);
 }
 
-/// BFS for the hop metric (no padding): linear time, deterministic because
-/// adjacency lists are sorted. The workspace provides the FIFO queue;
-/// reachability doubles as the visited set, so no per-node scratch is
-/// needed. The queue is the settle order the subtree-arc pass needs; the
-/// unique bits stay false (BFS does not count achievers).
-void bfs_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
+/// The hop-metric kernel, padded or not, with no heap. Every step is one
+/// hop, so a node at hop distance h has key h unpadded and a key in
+/// [h * kPadScale, (h + 1) * kPadScale) padded (its path's salt sum stays
+/// below kPadScale): a heap would pop the nodes one hop layer at a time.
+/// The kernel builds the tree that way. It scans layer h's nodes, in the
+/// order they joined it, and relaxes their alive arcs into layer h + 1;
+/// arcs back into layers <= h can neither improve nor tie a key there.
+///
+/// Unpadded, the first discoverer of a node is its parent: the BFS queue
+/// order, and the unique bits stay false (no achiever counting).
+///
+/// Padded, a node's key and tie flag depend only on the set of achievers,
+/// and its parent must be the achiever a heap run settles first: the one
+/// with the least (key(u), u), first arc in u's adjacency on equal (key,
+/// u) (DESIGN.md §7). Layer order is not key order, so an equal `alt`
+/// compares its achiever against the current parent instead of being
+/// ignored. Until its layer settles, a node's unique bit holds "no tie
+/// yet": set by a strict improvement, cleared by an equal `alt`. Settling
+/// the layer then ands in the parent's (already final) bit, as the heap
+/// kernel does at settle. The layer list doubles as the settle order for
+/// the subtree-arc pass.
+///
+/// stop_at: an unpadded run stops when it dequeues the target, as BFS
+/// does; a padded run stops once the target's layer has settled. Only the
+/// target's entries are specified.
+void hop_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
                    const SpfOptions& options, SpfWorkspace& ws,
                    ShortestPathTree& tree) {
-  tree.reset(source, g.num_nodes(), Metric::Hops, /*padded=*/false);
-  tree.settle(source, 0, graph::kInvalidNode, graph::kInvalidEdge);
+  const bool padded = options.padded;
+  const TiebreakPolicy policy =
+      padded ? options.tiebreak : TiebreakPolicy::Arbitrary;
+  tree.reset(source, g.num_nodes(), Metric::Hops, padded, policy);
+  tree.settle(source, 0, graph::kInvalidNode, graph::kInvalidEdge, padded);
   ws.begin(g.num_nodes());
-  std::vector<NodeId>& queue = ws.scratch_nodes();
-  queue.push_back(source);
+  std::vector<NodeId>& order = ws.scratch_nodes();
+  order.push_back(source);
+  const bool has_target = options.stop_at < g.num_nodes();
   std::uint64_t relax_attempts = 0;
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId v = queue[head];
-    if (v == options.stop_at) break;
-    const Weight d = tree.dist(v);
-    for (const graph::Arc& a : g.arcs(v)) {
-      ++relax_attempts;
-      if (!mask.edge_alive(g, a.edge) || tree.reachable(a.to)) continue;
-      tree.settle(a.to, d + 1, v, a.edge);
-      queue.push_back(a.to);
+  bool stopped = false;
+  for (std::size_t begin = 0, layer = 0; begin < order.size() && !stopped;
+       ++layer) {
+    if (padded && has_target && tree.reachable(options.stop_at)) break;
+    const std::size_t end = order.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      const NodeId u = order[i];
+      if (!padded && u == options.stop_at) {
+        stopped = true;
+        break;
+      }
+      const Weight ku = tree.key(u);
+      for (const graph::Arc& a : g.arcs(u)) {
+        if (!mask.edge_alive(g, a.edge)) continue;
+        ++relax_attempts;
+        const Weight kt = tree.key(a.to);
+        const Weight alt =
+            ku + (padded ? kPadScale + padding_salt(a.edge, policy) : 1);
+        if (alt < kt) {
+          if (kt == graph::kUnreachable) order.push_back(a.to);
+          tree.settle(a.to, alt, u, a.edge, /*unique=*/padded);
+        } else if (padded && alt == kt) {
+          // A second arc from the parent itself compares equal and keeps
+          // the first.
+          const NodeId p = tree.parent(a.to);
+          if (std::pair(ku, u) < std::pair(tree.key(p), p)) {
+            tree.settle(a.to, alt, u, a.edge);
+          }
+          tree.set_unique(a.to, false);
+        }
+      }
     }
+    if (padded && end < order.size()) {
+      // dist() divides the padded key by kPadScale; the quotient is the
+      // true cost only while the path's salt sum stays below kPadScale.
+      RBPC_ASSERT(layer + 1 < kPadScale / kMaxSalt);
+      for (std::size_t i = end; i < order.size(); ++i) {
+        const NodeId v = order[i];
+        tree.set_unique(v, tree.unique(v) && tree.unique(tree.parent(v)));
+      }
+    }
+    begin = end;
   }
-  tree.sum_subtree_arcs(g, queue);
-  // The BFS queue stands in for the heap: a push is an enqueue, a pop a
-  // dequeue (queue.size() of each).
-  flush_kernel_counts(queue.size(), queue.size(), relax_attempts);
+  tree.sum_subtree_arcs(g, order);
+  // The layer list stands in for the heap: a push is a discovery, a pop a
+  // scan (order.size() of each).
+  flush_kernel_counts(order.size(), order.size(), relax_attempts);
 }
 
 /// Heap Dijkstra with lazy deletion on workspace scratch (no per-call
-/// allocations once the workspace is warm). When options.padded, the heap
-/// key is the padded cost, from which the tree derives the true cost
-/// (padding preserves strict order of true costs, so the padded-optimal
-/// path is a true shortest path).
+/// allocations once the workspace is warm), for Metric::Weighted; the hop
+/// metric goes to hop_tree_into. When options.padded, the heap key is the
+/// padded cost, from which the tree derives the true cost (padding
+/// preserves strict order of true costs, so the padded-optimal path is a
+/// true shortest path).
 ///
 /// The node words (spf/tree.hpp) come out of the same run. Every in-arc
 /// that achieves v's final key comes from a node settled before v (steps
@@ -145,8 +202,8 @@ void shortest_tree_into(const Graph& g, NodeId source, const FailureMask& mask,
                         ShortestPathTree& out) {
   require(source < g.num_nodes(), "shortest_tree: source out of range");
   require(mask.node_alive(source), "shortest_tree: source router is failed");
-  if (options.metric == Metric::Hops && !options.padded) {
-    bfs_tree_into(g, source, mask, options, workspace, out);
+  if (options.metric == Metric::Hops) {
+    hop_tree_into(g, source, mask, options, workspace, out);
   } else {
     dijkstra_tree_into(g, source, mask, options, workspace, out);
   }

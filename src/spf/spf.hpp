@@ -1,11 +1,13 @@
 // Single-source shortest-path computations (SPF in routing terminology).
 //
-// One entry point covers both metrics: Hops runs BFS (unless padding is
-// requested, which needs Dijkstra on augmented unit weights), Weighted runs
-// binary-heap Dijkstra. All functions are failure-mask aware and fully
-// deterministic: adjacency lists are pre-sorted and relaxations use strict
-// improvement only, so the resulting tree depends only on (graph, mask,
-// options).
+// One entry point covers both metrics: Hops builds the tree one hop layer
+// at a time with no heap (plain runs are BFS; padded runs reproduce the
+// heap kernel's first-achiever tiebreak, DESIGN.md §7), Weighted runs 4-ary
+// heap Dijkstra. All functions are failure-mask aware and fully
+// deterministic: adjacency lists are pre-sorted and parents change on
+// strict improvement only (or, in padded layers, toward the achiever a
+// heap would settle first), so the resulting tree depends only on (graph,
+// mask, options).
 #pragma once
 
 #include "graph/failure.hpp"
@@ -23,7 +25,10 @@ struct SpfOptions {
   /// per-edge salts, yielding the canonical (generically unique) shortest
   /// path per pair — Theorem 3's base-set selection.
   bool padded = false;
-  /// Early exit: stop as soon as this node is settled (single-pair query).
+  /// Early exit for single-pair queries: only this node's tree entries
+  /// (key, parent, parent edge, unique bit) and the tree path to it are
+  /// specified. Weighted runs stop when the heap settles it, plain hop runs
+  /// when BFS dequeues it, padded hop runs once its hop layer has settled.
   graph::NodeId stop_at = graph::kInvalidNode;
   /// Which of the equal-cost ties padding resolves (see spf/metric.hpp).
   /// Only meaningful when padded; part of the tree flavor, so trees, caches,

@@ -104,16 +104,6 @@ std::size_t ShortestPathTree::memory_bytes() const {
          word_.capacity() * sizeof(std::uint32_t);
 }
 
-void ShortestPathTree::settle(graph::NodeId v, graph::Weight key,
-                              graph::NodeId parent, graph::EdgeId parent_edge,
-                              bool unique) {
-  RBPC_ASSERT(v < key_.size());
-  key_[v] = key;
-  parent_[v] = parent;
-  parent_edge_[v] = parent_edge;
-  word_[v] = unique ? kUniqueBit : 0;
-}
-
 void ShortestPathTree::sum_subtree_arcs(
     const graph::Graph& g, std::span<const graph::NodeId> settle_order) {
   // A subtree's arcs never exceed the graph's, so 31 bits hold every sum.

@@ -6,8 +6,8 @@
 // padded ones. That division is exact because a padded key is
 // cost * kPadScale + (sum of the path's salts), and the salt sum stays
 // below kPadScale for any path shorter than kPadScale / kMaxSalt hops
-// (spf/metric.hpp); the Dijkstra kernel checks that bound as it settles
-// (incremental repair, whose output equals the kernel's, counts no hops).
+// (spf/metric.hpp); the SPF kernels check that bound as they settle
+// (incremental repair, whose output equals the kernels', counts no hops).
 // The hop count is not stored either: hops(v) walks the parent chain, and
 // the hot paths that need it (path extraction, the cut rung's route) count
 // hops while they walk anyway.
@@ -24,8 +24,8 @@
 //    with key(u) + step(u, w) == key(w). Then the shortest source -> v
 //    path is the only one (induct from v backwards: a shortest path's last
 //    arc achieves the key, and its prefix is shortest to its tail). True at
-//    the source of a heap-built tree; false at unreachable nodes and
-//    everywhere in unpadded BFS trees, whose kernel does not count
+//    the source of a padded or weighted tree; false at unreachable nodes
+//    and everywhere in plain hop (BFS) trees, whose kernel does not count
 //    achievers (the cut rung refuses them).
 #pragma once
 
@@ -159,7 +159,13 @@ class ShortestPathTree {
   // settle() clears v's subtree arcs and sets its unique bit as given;
   // sum_subtree_arcs() then fills the arcs of every node in one pass.
   void settle(graph::NodeId v, graph::Weight key, graph::NodeId parent,
-              graph::EdgeId parent_edge, bool unique = false);
+              graph::EdgeId parent_edge, bool unique = false) {
+    RBPC_ASSERT(v < key_.size());
+    key_[v] = key;
+    parent_[v] = parent;
+    parent_edge_[v] = parent_edge;
+    word_[v] = unique ? kUniqueBit : 0;
+  }
   // Word updates for incremental repair, which patches a copied tree.
   /// Sets v's unique bit, keeping its subtree arcs.
   void set_unique(graph::NodeId v, bool unique) {

@@ -20,8 +20,14 @@
 namespace rbpc {
 
 /// SplitMix64: used to expand a 64-bit seed into xoshiro state, and handy as
-/// a cheap stateless mixing function.
-std::uint64_t splitmix64(std::uint64_t& state);
+/// a cheap stateless mixing function (inline: the padding salts mix one
+/// edge id per relaxed arc).
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
 
 /// xoshiro256** generator with convenience sampling helpers.
 class Rng {

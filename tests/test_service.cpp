@@ -327,6 +327,11 @@ TEST(MpmcQueue, ShutdownWithInflightProducers) {
 // Service LSDB (ShardedLsdb: one lsdb::Lsdb plus a published down list).
 // ---------------------------------------------------------------------------
 
+/// A snapshot's down links (ascending), copied out for comparisons.
+std::vector<EdgeId> down_links(const ShardedLsdb::Snapshot& snap) {
+  return {snap.failed_edges().begin(), snap.failed_edges().end()};
+}
+
 /// Fresh, duplicate, stale and ungated (generation 0) LSAs on `edges` links,
 /// including downs of links already down.
 std::vector<lsdb::LinkEvent> perturbed_events(std::size_t edges, int count,
@@ -410,7 +415,7 @@ TEST(ShardedLsdb, FailedLinkListsMatchFullScan) {
       if (snap.edge_failed(x)) scan.fail_edge(x);
     }
     const std::string ctx = "step=" + std::to_string(step++);
-    ASSERT_EQ(snap.to_mask().failed_edges(), scan.failed_edges()) << ctx;
+    ASSERT_EQ(down_links(snap), scan.failed_edges()) << ctx;
     ASSERT_EQ(snap.failed_edge_count(), scan.failed_edge_count()) << ctx;
     const std::vector<EdgeId> listed(snap.failed_edges().begin(),
                                      snap.failed_edges().end());
@@ -432,8 +437,7 @@ TEST(ShardedLsdb, ImportRecordsRoundTripsExport) {
   EXPECT_EQ(restored.import_records(records), records.size());
   EXPECT_EQ(restored.export_records(), records);
   EXPECT_EQ(restored.version(), records.size());
-  EXPECT_EQ(restored.snapshot().to_mask().failed_edges(),
-            db.snapshot().to_mask().failed_edges());
+  EXPECT_EQ(down_links(restored.snapshot()), down_links(db.snapshot()));
   // Importing again changes nothing: sequenced records are now duplicates
   // and unsequenced ones (generation 0) re-apply the same state.
   const auto unsequenced = static_cast<std::size_t>(std::count_if(
@@ -531,7 +535,7 @@ TEST(ShardedLsdb, SnapshotIsAPrefixOfAppliedEvents) {
   EXPECT_EQ(discarded, 0u);
   EXPECT_GE(checked.load(), static_cast<std::uint64_t>(kReaders));
   EXPECT_EQ(db.version(), script.size());
-  EXPECT_EQ(db.snapshot().to_mask().failed_edges(), prefix.back());
+  EXPECT_EQ(down_links(db.snapshot()), prefix.back());
 }
 
 TEST(ShardedLsdb, ConcurrentApplySnapshotStress) {
@@ -744,8 +748,7 @@ void expect_view_matches_truth(const RestorationService& svc,
   }
   EXPECT_EQ(svc.lsdb().export_records(), want)
       << context << ": LSDB records (down flags, generations) != truth";
-  EXPECT_EQ(svc.lsdb().snapshot().to_mask().failed_edges(),
-            truth.failed_edges())
+  EXPECT_EQ(down_links(svc.lsdb().snapshot()), truth.failed_edges())
       << context << ": view != truth";
 }
 
@@ -1087,7 +1090,7 @@ TEST(ServiceStress, FreeRunningChurnWithConcurrentScraper) {
       const ShardedLsdb::Snapshot snap = svc.lsdb().snapshot();
       ASSERT_GE(snap.version(), last_version);
       last_version = snap.version();
-      FailureMask mask = snap.to_mask();
+      FailureMask mask = FailureMask::of_edges(down_links(snap));
       ASSERT_LE(mask.failed_edge_count(), g.num_edges());
       const std::vector<core::Restoration> routes = svc.routes();
       ASSERT_EQ(routes.size(), demands.size());

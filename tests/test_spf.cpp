@@ -1,6 +1,11 @@
-// Unit tests for src/spf: BFS/Dijkstra trees, padding, counting, oracle,
-// bypass.
+// Unit tests for src/spf: the layered hop kernel and heap Dijkstra,
+// padding, counting, oracle, bypass.
 #include <gtest/gtest.h>
+
+#include "corpus.hpp"
+
+#include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "spf/bypass.hpp"
@@ -175,6 +180,241 @@ TEST(Padding, CanonicalPathDeterministicAcrossRuns) {
   for (NodeId v = 1; v < g.num_nodes(); ++v) {
     EXPECT_EQ(o1.canonical_path(0, v), o2.canonical_path(0, v));
   }
+}
+
+TEST(Padding, SaltsArePinnedPerPolicy) {
+  // Every stored padded tree, cache key and golden result depends on these
+  // exact values; a change to any salt scheme must show up here.
+  const EdgeId ids[16] = {0, 1, 2, 3, 7, 8, 15, 16, 100, 255, 1000, 16382,
+                          16383, 65535, 1000000, 4000000000u};
+  const Weight arbitrary[16] = {7731, 3012, 5746, 16214, 15444, 4553,
+                                16165, 2767, 4726, 5129, 5413, 14044,
+                                6391, 5977, 2783, 15653};
+  const Weight lexicographic[16] = {1, 2, 3, 4, 8, 9, 16, 17, 101, 256,
+                                    1001, 16383, 1, 4, 638, 8636};
+  const Weight restorable[16] = {8193, 8199, 8194, 8198, 8196, 8193,
+                                 8195, 8200, 8193, 8194, 8193, 8200,
+                                 8196, 8200, 8197, 8198};
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(padding_salt(ids[i], TiebreakPolicy::Arbitrary), arbitrary[i])
+        << "edge " << ids[i];
+    EXPECT_EQ(padding_salt(ids[i], TiebreakPolicy::Lexicographic),
+              lexicographic[i])
+        << "edge " << ids[i];
+    EXPECT_EQ(padding_salt(ids[i], TiebreakPolicy::Restorable), restorable[i])
+        << "edge " << ids[i];
+  }
+}
+
+// --- the layered hop kernel ------------------------------------------------------
+//
+// Hop runs are built one hop layer at a time (no heap); weighted runs keep
+// the heap kernel. On a unit-weight copy of a graph a padded weighted run
+// prices every arc kPadScale + salt, exactly as a padded hop run does, so
+// the heap kernel there is the reference for every field of the tree.
+
+constexpr TiebreakPolicy kPolicies[] = {TiebreakPolicy::Arbitrary,
+                                        TiebreakPolicy::Lexicographic,
+                                        TiebreakPolicy::Restorable};
+
+Graph unit_weight_copy(const Graph& g) {
+  GraphBuilder b(g.num_nodes(), g.directed());
+  for (const graph::Edge& e : g.edges()) b.add_edge(e.u, e.v, 1);
+  return b.build();
+}
+
+// Node-by-node field comparison; reports the first differing node only.
+void expect_same_nodes(const ShortestPathTree& got,
+                       const ShortestPathTree& want, const std::string& what) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << what;
+  for (NodeId v = 0; v < got.num_nodes(); ++v) {
+    if (got.key(v) == want.key(v) && got.parent(v) == want.parent(v) &&
+        got.parent_edge(v) == want.parent_edge(v) &&
+        got.unique(v) == want.unique(v) &&
+        got.subtree_arcs(v) == want.subtree_arcs(v)) {
+      continue;
+    }
+    ADD_FAILURE() << what << ": node " << v << " key " << got.key(v) << "/"
+                  << want.key(v) << " parent " << got.parent(v) << "/"
+                  << want.parent(v) << " edge " << got.parent_edge(v) << "/"
+                  << want.parent_edge(v) << " unique " << got.unique(v) << "/"
+                  << want.unique(v) << " arcs " << got.subtree_arcs(v) << "/"
+                  << want.subtree_arcs(v);
+    return;
+  }
+}
+
+struct HopCase {
+  std::string name;
+  Graph g;
+};
+
+// The shared corpus, an ISP and an AS sample, and a directed mesh.
+std::vector<HopCase> hop_cases() {
+  std::vector<HopCase> out;
+  for (testing::TopoCase& c : testing::corpus()) {
+    out.push_back({c.name, std::move(c.g)});
+  }
+  Rng rng(77);
+  out.push_back({"isp", topo::make_isp_like(rng, true)});
+  out.push_back({"as", topo::make_as_like(rng, 0.5)});
+  GraphBuilder directed(30, /*directed=*/true);
+  for (int i = 0; i < 90; ++i) {
+    const auto u = static_cast<NodeId>(rng.below(30));
+    const auto v = static_cast<NodeId>(rng.below(30));
+    if (u != v) directed.add_edge(u, v);
+  }
+  out.push_back({"directed30", directed.build()});
+  return out;
+}
+
+// Empty, one to three failed links, and a failed router other than `s`.
+std::vector<FailureMask> hop_masks(const Graph& g, NodeId s, Rng& rng) {
+  std::vector<FailureMask> out(1);
+  for (std::size_t k = 1; k <= 3 && k <= g.num_edges(); ++k) {
+    FailureMask m;
+    while (m.failed_edge_count() < k) {
+      m.fail_edge(static_cast<EdgeId>(rng.below(g.num_edges())));
+    }
+    out.push_back(std::move(m));
+  }
+  const auto router = static_cast<NodeId>(rng.below(g.num_nodes()));
+  if (router != s) out.push_back(FailureMask::of_nodes({router}));
+  return out;
+}
+
+std::vector<NodeId> hop_sources(const Graph& g) {
+  const auto n = static_cast<NodeId>(g.num_nodes());
+  return {0, n / 2, n - 1};
+}
+
+TEST(HopKernel, PaddedMatchesHeapKernelOnUnitWeights) {
+  Rng rng(2026);
+  for (const HopCase& c : hop_cases()) {
+    const Graph unit = unit_weight_copy(c.g);
+    for (const NodeId s : hop_sources(c.g)) {
+      for (const FailureMask& mask : hop_masks(c.g, s, rng)) {
+        for (const TiebreakPolicy policy : kPolicies) {
+          const auto layered = shortest_tree(
+              c.g, s, mask,
+              SpfOptions{.metric = Metric::Hops, .padded = true,
+                         .tiebreak = policy});
+          const auto heap = shortest_tree(
+              unit, s, mask,
+              SpfOptions{.metric = Metric::Weighted, .padded = true,
+                         .tiebreak = policy});
+          EXPECT_EQ(layered.tiebreak(), policy);
+          expect_same_nodes(layered, heap,
+                            c.name + " s=" + std::to_string(s) + " failed=" +
+                                std::to_string(mask.failed_edge_count()) +
+                                "+" + std::to_string(mask.failed_node_count()) +
+                                " " + to_string(policy));
+        }
+      }
+    }
+  }
+}
+
+// Textbook BFS: the first discoverer in queue order is the parent; the
+// queue in reverse sums the subtree arcs.
+ShortestPathTree reference_bfs(const Graph& g, NodeId s,
+                               const FailureMask& mask) {
+  ShortestPathTree t(s, g.num_nodes(), Metric::Hops, /*padded=*/false);
+  t.settle(s, 0, graph::kInvalidNode, graph::kInvalidEdge);
+  std::vector<NodeId> queue{s};
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    for (const graph::Arc& a : g.arcs(queue[i])) {
+      if (!mask.edge_alive(g, a.edge) || t.reachable(a.to)) continue;
+      t.settle(a.to, t.key(queue[i]) + 1, queue[i], a.edge);
+      queue.push_back(a.to);
+    }
+  }
+  t.sum_subtree_arcs(g, queue);
+  return t;
+}
+
+TEST(HopKernel, PlainMatchesReferenceBfs) {
+  Rng rng(2027);
+  for (const HopCase& c : hop_cases()) {
+    for (const NodeId s : hop_sources(c.g)) {
+      for (const FailureMask& mask : hop_masks(c.g, s, rng)) {
+        expect_same_nodes(
+            shortest_tree(c.g, s, mask, SpfOptions{.metric = Metric::Hops}),
+            reference_bfs(c.g, s, mask), c.name + " s=" + std::to_string(s));
+      }
+    }
+  }
+}
+
+TEST(HopKernel, StopAtTargetEntriesMatchFullRun) {
+  Rng rng(2028);
+  for (const HopCase& c : hop_cases()) {
+    const NodeId s = 0;
+    for (const FailureMask& mask : hop_masks(c.g, s, rng)) {
+      for (const bool padded : {false, true}) {
+        for (const TiebreakPolicy policy : kPolicies) {
+          const SpfOptions full{.metric = Metric::Hops, .padded = padded,
+                                .tiebreak = policy};
+          const auto whole = shortest_tree(c.g, s, mask, full);
+          for (int trial = 0; trial < 4; ++trial) {
+            const auto t = static_cast<NodeId>(rng.below(c.g.num_nodes()));
+            SpfOptions early = full;
+            early.stop_at = t;
+            const auto part = shortest_tree(c.g, s, mask, early);
+            const std::string what = c.name + " t=" + std::to_string(t);
+            EXPECT_EQ(part.key(t), whole.key(t)) << what;
+            EXPECT_EQ(part.parent(t), whole.parent(t)) << what;
+            EXPECT_EQ(part.parent_edge(t), whole.parent_edge(t)) << what;
+            EXPECT_EQ(part.unique(t), whole.unique(t)) << what;
+            if (whole.reachable(t)) {
+              EXPECT_EQ(part.path_to(c.g, t), whole.path_to(c.g, t)) << what;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Parents of a padded hop tree built layer by layer, but keeping the first
+// achiever in layer order on equal keys instead of the one a heap settles
+// first — the tie rule the kernel must not use.
+std::vector<NodeId> first_in_layer_parents(const Graph& g, NodeId s,
+                                           TiebreakPolicy policy) {
+  std::vector<Weight> key(g.num_nodes(), graph::kUnreachable);
+  std::vector<NodeId> parent(g.num_nodes(), graph::kInvalidNode);
+  std::vector<NodeId> order{s};
+  key[s] = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    for (const graph::Arc& a : g.arcs(order[i])) {
+      const Weight alt = key[order[i]] + kPadScale + padding_salt(a.edge, policy);
+      if (alt >= key[a.to]) continue;
+      if (key[a.to] == graph::kUnreachable) order.push_back(a.to);
+      key[a.to] = alt;
+      parent[a.to] = order[i];
+    }
+  }
+  return parent;
+}
+
+TEST(HopKernel, KeepingTheFirstAchieverOnTiesDiffersUnderRestorable) {
+  // Restorable salts take one of 8 values, so equal padded keys reached
+  // from different parents are common. The differential above would catch
+  // a kernel that kept the first achiever in layer order: such a kernel
+  // disagrees with the heap kernel on these inputs.
+  std::size_t differing = 0;
+  for (const HopCase& c : hop_cases()) {
+    const auto tree = shortest_tree(
+        c.g, 0, FailureMask::none(),
+        SpfOptions{.metric = Metric::Hops, .padded = true,
+                   .tiebreak = TiebreakPolicy::Restorable});
+    const std::vector<NodeId> mutant =
+        first_in_layer_parents(c.g, 0, TiebreakPolicy::Restorable);
+    for (NodeId v = 0; v < c.g.num_nodes(); ++v) {
+      if (mutant[v] != tree.parent(v)) ++differing;
+    }
+  }
+  EXPECT_GT(differing, 0u);
 }
 
 // --- counting ----------------------------------------------------------------------
