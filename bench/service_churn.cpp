@@ -88,7 +88,6 @@
 
 #include "bench_obs.hpp"
 #include "chaos/storm.hpp"
-#include "core/base_set.hpp"
 #include "core/restoration.hpp"
 #include "corpus.hpp"
 #include "graph/failure.hpp"
@@ -99,8 +98,8 @@
 #include "obs/trace.hpp"
 #include "obs/slo.hpp"
 #include "service/service.hpp"
+#include "service_harness.hpp"
 #include "spf/metric.hpp"
-#include "spf/oracle.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -117,34 +116,8 @@ using service::RestorationService;
 using service::ServiceOptions;
 using service::ServiceStats;
 using testing::TopoCase;
-
-std::vector<Demand> random_demands(const Graph& g, std::size_t count,
-                                   Rng& rng) {
-  std::vector<Demand> demands;
-  while (demands.size() < count) {
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    demands.push_back(Demand{s, t});
-  }
-  return demands;
-}
-
-/// The ground truth: a serial source-RBPC restoration of every demand
-/// against the final mask — the state the service must reach exactly.
-std::vector<core::Restoration> serial_replay(const Graph& g,
-                                             spf::Metric metric,
-                                             const std::vector<Demand>& demands,
-                                             const FailureMask& mask) {
-  spf::DistanceOracle oracle(g, FailureMask{}, metric);
-  core::CanonicalBaseSet base(oracle);
-  std::vector<core::Restoration> out;
-  out.reserve(demands.size());
-  for (const Demand& d : demands) {
-    out.push_back(core::source_rbpc_restore(base, d.src, d.dst, mask));
-  }
-  return out;
-}
+using testing::random_demands;
+using testing::serial_replay;
 
 /// Checks the three post-storm invariants; reports each violation on stderr
 /// and returns how many fired.

@@ -96,12 +96,6 @@ SrlgCatalog SrlgCatalog::discover(const graph::Graph& g,
   return SrlgCatalog(std::move(groups));
 }
 
-graph::FailureMask SrlgCatalog::group_mask(const SrlgGroup& group) {
-  graph::FailureMask mask;
-  for (const EdgeId e : group.edges) mask.fail_edge(e);
-  return mask;
-}
-
 graph::FailureMask SrlgCatalog::sample_failure(std::size_t max_groups,
                                                Rng& rng) const {
   graph::FailureMask mask;
@@ -114,13 +108,6 @@ graph::FailureMask SrlgCatalog::sample_failure(std::size_t max_groups,
     }
   }
   return mask;
-}
-
-std::vector<std::vector<EdgeId>> SrlgCatalog::edge_lists() const {
-  std::vector<std::vector<EdgeId>> lists;
-  lists.reserve(groups_.size());
-  for (const SrlgGroup& group : groups_) lists.push_back(group.edges);
-  return lists;
 }
 
 }  // namespace rbpc::chaos

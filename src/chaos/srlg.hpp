@@ -67,16 +67,10 @@ class SrlgCatalog {
   bool empty() const { return groups_.empty(); }
   std::size_t size() const { return groups_.size(); }
 
-  /// The failure state of one group failing atomically.
-  static graph::FailureMask group_mask(const SrlgGroup& group);
-
   /// A correlated failure set: the union of up to `max_groups` distinct
   /// groups sampled from `rng` (at least one; empty mask only when the
   /// catalog is empty). The storm/test axis for k >= 2 scenarios.
   graph::FailureMask sample_failure(std::size_t max_groups, Rng& rng) const;
-
-  /// Bare edge lists, the shape StormConfig::srlg_groups consumes.
-  std::vector<std::vector<graph::EdgeId>> edge_lists() const;
 
  private:
   std::vector<SrlgGroup> groups_;

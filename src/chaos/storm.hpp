@@ -51,11 +51,12 @@ struct StormConfig {
   std::size_t max_concurrent = 3;     ///< cap on simultaneously failed links
   double recover_bias = 0.4;          ///< chance to recover (when possible)
   lsdb::SimTime delivery_delay = 1.0; ///< base transition->delivery latency
-  /// Shared-risk link groups (chaos/srlg.hpp edge_lists()): when a failure
-  /// event picks a group, every member link fails atomically at the same
-  /// timestamp — the correlated multi-failure the k >= 2 lemmas are about.
-  /// A group failure may overshoot max_concurrent by its size; that is the
-  /// point of a correlated cut. Recoveries stay per-link (repairs are).
+  /// Shared-risk link groups (the edge lists of chaos/srlg.hpp's groups):
+  /// when a failure event picks a group, every member link fails
+  /// atomically at the same timestamp — the correlated multi-failure the
+  /// k >= 2 lemmas are about. A group failure may overshoot max_concurrent
+  /// by its size; that is the point of a correlated cut. Recoveries stay
+  /// per-link (repairs are).
   std::vector<std::vector<graph::EdgeId>> srlg_groups;
   /// Chance a failure event targets a shared-risk group instead of one
   /// link. 0 (the default) leaves planning bit-identical to group-free

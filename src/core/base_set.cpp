@@ -37,12 +37,6 @@ bool AllPairsShortestBaseSet::contains(graph::PathView segment) {
   return oracle_.is_shortest(segment);
 }
 
-graph::Path AllPairsShortestBaseSet::base_path(graph::NodeId u,
-                                               graph::NodeId v) {
-  if (u == v) return graph::Path::trivial(u);
-  return oracle_.some_shortest_path(u, v);
-}
-
 graph::PathRef AllPairsShortestBaseSet::base_path_ref(
     graph::NodeId u, graph::NodeId v, graph::PathArena& arena) {
   if (u == v) return arena.trivial(u);
@@ -69,11 +63,6 @@ bool CanonicalBaseSet::contains(graph::PathView segment) {
 std::size_t CanonicalBaseSet::longest_prefix(graph::PathView route,
                                              std::size_t pos) {
   return oracle_.padded_tree(route.node(pos)).longest_tree_prefix(route, pos);
-}
-
-graph::Path CanonicalBaseSet::base_path(graph::NodeId u, graph::NodeId v) {
-  if (u == v) return graph::Path::trivial(u);
-  return oracle_.canonical_path(u, v);
 }
 
 graph::PathRef CanonicalBaseSet::base_path_ref(graph::NodeId u, graph::NodeId v,
@@ -105,14 +94,6 @@ bool SharedCanonicalBaseSet::contains(graph::PathView segment) {
 std::size_t SharedCanonicalBaseSet::longest_prefix(graph::PathView route,
                                                    std::size_t pos) {
   return trees_.tree(route.node(pos))->longest_tree_prefix(route, pos);
-}
-
-graph::Path SharedCanonicalBaseSet::base_path(graph::NodeId u,
-                                              graph::NodeId v) {
-  if (u == v) return graph::Path::trivial(u);
-  const auto t = trees_.tree(u);
-  if (!t->reachable(v)) return graph::Path{};
-  return t->path_to(trees_.graph(), v);
 }
 
 graph::PathRef SharedCanonicalBaseSet::base_path_ref(graph::NodeId u,
@@ -151,11 +132,6 @@ bool ExpandedBaseSet::contains(graph::PathView segment) {
     return true;  // leading edge + canonical
   }
   return false;
-}
-
-graph::Path ExpandedBaseSet::base_path(graph::NodeId u, graph::NodeId v) {
-  if (u == v) return graph::Path::trivial(u);
-  return oracle_.canonical_path(u, v);
 }
 
 graph::PathRef ExpandedBaseSet::base_path_ref(graph::NodeId u, graph::NodeId v,
@@ -229,12 +205,6 @@ bool FaultTolerantBaseSet::contains(graph::PathView segment) {
     if (failure_oracle(e).dist(u, v) == cost) return true;
   }
   return false;
-}
-
-graph::Path FaultTolerantBaseSet::base_path(graph::NodeId u, graph::NodeId v) {
-  if (u == v) return graph::Path::trivial(u);
-  // The canonical shortest path is shortest in G, hence a member.
-  return oracle_.canonical_path(u, v);
 }
 
 graph::PathRef FaultTolerantBaseSet::base_path_ref(graph::NodeId u,

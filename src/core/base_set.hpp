@@ -84,19 +84,17 @@ class BasePathSet {
   /// route.num_nodes().
   virtual std::size_t longest_prefix(graph::PathView route, std::size_t pos);
 
-  /// A base path from u to v, or the empty path when the set has none
-  /// (disconnected pair). Used by provisioning and overlay decomposition.
-  virtual graph::Path base_path(graph::NodeId u, graph::NodeId v) = 0;
-
-  /// Arena counterpart of base_path: stores the base path into `arena` and
-  /// returns its handle (the empty PathRef when the set has none).
+  /// Stores a base path from u to v into `arena` and returns its handle:
+  /// the trivial path when u == v, the empty PathRef when the set has none
+  /// (disconnected pair). The one way a set hands out a base path; overlay
+  /// decomposition reads its pieces through it.
   virtual graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                        graph::PathArena& arena) = 0;
 
-  /// True when the set has *some* base path u -> v, i.e. base_path(u, v)
-  /// would be non-empty. O(1) against the oracle's cached tree at u — lets
-  /// overlay decomposition skip unreachable targets without materializing
-  /// a path.
+  /// True when the set has *some* base path u -> v, i.e. base_path_ref
+  /// would return a non-empty handle. O(1) against the oracle's cached tree
+  /// at u — lets overlay decomposition skip unreachable targets without
+  /// materializing a path.
   virtual bool connected(graph::NodeId u, graph::NodeId v) = 0;
 
   /// Human-readable name for benches and logs.
@@ -119,7 +117,6 @@ class AllPairsShortestBaseSet final : public BasePathSet {
 
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
-  graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
@@ -137,7 +134,6 @@ class CanonicalBaseSet final : public BasePathSet {
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
   std::size_t longest_prefix(graph::PathView route, std::size_t pos) override;
-  graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
@@ -161,7 +157,6 @@ class SharedCanonicalBaseSet final : public BasePathSet {
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
   std::size_t longest_prefix(graph::PathView route, std::size_t pos) override;
-  graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
@@ -178,7 +173,6 @@ class ExpandedBaseSet final : public BasePathSet {
 
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
-  graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;
@@ -210,7 +204,6 @@ class FaultTolerantBaseSet final : public BasePathSet {
 
   using BasePathSet::contains;
   bool contains(graph::PathView segment) override;
-  graph::Path base_path(graph::NodeId u, graph::NodeId v) override;
   graph::PathRef base_path_ref(graph::NodeId u, graph::NodeId v,
                                graph::PathArena& arena) override;
   bool connected(graph::NodeId u, graph::NodeId v) override;

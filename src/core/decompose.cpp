@@ -177,7 +177,7 @@ Decomposition overlay_decompose(BasePathSet& base,
     const NodeId x = item.node;
 
     // Moves along surviving base paths x -> y (cost of the path, 1 piece).
-    // base_path is defined on the unfailed network; survival is re-checked
+    // Base paths are defined on the unfailed network; survival is re-checked
     // against mask. The sets' oracles cache the SPF tree at x, so probing
     // all targets costs O(n * path length), not n tree builds; targets the
     // cached tree cannot even reach are skipped before materializing a

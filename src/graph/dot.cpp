@@ -1,7 +1,7 @@
 #include "graph/dot.hpp"
 
 #include <ostream>
-#include <sstream>
+#include <string>
 
 namespace rbpc::graph {
 
@@ -37,12 +37,6 @@ void write_dot(std::ostream& os, const Graph& g, const DotOptions& options) {
     os << "];\n";
   }
   os << "}\n";
-}
-
-std::string to_dot(const Graph& g, const DotOptions& options) {
-  std::ostringstream os;
-  write_dot(os, g, options);
-  return os.str();
 }
 
 }  // namespace rbpc::graph

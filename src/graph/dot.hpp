@@ -23,6 +23,5 @@ struct DotOptions {
 };
 
 void write_dot(std::ostream& os, const Graph& g, const DotOptions& options = {});
-std::string to_dot(const Graph& g, const DotOptions& options = {});
 
 }  // namespace rbpc::graph

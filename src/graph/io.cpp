@@ -96,10 +96,4 @@ Graph load_graph(std::istream& is) {
   return builder->build();
 }
 
-Graph load_graph_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw InputError("cannot open for reading: " + path);
-  return load_graph(is);
-}
-
 }  // namespace rbpc::graph

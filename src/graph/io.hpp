@@ -22,6 +22,5 @@ void save_graph_file(const std::string& path, const Graph& g);
 
 /// Throws InputError on malformed input.
 Graph load_graph(std::istream& is);
-Graph load_graph_file(const std::string& path);
 
 }  // namespace rbpc::graph

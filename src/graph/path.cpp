@@ -199,11 +199,6 @@ Path Path::subpath(std::size_t from, std::size_t to) const {
   return out;
 }
 
-Path Path::prefix_hops(std::size_t hops) const {
-  require(hops <= edges_.size(), "Path::prefix_hops: too many hops");
-  return subpath(0, hops);
-}
-
 Path Path::suffix_from(std::size_t from) const {
   require(from < nodes_.size(), "Path::suffix_from: index out of range");
   return subpath(from, nodes_.size() - 1);

@@ -137,8 +137,6 @@ class Path {
   /// Subpath spanning node indices [from, to] inclusive.
   /// Precondition: from <= to < num_nodes().
   Path subpath(std::size_t from, std::size_t to) const;
-  /// Prefix covering the first `hops` edges.
-  Path prefix_hops(std::size_t hops) const;
   /// Suffix starting at node index `from`.
   Path suffix_from(std::size_t from) const;
 

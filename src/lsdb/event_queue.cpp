@@ -86,24 +86,4 @@ void EventQueue::run_all() {
   }
 }
 
-void EventQueue::run_until(SimTime deadline) {
-  for (;;) {
-    std::function<void()> fn;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      drop_cancelled_head();
-      if (heap_.empty() || heap_.top().when > deadline) {
-        if (now_ < deadline) now_ = deadline;
-        return;
-      }
-      Item item = heap_.top();
-      heap_.pop();
-      live_.erase(item.seq);
-      now_ = item.when;
-      fn = std::move(item.fn);
-    }
-    fn();
-  }
-}
-
 }  // namespace rbpc::lsdb

@@ -60,9 +60,6 @@ class EventQueue {
   bool step();
   /// Runs events until the queue drains.
   void run_all();
-  /// Runs events with time <= deadline; clock ends at
-  /// max(now, min(deadline, last-event time)).
-  void run_until(SimTime deadline);
 
  private:
   struct Item {

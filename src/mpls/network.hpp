@@ -37,7 +37,6 @@ struct LspRecord {
   /// With PHP the egress has no label: labels.back() == kInvalidLabel.
   std::vector<Label> labels;
   bool php = false;
-  bool torn_down = false;
 
   graph::NodeId ingress() const { return path.source(); }
   graph::NodeId egress() const { return path.target(); }
@@ -63,9 +62,6 @@ class Network {
   /// Installs an LSP along `path` (at least one hop). Allocates one label
   /// per router (ingress included; egress excluded when php). Returns its id.
   LspId provision_lsp(const graph::Path& path, bool php = false);
-
-  /// Removes all ILM entries of the LSP and marks it torn down.
-  void tear_down_lsp(LspId id);
 
   const LspRecord& lsp(LspId id) const;
   std::size_t num_lsps() const { return lsps_.size(); }
@@ -93,7 +89,7 @@ class Network {
 
   bool has_merged_tree(graph::NodeId dest) const;
 
-  /// The provisioned (non-torn-down) LSPs whose path uses link `e`.
+  /// The provisioned LSPs whose path uses link `e`.
   std::vector<LspId> lsps_using_edge(graph::EdgeId e) const;
 
   // --- FEC management ------------------------------------------------------

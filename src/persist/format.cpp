@@ -218,12 +218,6 @@ std::vector<std::uint8_t> encode_wal_header(std::uint64_t snapshot_seq) {
   return out.take();
 }
 
-std::vector<std::uint8_t> encode_wal_record(const WalRecord& rec) {
-  std::vector<std::uint8_t> out;
-  encode_wal_record_into(rec, out);
-  return out;
-}
-
 void encode_wal_record_into(const WalRecord& rec,
                             std::vector<std::uint8_t>& out) {
   const std::size_t start = out.size();

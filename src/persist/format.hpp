@@ -159,9 +159,8 @@ struct WalRecord {
 };
 
 std::vector<std::uint8_t> encode_wal_header(std::uint64_t snapshot_seq);
-std::vector<std::uint8_t> encode_wal_record(const WalRecord& rec);
-/// Appends rec's framed image to `out` (the bytes encode_wal_record
-/// returns). A group append encodes every record into one buffer this way.
+/// Appends rec's framed image to `out`. A group append encodes every
+/// record into one buffer this way.
 void encode_wal_record_into(const WalRecord& rec,
                             std::vector<std::uint8_t>& out);
 

@@ -180,6 +180,9 @@ constexpr std::uint64_t kGroupWindowNs = 50'000;
 /// recent masks (a flapping link alternates two), so a small LRU wins.
 constexpr std::size_t kMaxViews = 8;
 
+/// RerouteRecords each worker's flight-recorder ring keeps.
+constexpr std::size_t kFlightRing = 64;
+
 /// Whether two routes are the same path; a shared route is equal to itself
 /// without comparing hops.
 bool same_path(const std::shared_ptr<const core::Restoration>& a,
@@ -208,7 +211,7 @@ RestorationService::RestorationService(const graph::Graph& g,
       dirty_g_(registry().gauge("svc.dirty")),
       flight_(options.workers == 0 ? ThreadPool::default_threads()
                                    : options.workers,
-              options.flight_ring),
+              kFlightRing),
       pool_threads_(options.workers) {
   for (const Demand& d : demands) {
     require(d.src < g.num_nodes() && d.dst < g.num_nodes(),

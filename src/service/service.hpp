@@ -131,9 +131,6 @@ struct ServiceOptions {
   PersistOptions persist;
 
   // --- Introspection plane (obs/) ---
-  /// Per-worker flight-recorder ring size (RerouteRecords kept per worker;
-  /// rounded up to a power of two).
-  std::size_t flight_ring = 64;
   /// When nonempty, the service writes one flight-recorder JSON dump here
   /// the first time something goes wrong: a no-route install (the ladder
   /// escalated past scratch SPF) or a WAL replay anomaly at startup — red

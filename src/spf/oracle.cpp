@@ -169,13 +169,6 @@ bool DistanceOracle::canonical_reachable(graph::NodeId u, graph::NodeId v) {
   return padded_tree(u).reachable(v);
 }
 
-graph::Path DistanceOracle::some_shortest_path(graph::NodeId u,
-                                               graph::NodeId v) {
-  const ShortestPathTree& t = tree(u);
-  if (!t.reachable(v)) return graph::Path{};
-  return t.path_to(g_, v);
-}
-
 graph::Path DistanceOracle::canonical_path(graph::NodeId u, graph::NodeId v) {
   const ShortestPathTree& t = padded_tree(u);
   if (!t.reachable(v)) return graph::Path{};

@@ -69,15 +69,13 @@ class DistanceOracle {
   /// (Reachability itself is flavor-independent.)
   bool canonical_reachable(graph::NodeId u, graph::NodeId v);
 
-  /// Some shortest u->v path (the plain tree's path); empty if unreachable.
-  graph::Path some_shortest_path(graph::NodeId u, graph::NodeId v);
-
   /// The canonical (padded / Theorem-3) shortest u->v path under the
   /// oracle's tiebreak policy; empty if unreachable.
   graph::Path canonical_path(graph::NodeId u, graph::NodeId v);
 
-  /// Arena counterparts: extract the path straight into `arena` (no owning
-  /// Path is built); the empty PathRef when unreachable.
+  /// Some shortest u->v path (the plain tree's path), and the arena
+  /// counterpart of canonical_path: each extracts the path straight into
+  /// `arena` (no owning Path is built); the empty PathRef when unreachable.
   graph::PathRef some_shortest_path_ref(graph::NodeId u, graph::NodeId v,
                                         graph::PathArena& arena);
   graph::PathRef canonical_path_ref(graph::NodeId u, graph::NodeId v,

@@ -9,7 +9,6 @@ namespace rbpc {
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   require(argc >= 1, "CliArgs: argc must be at least 1");
-  program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {

@@ -26,10 +26,7 @@ class CliArgs {
   double get_double(const std::string& name, double default_value) const;
   bool get_bool(const std::string& name, bool default_value) const;
 
-  const std::string& program() const { return program_; }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> values_;
 };
 

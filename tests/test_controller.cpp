@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "core/base_set.hpp"
 #include "core/controller.hpp"
+#include "corpus.hpp"
 #include "graph/analysis.hpp"
+#include "graph/path_arena.hpp"
 #include "obs/metrics.hpp"
+#include "spf/oracle.hpp"
 #include "spf/spf.hpp"
 #include "topo/generators.hpp"
 #include "util/error.hpp"
@@ -20,6 +26,7 @@ using graph::EdgeId;
 using graph::FailureMask;
 using graph::Graph;
 using graph::NodeId;
+using graph::Path;
 using mpls::ForwardResult;
 using mpls::ForwardStatus;
 
@@ -236,8 +243,6 @@ TEST(Controller, ProvisionGuards) {
   EXPECT_THROW(ctl.provision(), PreconditionError);  // double provision
 }
 
-// The same invariants on a weighted mesh: every (failure, pair) forwarding
-// outcome matches the graph-level shortest path cost.
 TEST(Controller, ControllerBuildsNoDistanceOracle) {
   // Canonical membership, default routes, merged trees and SPF repair all
   // read the controller's one store of unfailed trees, so neither label
@@ -270,6 +275,134 @@ TEST(Controller, ControllerBuildsNoDistanceOracle) {
   }
 }
 
+/// Checks the controller's "default base path still intact" decision pair
+/// by pair against Path::alive on the canonical path `canon[u][v]`: a pair
+/// with both endpoints up sits on its default single-label entry exactly
+/// when that path survives the mask, every other pair with an entry is
+/// under restoration, and a pair with a dead endpoint has no entry.
+void expect_intact_defaults(const RbpcController& ctl,
+                            RbpcController::LabelPlan plan,
+                            const std::vector<std::vector<Path>>& canon,
+                            const std::string& ctx) {
+  const Graph& g = ctl.network().graph();
+  const FailureMask& mask = ctl.failures();
+  std::size_t restored = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (u == v || canon[u][v].empty()) continue;
+      const std::string pair =
+          ctx + " " + std::to_string(u) + "->" + std::to_string(v);
+      const mpls::FecEntry* fec = ctl.network().lsr(u).fec(v);
+      if (!mask.node_alive(u) || !mask.node_alive(v)) {
+        EXPECT_EQ(fec, nullptr) << pair;
+        continue;
+      }
+      const mpls::Label default_label =
+          plan == RbpcController::LabelPlan::PerPair
+              ? ctl.network().lsp(ctl.pair_lsp(u, v)).ingress_label()
+              : ctl.network().merged_label(u, v);
+      const bool intact = canon[u][v].alive(g, mask);
+      const bool on_default =
+          fec != nullptr &&
+          fec->push == std::vector<mpls::Label>{default_label};
+      EXPECT_EQ(on_default, intact) << pair;
+      if (!intact && fec != nullptr) ++restored;
+    }
+  }
+  EXPECT_EQ(ctl.pairs_under_restoration(), restored) << ctx;
+}
+
+TEST(Controller, ProvisionedPathsAndIntactDefaultsMatchCanonicalSet) {
+  // The controller provisions each pair's LSP from its own padded trees
+  // and decides "default still intact" by walking them. Both must agree
+  // with the oracle-backed CanonicalBaseSet: the provisioned path is the
+  // canonical path, and the decision is Path::alive on it, under masks of
+  // links and routers, for both metrics and both label plans.
+  const std::vector<testing::TopoCase> cases = testing::corpus();
+  for (std::size_t c = 0; c < cases.size(); c += 4) {
+    const Graph& g = cases[c].g;
+    for (const spf::Metric metric :
+         {spf::Metric::Hops, spf::Metric::Weighted}) {
+      spf::DistanceOracle oracle(g, FailureMask{}, metric);
+      CanonicalBaseSet canon_set(oracle);
+      graph::PathArena arena;
+      std::vector<std::vector<Path>> canon(g.num_nodes(),
+                                           std::vector<Path>(g.num_nodes()));
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        for (NodeId v = 0; v < g.num_nodes(); ++v) {
+          const graph::PathRef ref = canon_set.base_path_ref(u, v, arena);
+          if (u != v && !ref.empty()) canon[u][v] = arena.to_path(g, ref);
+        }
+      }
+      for (const auto plan : {RbpcController::LabelPlan::PerPair,
+                              RbpcController::LabelPlan::Merged}) {
+        const std::string ctx =
+            cases[c].name +
+            (metric == spf::Metric::Hops ? " hops" : " weighted") +
+            (plan == RbpcController::LabelPlan::PerPair ? " per-pair"
+                                                         : " merged");
+        RbpcController ctl(g, metric, plan);
+        ctl.provision();
+        for (NodeId u = 0; u < g.num_nodes(); ++u) {
+          for (NodeId v = 0; v < g.num_nodes(); ++v) {
+            const mpls::LspId id = ctl.pair_lsp(u, v);
+            if (plan == RbpcController::LabelPlan::Merged ||
+                canon[u][v].empty()) {
+              EXPECT_EQ(id, mpls::kInvalidLsp) << ctx << " " << u << "->" << v;
+            } else {
+              ASSERT_NE(id, mpls::kInvalidLsp) << ctx << " " << u << "->" << v;
+              EXPECT_EQ(ctl.network().lsp(id).path, canon[u][v])
+                  << ctx << " " << u << "->" << v;
+            }
+          }
+        }
+        expect_intact_defaults(ctl, plan, canon, ctx + " unfailed");
+
+        Rng rng(97 + c);
+        for (int round = 0; round < 4; ++round) {
+          std::vector<EdgeId> links;
+          const std::size_t k = 1 + rng.below(3);
+          while (links.size() < k && links.size() < g.num_edges()) {
+            const EdgeId e = static_cast<EdgeId>(rng.below(g.num_edges()));
+            if (std::find(links.begin(), links.end(), e) == links.end()) {
+              links.push_back(e);
+            }
+          }
+          const NodeId router =
+              rng.below(2) == 0 ? static_cast<NodeId>(rng.below(g.num_nodes()))
+                                : graph::kInvalidNode;
+          const std::string round_ctx = ctx + " round " + std::to_string(round);
+          for (const EdgeId e : links) {
+            ctl.fail_link(e);
+            expect_intact_defaults(ctl, plan, canon,
+                                   round_ctx + " link " + std::to_string(e));
+          }
+          if (router != graph::kInvalidNode) {
+            ctl.fail_router(router);
+            expect_intact_defaults(
+                ctl, plan, canon,
+                round_ctx + " router " + std::to_string(router));
+            ctl.recover_router(router);
+            expect_intact_defaults(ctl, plan, canon,
+                                   round_ctx + " router recovered");
+          }
+          // Partial recovery is where a restored pair's path comes back
+          // intact while other links are still down.
+          for (const EdgeId e : links) {
+            ctl.recover_link(e);
+            expect_intact_defaults(
+                ctl, plan, canon,
+                round_ctx + " link " + std::to_string(e) + " recovered");
+          }
+          EXPECT_EQ(ctl.pairs_under_restoration(), 0u) << round_ctx;
+        }
+      }
+    }
+  }
+}
+
+// The same invariants on a weighted mesh: every (failure, pair) forwarding
+// outcome matches the graph-level shortest path cost.
 TEST(ControllerWeighted, RandomMeshEndToEnd) {
   Rng rng(61);
   const Graph g = topo::make_random_connected(24, 60, rng, 8);

@@ -28,6 +28,7 @@
 #include "core/restoration.hpp"
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
+#include "graph/path_arena.hpp"
 #include "obs/request_trace.hpp"
 #include "service/service.hpp"
 #include "spf/oracle.hpp"
@@ -135,7 +136,9 @@ TEST(EngineAgreement, EveryEngineReturnsTheSerialRoutes) {
     // that pair.
     const auto k_links = [&](std::size_t k, NodeId with_router) {
       const RestoreJob& hit = jobs[rng.below(jobs.size())];
-      const graph::Path route = serial.base_path(hit.src, hit.dst);
+      graph::PathArena arena;
+      const graph::PathView route =
+          arena.view(serial.base_path_ref(hit.src, hit.dst, arena));
       Scenario sc{"k=" + std::to_string(k), {}, with_router};
       if (with_router != graph::kInvalidNode) {
         sc.name += " + router " + std::to_string(with_router);

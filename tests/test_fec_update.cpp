@@ -5,6 +5,7 @@
 #include "core/base_set.hpp"
 #include "core/controller.hpp"
 #include "core/fec_update.hpp"
+#include "graph/path_arena.hpp"
 #include "mpls/ldp.hpp"
 #include "spf/spf.hpp"
 #include "topo/generators.hpp"
@@ -26,8 +27,10 @@ TEST(FecUpdatePlan, CoversExactlyTheAffectedPairs) {
   const FecUpdatePlan plan = compute_fec_update_plan(base, 0);  // link (0,1)
   EXPECT_EQ(plan.link, 0u);
   EXPECT_FALSE(plan.updates.empty());
+  graph::PathArena arena;
   for (const FecUpdate& u : plan.updates) {
-    const auto primary = base.base_path(u.src, u.dst);
+    const graph::Path primary =
+        arena.to_path(g, base.base_path_ref(u.src, u.dst, arena));
     EXPECT_TRUE(primary.uses_edge(0)) << u.src << "->" << u.dst;
     // The replacement chain restores the pair around the failure.
     ASSERT_FALSE(u.chain.empty());

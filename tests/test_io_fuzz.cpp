@@ -123,8 +123,7 @@ std::vector<std::uint8_t> valid_wal_bytes() {
   fec.fec.nodes = {0, 2, 3};
   fec.fec.edges = {0, 1};
   for (const persist::WalRecord& r : {link, fec}) {
-    const std::vector<std::uint8_t> enc = persist::encode_wal_record(r);
-    bytes.insert(bytes.end(), enc.begin(), enc.end());
+    persist::encode_wal_record_into(r, bytes);
   }
   return bytes;
 }

@@ -47,17 +47,6 @@ TEST(EventQueue, CallbacksMaySchedule) {
   EXPECT_DOUBLE_EQ(q.now(), 2.0);
 }
 
-TEST(EventQueue, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  int fired = 0;
-  q.schedule(1.0, [&] { ++fired; });
-  q.schedule(5.0, [&] { ++fired; });
-  q.run_until(2.0);
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_EQ(q.pending(), 1u);
-}
-
 TEST(EventQueue, RejectsPastScheduling) {
   EventQueue q;
   q.schedule(1.0, [] {});

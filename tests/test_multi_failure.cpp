@@ -369,7 +369,9 @@ TEST(Storm, SrlgGroupsFailAtomically) {
   config.events = 60;
   config.max_concurrent = 6;
   config.recover_bias = 0.3;
-  config.srlg_groups = catalog.edge_lists();
+  for (const chaos::SrlgGroup& group : catalog.groups()) {
+    config.srlg_groups.push_back(group.edges);
+  }
   config.srlg_bias = 0.9;
   Rng rng(4242);
   const chaos::Storm storm = chaos::plan_storm(g, config, rng);
@@ -417,7 +419,9 @@ TEST(Storm, ZeroSrlgBiasIsBitIdenticalToSeedStorms) {
   chaos::StormConfig plain;
   plain.events = 40;
   chaos::StormConfig with_groups = plain;
-  with_groups.srlg_groups = catalog.edge_lists();
+  for (const chaos::SrlgGroup& group : catalog.groups()) {
+    with_groups.srlg_groups.push_back(group.edges);
+  }
   with_groups.srlg_bias = 0.0;
 
   Rng rng_a(777);

@@ -17,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "corpus.hpp"
+#include "service_expect.hpp"
+#include "service_harness.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -31,7 +33,6 @@
 
 #include "chaos/fault_plan.hpp"
 #include "chaos/storm.hpp"
-#include "core/base_set.hpp"
 #include "core/restoration.hpp"
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
@@ -39,7 +40,6 @@
 #include "persist/io.hpp"
 #include "persist/store.hpp"
 #include "service/service.hpp"
-#include "spf/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace rbpc::service {
@@ -51,6 +51,9 @@ using graph::Graph;
 using graph::NodeId;
 using rbpc::testing::TopoCase;
 using rbpc::testing::corpus;
+using rbpc::testing::expect_identical_tables;
+using rbpc::testing::random_demands;
+using rbpc::testing::serial_replay;
 
 // --- Shared scaffolding ----------------------------------------------------
 
@@ -69,45 +72,6 @@ struct TempDir {
     std::filesystem::remove_all(path, ec);
   }
 };
-
-std::vector<Demand> random_demands(const Graph& g, std::size_t count,
-                                   Rng& rng) {
-  std::vector<Demand> demands;
-  while (demands.size() < count) {
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    demands.push_back(Demand{s, t});
-  }
-  return demands;
-}
-
-/// Ground truth: serial source-RBPC restoration against the final mask.
-std::vector<core::Restoration> serial_replay(const Graph& g,
-                                             spf::Metric metric,
-                                             const std::vector<Demand>& demands,
-                                             const FailureMask& mask) {
-  spf::DistanceOracle oracle(g, FailureMask{}, metric);
-  core::CanonicalBaseSet base(oracle);
-  std::vector<core::Restoration> out;
-  out.reserve(demands.size());
-  for (const Demand& d : demands) {
-    out.push_back(core::source_rbpc_restore(base, d.src, d.dst, mask));
-  }
-  return out;
-}
-
-void expect_identical_tables(const std::vector<core::Restoration>& want,
-                             const std::vector<core::Restoration>& got,
-                             const std::string& context) {
-  ASSERT_EQ(want.size(), got.size()) << context;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const std::string ctx = context + " demand " + std::to_string(i);
-    EXPECT_EQ(want[i].backup, got[i].backup) << ctx << ": backup differs";
-    EXPECT_EQ(want[i].decomposition, got[i].decomposition)
-        << ctx << ": decomposition differs";
-  }
-}
 
 /// Mild storm: the sweep re-runs the whole scenario once per kill point, so
 /// the per-run op count has to stay small while still exercising loss,
@@ -698,8 +662,7 @@ TEST(PersistFormat, WalRoundTripsExactly) {
   fec.fec.edges = {2, 6};
   for (const persist::WalRecord& r :
        {link_record(2, false, 3), fec, link_record(2, true, 4)}) {
-    const std::vector<std::uint8_t> enc = persist::encode_wal_record(r);
-    bytes.insert(bytes.end(), enc.begin(), enc.end());
+    persist::encode_wal_record_into(r, bytes);
   }
   const persist::WalScan scan = persist::scan_wal(bytes);
   EXPECT_EQ(scan.snapshot_seq, 9u);

@@ -24,6 +24,8 @@
 #include <gtest/gtest.h>
 
 #include "corpus.hpp"
+#include "service_expect.hpp"
+#include "service_harness.hpp"
 
 #include <algorithm>
 #include <atomic>
@@ -42,14 +44,8 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "chaos/fault_plan.hpp"
 #include "chaos/storm.hpp"
-#include "core/base_set.hpp"
 #include "core/restoration.hpp"
 #include "graph/failure.hpp"
 #include "graph/graph.hpp"
@@ -65,7 +61,6 @@
 #include "service/mpmc_queue.hpp"
 #include "service/service.hpp"
 #include "service/sharded_lsdb.hpp"
-#include "spf/oracle.hpp"
 #include "util/rng.hpp"
 
 namespace rbpc::service {
@@ -77,6 +72,10 @@ using graph::Graph;
 using graph::NodeId;
 using rbpc::testing::TopoCase;
 using rbpc::testing::corpus;
+using rbpc::testing::expect_identical_tables;
+using rbpc::testing::http_get;
+using rbpc::testing::random_demands;
+using rbpc::testing::serial_replay;
 
 // ---------------------------------------------------------------------------
 // Epoch reclamation.
@@ -674,46 +673,6 @@ TEST(EventQueueRace, CallbacksMayScheduleAndCancelReentrantly) {
 // Service equivalence harness.
 // ---------------------------------------------------------------------------
 
-std::vector<Demand> random_demands(const Graph& g, std::size_t count,
-                                   Rng& rng) {
-  std::vector<Demand> demands;
-  while (demands.size() < count) {
-    const NodeId s = static_cast<NodeId>(rng.below(g.num_nodes()));
-    const NodeId t = static_cast<NodeId>(rng.below(g.num_nodes()));
-    if (s == t) continue;
-    demands.push_back(Demand{s, t});
-  }
-  return demands;
-}
-
-/// The ground truth: a serial source-RBPC restoration of every demand
-/// against the final mask, exactly as the drill engines would compute it.
-std::vector<core::Restoration> serial_replay(const Graph& g,
-                                             spf::Metric metric,
-                                             const std::vector<Demand>& demands,
-                                             const FailureMask& mask) {
-  spf::DistanceOracle oracle(g, FailureMask{}, metric);
-  core::CanonicalBaseSet base(oracle);
-  std::vector<core::Restoration> out;
-  out.reserve(demands.size());
-  for (const Demand& d : demands) {
-    out.push_back(core::source_rbpc_restore(base, d.src, d.dst, mask));
-  }
-  return out;
-}
-
-void expect_identical_tables(const std::vector<core::Restoration>& want,
-                             const std::vector<core::Restoration>& got,
-                             const std::string& context) {
-  ASSERT_EQ(want.size(), got.size()) << context;
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const std::string ctx = context + " demand " + std::to_string(i);
-    EXPECT_EQ(want[i].backup, got[i].backup) << ctx << ": backup differs";
-    EXPECT_EQ(want[i].decomposition, got[i].decomposition)
-        << ctx << ": decomposition differs";
-  }
-}
-
 chaos::StormConfig storm_config() {
   chaos::StormConfig config;
   config.events = 14;
@@ -1024,32 +983,6 @@ TEST(ServiceStress, LadderEscalationDumpsFlightRecorder) {
   EXPECT_NE(dump.find("\"request_id\""), std::string::npos);
   EXPECT_NE(dump.find("\"rung_name\": \"no-route\""), std::string::npos);
   std::remove(dump_path.c_str());
-}
-
-/// Minimal HTTP/1.0 GET against 127.0.0.1:port; returns the full response
-/// (headers + body), empty on connect failure.
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return {};
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return {};
-  }
-  const std::string req = "GET " + path + " HTTP/1.0\r\n\r\n";
-  (void)!::write(fd, req.data(), req.size());
-  std::string out;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return out;
 }
 
 TEST(ServiceStress, FreeRunningChurnWithConcurrentScraper) {

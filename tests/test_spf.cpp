@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "graph/path_arena.hpp"
 #include "spf/bypass.hpp"
 #include "spf/counting.hpp"
 #include "spf/metric.hpp"
@@ -509,7 +510,8 @@ TEST(Oracle, HonorsItsFailureMask) {
   const Graph g = b.build();
   DistanceOracle oracle(g, FailureMask::of_edges({0}), Metric::Weighted);
   EXPECT_EQ(oracle.dist(0, 2), 5);
-  EXPECT_EQ(oracle.some_shortest_path(0, 2).hops(), 1u);
+  graph::PathArena arena;
+  EXPECT_EQ(oracle.some_shortest_path_ref(0, 2, arena).hops(), 1u);
 }
 
 TEST(Oracle, CacheEvictionKeepsAnswersCorrect) {

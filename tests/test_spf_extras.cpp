@@ -2,6 +2,9 @@
 // against plain Dijkstra, and DOT export.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "graph/dot.hpp"
 #include "apsp.hpp"
 #include "spf/spf.hpp"
@@ -73,12 +76,18 @@ TEST(Apsp, DiameterOfGadgets) {
 
 // --- DOT export ----------------------------------------------------------------
 
+std::string dot_of(const Graph& g, const graph::DotOptions& opts = {}) {
+  std::ostringstream os;
+  graph::write_dot(os, g, opts);
+  return os.str();
+}
+
 TEST(Dot, ContainsNodesEdgesAndHighlights) {
   const Graph g = topo::make_ring(4);
   graph::DotOptions opts;
   opts.failures.fail_edge(2);
   opts.highlight = graph::Path::from_nodes(g, {0, 1});
-  const std::string dot = graph::to_dot(g, opts);
+  const std::string dot = dot_of(g, opts);
   EXPECT_NE(dot.find("graph rbpc {"), std::string::npos);
   EXPECT_NE(dot.find("n0 -- n1"), std::string::npos);
   EXPECT_NE(dot.find("color=red style=dashed"), std::string::npos);
@@ -89,7 +98,7 @@ TEST(Dot, ContainsNodesEdgesAndHighlights) {
 TEST(Dot, DirectedUsesArrows) {
   graph::GraphBuilder b(2, /*directed=*/true);
   b.add_edge(0, 1);
-  const std::string dot = graph::to_dot(b.build());
+  const std::string dot = dot_of(b.build());
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
 }
@@ -98,7 +107,7 @@ TEST(Dot, WeightsCanBeHidden) {
   const Graph g = topo::make_ring(3, 42);
   graph::DotOptions opts;
   opts.show_weights = false;
-  EXPECT_EQ(graph::to_dot(g, opts).find("label=\"42\""), std::string::npos);
+  EXPECT_EQ(dot_of(g, opts).find("label=\"42\""), std::string::npos);
 }
 
 }  // namespace
