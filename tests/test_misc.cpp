@@ -211,11 +211,11 @@ TEST(ControllerExtras, SendToSelfDeliversTrivially) {
 }
 
 TEST(MplsExtras, IlmEntryToString) {
-  mpls::IlmEntry swap_entry{{42}, 3, 0};
+  mpls::IlmEntry swap_entry{{42}, 3};
   EXPECT_EQ(swap_entry.to_string(), "pop, push 42, out if#3");
-  mpls::IlmEntry pop_entry{{}, mpls::kLocalInterface, 0};
+  mpls::IlmEntry pop_entry{{}, mpls::kLocalInterface};
   EXPECT_EQ(pop_entry.to_string(), "pop, local");
-  mpls::IlmEntry stack_entry{{7, 9}, mpls::kLocalInterface, 0};
+  mpls::IlmEntry stack_entry{{7, 9}, mpls::kLocalInterface};
   // Printed top-first: 9 then 7.
   EXPECT_EQ(stack_entry.to_string(), "pop, push 9 7, local");
 }
