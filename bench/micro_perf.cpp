@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/trace.hpp"
+#include "service/sharded_lsdb.hpp"
 #include "spf/bypass.hpp"
 #include "spf/incremental.hpp"
 #include "spf/oracle.hpp"
@@ -578,6 +579,42 @@ void BM_MinCostBypass(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinCostBypass);
+
+// --- Service LSDB -----------------------------------------------------------
+//
+// The service's failure-set read and write: every reroute takes one
+// ShardedLsdb snapshot (isp_flap takes ~140 per event across two workers)
+// and every ingested LSA that flips a link publishes a new down list.
+//
+//   build/bench/micro_perf --benchmark_filter='Lsdb'
+//
+// LsdbSnapshot runs 1 and 2 threads snapshotting in a tight loop, the worst
+// case for readers contending on the published list; LsdbApply is one
+// down/up flip of a link (two publishes).
+
+void BM_LsdbSnapshot(benchmark::State& state) {
+  static service::ShardedLsdb* db = [] {
+    auto* d = new service::ShardedLsdb(isp_graph().num_edges());
+    for (graph::EdgeId e : {3, 17, 40, 91}) d->apply({e, false, 1});
+    return d;
+  }();
+  for (auto _ : state) {
+    const service::ShardedLsdb::Snapshot snap = db->snapshot();
+    benchmark::DoNotOptimize(snap.failed_edge_count());
+  }
+}
+BENCHMARK(BM_LsdbSnapshot)->Threads(1)->Threads(2);
+
+void BM_LsdbApply(benchmark::State& state) {
+  service::ShardedLsdb db(isp_graph().num_edges());
+  for (graph::EdgeId e : {3, 17, 40, 91}) db.apply({e, false, 1});
+  std::uint64_t generation = 1;
+  for (auto _ : state) {
+    db.apply({60, false, ++generation});
+    db.apply({60, true, ++generation});
+  }
+}
+BENCHMARK(BM_LsdbApply);
 
 // --- Observability overhead ------------------------------------------------
 //

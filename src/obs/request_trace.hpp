@@ -2,7 +2,7 @@
 //
 // Every reroute the always-on service runs gets a process-unique request id
 // at ingest (the moment enqueue_demand wins the dedup CAS) and carries it
-// through the whole pipeline: MPMC queue -> EBR snapshot pin -> SPF /
+// through the whole pipeline: MPMC queue -> LSDB snapshot -> SPF /
 // incremental repair -> greedy decomposition -> FEC install -> revalidation
 // re-enqueue. Each stage stamps a steady-clock nanosecond timestamp into a
 // fixed-size POD RerouteRecord built on the worker's stack — no heap
@@ -60,7 +60,7 @@ struct RerouteRecord {
   std::uint64_t request_id = 0;  ///< process-unique, assigned at ingest
   std::uint64_t enqueue_ns = 0;  ///< enqueue_demand won the dedup CAS
   std::uint64_t start_ns = 0;    ///< a worker dequeued the demand
-  std::uint64_t snapshot_ns = 0; ///< LSDB snapshot pinned (EBR slot held)
+  std::uint64_t snapshot_ns = 0; ///< LSDB snapshot taken (down list held)
   std::uint64_t spf_ns = 0;      ///< shortest-path tree ready
   std::uint64_t decompose_ns = 0;///< greedy decomposition done
   /// The worker's commit group finished: routes installed under one lock

@@ -12,11 +12,6 @@
 // reporting a full ring. The restoration service relies on this: it sizes
 // the ring to hold every demand once and asserts that no push fails
 // (service.cpp, "why the queue never fills").
-//
-// close() is a soft shutdown: subsequent pushes fail, but items already in
-// the ring stay poppable so consumers can drain in-flight work. pop() on an
-// empty closed queue returns false immediately — the caller distinguishes
-// "empty for now" from "done" via closed().
 #pragma once
 
 #include <atomic>
@@ -48,13 +43,12 @@ class MpmcQueue {
   std::size_t capacity() const { return buffer_.size(); }
 
   /// Enqueues `v`. Returns false (leaving `v` unconsumed) when the queue
-  /// is full or closed.
+  /// is full.
   ///
   /// enqueue_pos_ is read with acquire and advanced with acq_rel, so a
   /// producer sees every pop claimed before a push it follows; on x86 this
   /// costs nothing over relaxed.
   bool push(T v) {
-    if (closed_.load(std::memory_order_acquire)) return false;
     std::size_t pos = enqueue_pos_.load(std::memory_order_acquire);
     for (;;) {
       Cell& cell = buffer_[pos & mask_];
@@ -87,8 +81,7 @@ class MpmcQueue {
     }
   }
 
-  /// Dequeues into `out`. Returns false when the queue is empty (whether
-  /// or not it is closed).
+  /// Dequeues into `out`. Returns false when the queue is empty.
   bool pop(T& out) {
     std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
     for (;;) {
@@ -111,10 +104,6 @@ class MpmcQueue {
     }
   }
 
-  /// Rejects future pushes. Items already enqueued remain poppable.
-  void close() { closed_.store(true, std::memory_order_release); }
-  bool closed() const { return closed_.load(std::memory_order_acquire); }
-
   /// Instantaneous size estimate (exact only when producers and consumers
   /// are quiescent). Never negative.
   std::size_t approx_size() const {
@@ -133,7 +122,6 @@ class MpmcQueue {
   const std::size_t mask_;
   alignas(64) std::atomic<std::size_t> enqueue_pos_{0};
   alignas(64) std::atomic<std::size_t> dequeue_pos_{0};
-  alignas(64) std::atomic<bool> closed_{false};
 };
 
 }  // namespace rbpc::service

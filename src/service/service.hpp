@@ -6,9 +6,10 @@
 // thread), reroutes run concurrently on a worker pool, and readers observe
 // the current FEC table at any time. Three pieces make that safe:
 //
-//  * one generation-numbered LSDB whose down-link list is published for
-//    epoch-pinned snapshot reads (sharded_lsdb.hpp): ingest serializes on
-//    one writer lock, but reroutes never block ingest and never lock;
+//  * one generation-numbered LSDB whose down-link list is an immutable
+//    shared object (sharded_lsdb.hpp): ingest serializes on one writer
+//    lock, and a reroute's snapshot copies the list's shared_ptr without
+//    taking that lock or waiting out an apply;
 //  * a lock-free MPMC ring (mpmc_queue.hpp) of demand ids feeding
 //    long-running consumers on the existing ThreadPool. The ring has a
 //    slot per demand and the dedup flag keeps each demand in it at most

@@ -1,6 +1,7 @@
 #include "service/sharded_lsdb.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "util/error.hpp"
 
@@ -8,10 +9,32 @@ namespace rbpc::service {
 
 using DownList = std::vector<graph::EdgeId>;
 
+namespace {
+
+/// Holds ShardedLsdb::down_busy_ for one shared_ptr copy or swap. A spin
+/// lock because the hold is a few instructions: with a std::mutex, two
+/// workers snapshotting at once slept on a futex, which slowed isp_flap's
+/// events (DESIGN.md §10). A waiter yields its CPU in case the holder was
+/// preempted; the holder never makes a syscall.
+class DownListLock {
+ public:
+  explicit DownListLock(std::atomic_flag& busy) : busy_(busy) {
+    while (busy_.test_and_set(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+  }
+  ~DownListLock() { busy_.clear(std::memory_order_release); }
+  DownListLock(const DownListLock&) = delete;
+  DownListLock& operator=(const DownListLock&) = delete;
+
+ private:
+  std::atomic_flag& busy_;
+};
+
+}  // namespace
+
 ShardedLsdb::ShardedLsdb(std::size_t num_edges)
-    : num_edges_(num_edges),
-      down_owner_(std::make_shared<const DownList>()),
-      down_(down_owner_.get()) {}
+    : num_edges_(num_edges), down_(std::make_shared<const DownList>()) {}
 
 bool ShardedLsdb::apply(const lsdb::LinkEvent& ev) {
   require(ev.edge < num_edges_, "ShardedLsdb::apply: edge out of range");
@@ -20,7 +43,7 @@ bool ShardedLsdb::apply(const lsdb::LinkEvent& ev) {
   if (!lsdb_.apply(ev)) return false;
   if (lsdb_.knows_down(ev.edge) != was_down) {
     auto next = std::make_shared<DownList>();
-    const DownList& cur = *down_owner_;
+    const DownList& cur = *down_;
     next->reserve(cur.size() + 1);
     const auto at = std::lower_bound(cur.begin(), cur.end(), ev.edge);
     next->insert(next->end(), cur.begin(), at);
@@ -61,19 +84,18 @@ std::uint64_t ShardedLsdb::stale_discarded() const {
 }
 
 void ShardedLsdb::publish_locked(std::shared_ptr<const DownList> next) {
-  down_.store(next.get(), std::memory_order_seq_cst);
-  std::shared_ptr<const DownList> old = std::move(down_owner_);
-  down_owner_ = std::move(next);
-  epochs_.retire(std::move(old));
+  // `next` takes the replaced list and outlives `lock`, so the list is
+  // released (and freed, when no snapshot holds it) after the unlock.
+  const DownListLock lock(down_busy_);
+  down_.swap(next);
 }
 
 ShardedLsdb::Snapshot ShardedLsdb::snapshot() const {
-  EpochManager::Guard guard = epochs_.pin();
-  // Read the version floor before the list pointer: events applied while
-  // we load may already be visible in the list, never the reverse.
+  // Read the version floor before the list: events applied while we load
+  // may already be visible in the list, never the reverse.
   const std::uint64_t version = version_.load(std::memory_order_seq_cst);
-  return Snapshot(std::move(guard), down_.load(std::memory_order_seq_cst),
-                  version, this);
+  const DownListLock lock(down_busy_);
+  return Snapshot(down_, version, this);
 }
 
 bool ShardedLsdb::Snapshot::edge_failed(graph::EdgeId e) const {

@@ -1,19 +1,27 @@
 // The always-on service's link-state database: one lsdb::Lsdb behind one
-// writer mutex, plus an epoch-published list of the links it knows are
+// writer mutex, plus a shared, immutable list of the links it knows are
 // down, so reroutes read the failure set without taking the lock.
 //
 // Writers serialize on the mutex. apply() runs the LSA through
 // lsdb::Lsdb::apply (the one generation gate, so a perturbed ingest stream
 // still converges newest-wins); when the link's down state flipped it
 // builds the successor down list from the current one with one sorted
-// insert or erase (O(k) for k down links), publishes it with one atomic
-// pointer store, and retires the old list through the EpochManager.
+// insert or erase (O(k) for k down links) and publishes it by swapping one
+// shared_ptr. The replaced list is freed when its last reader drops its
+// reference, like every other immutable object the service shares
+// (installed routes, tree-store trees, pool views).
 //
-// Readers never lock: Snapshot pins an epoch and loads the one list
-// pointer. Every published list is the down set after some prefix of the
-// applied events, so a snapshot is atomic across all links; version()
-// lets callers order views and detect convergence. Generations stay off
-// the read path: export_records() reads them under the lock.
+// Readers never take the writer mutex and never wait out an apply():
+// Snapshot copies the shared_ptr under a spin lock that guards nothing but
+// that pointer and is held only for the copy or the publishing swap. It
+// is not lock-free; neither is libstdc++'s std::atomic<std::shared_ptr>,
+// which is the same spin lock, but whose load releases it with a relaxed
+// RMW, so its read of the pointer is not ordered before the next store's
+// write (a data race that ThreadSanitizer reports). Every published list
+// is the down set after some prefix of the applied events, so a snapshot
+// is atomic across all links; version() lets callers order views and
+// detect convergence. Generations stay off the read path:
+// export_records() reads them under the lock.
 #pragma once
 
 #include <atomic>
@@ -26,7 +34,6 @@
 
 #include "graph/types.hpp"
 #include "lsdb/lsdb.hpp"
-#include "service/epoch.hpp"
 
 namespace rbpc::service {
 
@@ -60,15 +67,17 @@ class ShardedLsdb {
   std::uint64_t duplicates_discarded() const;
   std::uint64_t stale_discarded() const;
 
-  EpochManager& epochs() { return epochs_; }
-  const EpochManager& epochs() const { return epochs_; }
-
-  /// An epoch-pinned read view: the down set after some prefix of the
-  /// applied events, at least version() of them. Movable, not copyable; the
-  /// pin is released on destruction. Cheap to take: one slot CAS plus one
-  /// pointer load, no locks and no allocation.
+  /// A read view: the down set after some prefix of the applied events, at
+  /// least version() of them. Movable, not copyable; it holds a reference
+  /// to its list until destruction. Cheap to take: one shared_ptr copy
+  /// under a spin lock, no writer lock and no allocation.
   class Snapshot {
    public:
+    Snapshot(Snapshot&&) = default;
+    Snapshot& operator=(Snapshot&&) = default;
+    Snapshot(const Snapshot&) = delete;
+    Snapshot& operator=(const Snapshot&) = delete;
+
     /// O(log k) for k down links.
     bool edge_failed(graph::EdgeId e) const;
     /// Version floor: the view contains at least this many applied events.
@@ -85,12 +94,11 @@ class ShardedLsdb {
 
    private:
     friend class ShardedLsdb;
-    Snapshot(EpochManager::Guard guard, const std::vector<graph::EdgeId>* down,
+    Snapshot(std::shared_ptr<const std::vector<graph::EdgeId>> down,
              std::uint64_t version, const ShardedLsdb* db)
-        : guard_(std::move(guard)), down_(down), version_(version), db_(db) {}
+        : down_(std::move(down)), version_(version), db_(db) {}
 
-    EpochManager::Guard guard_;
-    const std::vector<graph::EdgeId>* down_ = nullptr;
+    std::shared_ptr<const std::vector<graph::EdgeId>> down_;
     std::uint64_t version_ = 0;
     const ShardedLsdb* db_ = nullptr;  ///< generation() only
   };
@@ -98,18 +106,17 @@ class ShardedLsdb {
   Snapshot snapshot() const;
 
  private:
-  /// Publishes `next` as the current down list and retires the old one.
-  /// Caller holds mu_.
+  /// Replaces the current down list with `next`. Caller holds mu_.
   void publish_locked(std::shared_ptr<const std::vector<graph::EdgeId>> next);
 
   std::size_t num_edges_ = 0;
   mutable std::mutex mu_;
   lsdb::Lsdb lsdb_;  ///< guarded by mu_
-  /// Owning pointer to the current down list, handed to retire() on
-  /// replacement; guarded by mu_. Readers load `down_` while epoch-pinned.
-  std::shared_ptr<const std::vector<graph::EdgeId>> down_owner_;
-  std::atomic<const std::vector<graph::EdgeId>*> down_{nullptr};
-  mutable EpochManager epochs_;
+  /// Spin lock guarding down_ alone (DownListLock in the .cpp). Writers
+  /// hold mu_ too when they replace down_, so they may read it under mu_
+  /// alone.
+  mutable std::atomic_flag down_busy_;
+  std::shared_ptr<const std::vector<graph::EdgeId>> down_;
   std::atomic<std::uint64_t> version_{0};
 };
 

@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -9,9 +8,7 @@ namespace rbpc {
 
 void StatAccumulator::add(double x) {
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
@@ -22,12 +19,9 @@ void StatAccumulator::merge(const StatAccumulator& other) {
     *this = other;
     return;
   }
-  const double n1 = static_cast<double>(count_);
   const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
+  const double total = static_cast<double>(count_) + n2;
+  mean_ += (other.mean_ - mean_) * n2 / total;
   count_ += other.count_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
@@ -37,13 +31,6 @@ double StatAccumulator::mean() const {
   require(count_ > 0, "StatAccumulator::mean on empty accumulator");
   return mean_;
 }
-
-double StatAccumulator::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double StatAccumulator::stddev() const { return std::sqrt(variance()); }
 
 double StatAccumulator::min() const {
   require(count_ > 0, "StatAccumulator::min on empty accumulator");

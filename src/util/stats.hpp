@@ -8,14 +8,12 @@
 
 namespace rbpc {
 
-/// Single-pass accumulator for count / mean / variance / min / max
-/// (Welford's algorithm; numerically stable).
+/// Single-pass accumulator for count / mean / min / max (running mean).
 class StatAccumulator {
  public:
   void add(double x);
 
-  /// Merges another accumulator into this one (parallel-combine form of
-  /// Welford's update).
+  /// Merges another accumulator into this one (count-weighted means).
   void merge(const StatAccumulator& other);
 
   std::size_t count() const { return count_; }
@@ -23,9 +21,6 @@ class StatAccumulator {
 
   /// Mean of the observations. Precondition: !empty().
   double mean() const;
-  /// Unbiased sample variance; 0 when fewer than two observations.
-  double variance() const;
-  double stddev() const;
   /// Precondition: !empty().
   double min() const;
   /// Precondition: !empty().
@@ -35,7 +30,6 @@ class StatAccumulator {
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };

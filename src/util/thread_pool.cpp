@@ -51,29 +51,8 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    try {
-      task();
-    } catch (...) {
-      // Keep the worker alive and surface the failure to the caller via
-      // rethrow_first_error() instead of std::terminate-ing the process.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
+    task();
   }
-}
-
-void ThreadPool::rethrow_first_error() {
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    err = std::exchange(first_error_, nullptr);
-  }
-  if (err) std::rethrow_exception(err);
-}
-
-bool ThreadPool::has_error() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<bool>(first_error_);
 }
 
 void ThreadPool::parallel_for(std::size_t n,

@@ -4,7 +4,10 @@
 // parallel_for to split an index range across the workers and block until
 // every index has been processed. parallel_for rethrows the first task
 // exception in the calling thread, so Error-style preconditions propagate
-// out of parallel sections exactly like out of serial loops.
+// out of parallel sections exactly like out of serial loops. A task given
+// to submit() must not throw: nothing catches it, so an escaping exception
+// terminates the process (both submitters, parallel_for and the
+// restoration service's workers, catch their own).
 //
 // Determinism note: the pool makes no ordering promises between tasks.
 // Callers that need thread-count-independent results (core/batch.hpp) must
@@ -34,20 +37,9 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues one task. An exception escaping a submitted task no longer
-  /// terminates the process: the worker captures the first one, and the
-  /// caller collects it from rethrow_first_error() (parallel_for has its
-  /// own per-call propagation and does not go through this channel).
+  /// Enqueues one task. The task must not throw: an escaping exception
+  /// terminates the process.
   void submit(std::function<void()> task);
-
-  /// Rethrows the first exception that escaped a submit()-ed task since
-  /// the last call (and clears it); no-op when none escaped. An error
-  /// still pending at destruction is dropped — drain with this before
-  /// tearing the pool down when submitted tasks can throw.
-  void rethrow_first_error();
-
-  /// True when a submit()-ed task's exception is waiting to be rethrown.
-  bool has_error() const;
 
   /// Runs fn(0) .. fn(n - 1) across the pool and blocks until all calls
   /// returned. Indices are claimed dynamically (atomic counter), so the
@@ -64,13 +56,10 @@ class ThreadPool {
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stop_ = false;
-  /// First exception that escaped a submit()-ed task (parallel_for tasks
-  /// catch their own); guarded by mu_.
-  std::exception_ptr first_error_;
 };
 
 }  // namespace rbpc

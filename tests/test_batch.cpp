@@ -18,7 +18,6 @@
 #include "corpus.hpp"
 
 #include <atomic>
-#include <thread>
 #include <string>
 #include <vector>
 
@@ -506,27 +505,6 @@ TEST(ThreadPoolTest, SubmittedTasksDrainBeforeDestruction) {
     }
   }  // destructor drains the queue
   EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPoolTest, SubmitSurfacesWorkerExceptions) {
-  // One worker makes the queue FIFO: once the sentinel task has run, the
-  // throwing task before it has certainly finished.
-  ThreadPool pool(1);
-  pool.submit([] { require(false, "boom from submitted task"); });
-  std::atomic<bool> sentinel{false};
-  pool.submit([&] { sentinel.store(true); });
-  while (!sentinel.load()) std::this_thread::yield();
-
-  EXPECT_TRUE(pool.has_error());
-  EXPECT_THROW(pool.rethrow_first_error(), PreconditionError);
-  // Rethrowing consumes the error; the pool survives and keeps working.
-  EXPECT_FALSE(pool.has_error());
-  pool.rethrow_first_error();  // no error left: must not throw
-  std::atomic<int> count{0};
-  pool.submit([&] { count.fetch_add(1); });
-  pool.submit([&] { count.fetch_add(1); });
-  while (count.load() < 2) std::this_thread::yield();
-  EXPECT_EQ(count.load(), 2);
 }
 
 TEST(ThreadPoolTest, SizeAndDefaults) {

@@ -1,6 +1,7 @@
 // Concurrency test harness for the always-on restoration service
-// (src/service): epoch reclamation, the bounded MPMC queue, the service's
-// LSDB, the thread-safe EventQueue cancel path, and the service itself.
+// (src/service): the bounded MPMC queue, the service's LSDB and its
+// snapshot lifetime, the thread-safe EventQueue cancel path, and the
+// service itself.
 //
 // Two regimes, per the harness design:
 //
@@ -35,7 +36,6 @@
 #include <filesystem>
 #include <fstream>
 #include <initializer_list>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -57,7 +57,6 @@
 #include "obs/trace.hpp"
 #include "persist/format.hpp"
 #include "persist/io.hpp"
-#include "service/epoch.hpp"
 #include "service/mpmc_queue.hpp"
 #include "service/service.hpp"
 #include "service/sharded_lsdb.hpp"
@@ -78,112 +77,6 @@ using rbpc::testing::random_demands;
 using rbpc::testing::serial_replay;
 
 // ---------------------------------------------------------------------------
-// Epoch reclamation.
-// ---------------------------------------------------------------------------
-
-TEST(EpochReclamation, PinnedReaderBlocksReclaim) {
-  EpochManager mgr;
-  auto obj = std::make_shared<int>(42);
-  std::weak_ptr<int> alive = obj;
-
-  EpochManager::Guard reader = mgr.pin();
-  mgr.retire(std::move(obj));
-  // The reader pinned an epoch <= the retire epoch: nothing reclaimable.
-  EXPECT_EQ(mgr.try_reclaim(), 0u);
-  EXPECT_EQ(mgr.limbo_size(), 1u);
-  EXPECT_FALSE(alive.expired());
-
-  reader.release();
-  EXPECT_EQ(mgr.try_reclaim(), 1u);
-  EXPECT_EQ(mgr.limbo_size(), 0u);
-  EXPECT_TRUE(alive.expired());
-  EXPECT_EQ(mgr.reclaimed(), 1u);
-}
-
-TEST(EpochReclamation, LateReaderDoesNotBlockEarlierRetire) {
-  EpochManager mgr;
-  auto obj = std::make_shared<int>(1);
-  std::weak_ptr<int> alive = obj;
-  // retire() advances the epoch and reclaims opportunistically: with no
-  // reader pinned the object dies right away.
-  mgr.retire(std::move(obj));
-  EXPECT_TRUE(alive.expired());
-  EXPECT_EQ(mgr.reclaimed(), 1u);
-  // A reader pinning *after* the advance can never reach old objects and
-  // never blocks subsequent reclamation of pre-pin retirees.
-  EpochManager::Guard reader = mgr.pin();
-  auto obj2 = std::make_shared<int>(2);
-  std::weak_ptr<int> alive2 = obj2;
-  mgr.retire(std::move(obj2));
-  EXPECT_FALSE(alive2.expired()) << "reader pinned <= retire epoch";
-  reader.release();
-  EXPECT_EQ(mgr.try_reclaim(), 1u);
-  EXPECT_TRUE(alive2.expired());
-}
-
-TEST(EpochReclamation, GuardReleasesExactlyOnce) {
-  EpochManager mgr;
-  EpochManager::Guard g1 = mgr.pin();
-  const std::uint64_t pinned = g1.epoch();
-  EXPECT_TRUE(g1.active());
-  EXPECT_EQ(mgr.min_pinned(), pinned);
-
-  g1.release();
-  EXPECT_FALSE(g1.active());
-  EXPECT_EQ(mgr.min_pinned(), std::numeric_limits<std::uint64_t>::max());
-  g1.release();  // idempotent: must not free another reader's slot
-  EXPECT_EQ(mgr.min_pinned(), std::numeric_limits<std::uint64_t>::max());
-
-  // Moved-from guards are inert; the moved-to guard owns the single unpin.
-  EpochManager::Guard g2 = mgr.pin();
-  EpochManager::Guard g3 = std::move(g2);
-  EXPECT_FALSE(g2.active());  // NOLINT(bugprone-use-after-move): contract
-  EXPECT_TRUE(g3.active());
-  g2.release();  // releasing the husk must not unpin g3's slot
-  EXPECT_NE(mgr.min_pinned(), std::numeric_limits<std::uint64_t>::max());
-  g3.release();
-  EXPECT_EQ(mgr.min_pinned(), std::numeric_limits<std::uint64_t>::max());
-}
-
-TEST(EpochReclamation, ConcurrentPinRetireStress) {
-  EpochManager mgr;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-
-  // Readers continuously pin/unpin; writers retire live objects. TSan
-  // verifies the slot CAS protocol; the weak_ptr sampling verifies no
-  // object dies while a guard taken before its retirement is live.
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        EpochManager::Guard g = mgr.pin();
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  constexpr int kRetires = 2000;
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 2; ++w) {
-    writers.emplace_back([&] {
-      for (int i = 0; i < kRetires; ++i) {
-        mgr.retire(std::make_shared<int>(i));
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : readers) t.join();
-
-  // With every guard dropped, everything still in limbo is reclaimable.
-  mgr.retire(std::make_shared<int>(-1));
-  mgr.try_reclaim();
-  EXPECT_EQ(mgr.limbo_size(), 0u);
-  EXPECT_EQ(mgr.reclaimed(), static_cast<std::uint64_t>(2 * kRetires + 1));
-  EXPECT_GT(reads.load(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // Bounded MPMC queue.
 // ---------------------------------------------------------------------------
 
@@ -198,21 +91,6 @@ TEST(MpmcQueue, CapacityAndFifoSingleThreaded) {
     ASSERT_TRUE(q.pop(out));
     EXPECT_EQ(out, i) << "single-threaded order must be FIFO";
   }
-  EXPECT_FALSE(q.pop(out));
-}
-
-TEST(MpmcQueue, CloseRejectsPushesButDrains) {
-  MpmcQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(3));
-  int out = 0;
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 2);
   EXPECT_FALSE(q.pop(out));
 }
 
@@ -285,41 +163,6 @@ TEST(MpmcQueue, PushFailsOnlyWhenFullByCount) {
   while (q.pop(token)) left.push_back(token);
   std::sort(left.begin(), left.end());
   EXPECT_EQ(left, (std::vector<std::size_t>{0, 1, 2, 3}));
-}
-
-TEST(MpmcQueue, ShutdownWithInflightProducers) {
-  MpmcQueue<int> q(16);
-  std::atomic<std::uint64_t> pushed{0};
-  std::atomic<bool> closed{false};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      // Push until the queue is closed; a failed push on a *full* open
-      // queue retries, a failed push after close gives up.
-      while (!closed.load(std::memory_order_acquire)) {
-        if (q.push(1)) {
-          pushed.fetch_add(1, std::memory_order_relaxed);
-        } else if (q.closed()) {
-          break;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  // Let producers race the close.
-  std::uint64_t drained = 0;
-  int out = 0;
-  while (pushed.load(std::memory_order_relaxed) < 200) {
-    if (q.pop(out)) ++drained;
-  }
-  q.close();
-  closed.store(true, std::memory_order_release);
-  for (std::thread& t : producers) t.join();
-  // Post-join drain: exactly the successful pushes come back out.
-  while (q.pop(out)) ++drained;
-  EXPECT_EQ(drained, pushed.load());
-  EXPECT_FALSE(q.push(7)) << "closed queue must reject new work";
 }
 
 // ---------------------------------------------------------------------------
@@ -448,24 +291,40 @@ TEST(ShardedLsdb, ImportRecordsRoundTripsExport) {
 }
 
 TEST(ShardedLsdb, SnapshotPinsBlockReclamationUntilDropped) {
-  ShardedLsdb db(4);
+  // A snapshot keeps its own down list alive while the writer replaces the
+  // published list 1,000 times: every flip frees the list it replaced
+  // unless a reader still holds it, so a held view that lost its list
+  // would read freed memory (caught under ASan) or another view's links.
+  constexpr std::size_t kEdges = 6;
+  ShardedLsdb db(kEdges);
   ASSERT_TRUE(db.apply({0, false, 1}));
+  ASSERT_TRUE(db.apply({4, false, 1}));
   auto held = std::make_unique<ShardedLsdb::Snapshot>(db.snapshot());
-  EXPECT_FALSE(held->edge_failed(1));
-  // Writes behind the pinned snapshot park the old down lists in limbo.
-  ASSERT_TRUE(db.apply({1, false, 1}));
-  ASSERT_TRUE(db.apply({1, true, 2}));
-  EXPECT_GT(db.epochs().limbo_size(), 0u);
-  EXPECT_FALSE(held->edge_failed(1)) << "pinned snapshot must stay immutable";
-  EXPECT_EQ(held->version(), 1u);
+  const std::vector<EdgeId> held_down{0, 4};
+  ASSERT_EQ(down_links(*held), held_down);
 
-  held.reset();  // unpin
-  db.epochs().try_reclaim();
-  EXPECT_EQ(db.epochs().limbo_size(), 0u);
+  // Flips of links 1, 2, 3 and 5 in turn, each down then up, with link 0
+  // brought up halfway: every apply publishes a new list.
+  std::vector<std::uint64_t> gen(kEdges, 1);
+  constexpr EdgeId kFlipped[] = {1, 2, 3, 5};
+  for (int i = 0; i < 1000; ++i) {
+    const EdgeId e = kFlipped[(i / 2) % 4];
+    ASSERT_TRUE(db.apply({e, i % 2 == 1, ++gen[e]}));
+    if (i == 500) {
+      ASSERT_TRUE(db.apply({0, true, ++gen[0]}));
+    }
+    ASSERT_EQ(down_links(*held), held_down) << "flip " << i;
+    for (EdgeId x = 0; x < kEdges; ++x) {
+      ASSERT_EQ(held->edge_failed(x), x == 0 || x == 4) << "flip " << i;
+    }
+  }
+  EXPECT_EQ(held->version(), 2u);
+  EXPECT_EQ(held->failed_edge_count(), 2u);
+
+  held.reset();
   const ShardedLsdb::Snapshot fresh = db.snapshot();
-  EXPECT_TRUE(fresh.edge_failed(0));
-  EXPECT_FALSE(fresh.edge_failed(1));
-  EXPECT_EQ(fresh.version(), 3u);
+  EXPECT_EQ(down_links(fresh), (std::vector<EdgeId>{4}));
+  EXPECT_EQ(fresh.version(), 1003u);
 }
 
 TEST(ShardedLsdb, SnapshotIsAPrefixOfAppliedEvents) {

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <source_location>
 #include <string>
@@ -166,7 +165,9 @@ TEST(StatAccumulator, BasicMoments) {
   EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
   EXPECT_DOUBLE_EQ(acc.min(), 2.0);
   EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-  EXPECT_NEAR(acc.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
+  StatAccumulator single;
+  single.add(3.5);
+  EXPECT_DOUBLE_EQ(single.mean(), 3.5);
 }
 
 TEST(StatAccumulator, EmptyThrows) {
@@ -175,13 +176,6 @@ TEST(StatAccumulator, EmptyThrows) {
   EXPECT_THROW(acc.mean(), PreconditionError);
   EXPECT_THROW(acc.min(), PreconditionError);
   EXPECT_THROW(acc.max(), PreconditionError);
-}
-
-TEST(StatAccumulator, SingleValueHasZeroVariance) {
-  StatAccumulator acc;
-  acc.add(3.5);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.5);
 }
 
 TEST(StatAccumulator, MergeMatchesSequential) {
@@ -197,7 +191,6 @@ TEST(StatAccumulator, MergeMatchesSequential) {
   left.merge(right);
   EXPECT_EQ(left.count(), whole.count());
   EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
   EXPECT_DOUBLE_EQ(left.min(), whole.min());
   EXPECT_DOUBLE_EQ(left.max(), whole.max());
 }
